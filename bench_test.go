@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -37,7 +36,7 @@ import (
 var benchPool = farm.Default()
 
 // benchFrames keeps benchmark runtime manageable; all reported metrics
-// are rates, insensitive to sequence length (see DESIGN.md and
+// are rates, insensitive to sequence length (see README.md and
 // TestRunLengthInvariance).
 const benchFrames = 6
 
@@ -267,10 +266,7 @@ func BenchmarkRecordEncode(b *testing.B) {
 
 // BenchmarkReplayOnly measures a single machine simulation served from
 // an existing capture — the marginal cost of "one more machine" in a
-// sweep. The serial sub-benchmark pins one replay worker regardless of
-// -cpu and is the regression guard against the pre-parallel replay
-// path; parallel uses GOMAXPROCS workers, so running with
-// -cpu 1,2,4,8 reports the chunk-speculative replay's scaling curve.
+// sweep: one full-trace hierarchy replay on one core.
 func BenchmarkReplayOnly(b *testing.B) {
 	wl := harness.Workload{W: 352, H: 288, Frames: benchFrames}
 	c, err := harness.RecordEncodeIn(simmem.NewSpace(0), wl)
@@ -278,19 +274,14 @@ func BenchmarkReplayOnly(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := perf.O2R12K1MB()
-	replay := func(b *testing.B, workers int) {
-		trace.SetReplayWorkers(workers)
-		defer trace.SetReplayWorkers(0)
-		b.ResetTimer()
+	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res := harness.ReplayOn(m, c.Enc, c.SS.TotalBytes())
 			if res.Whole.Raw.References() == 0 {
 				b.Fatal("empty replay")
 			}
 		}
-	}
-	b.Run("serial", func(b *testing.B) { replay(b, 1) })
-	b.Run("parallel", func(b *testing.B) { replay(b, runtime.GOMAXPROCS(0)) })
+	})
 }
 
 // BenchmarkMemoizedSweep quantifies the result memo: the full
@@ -581,7 +572,8 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 }
 
 // BenchmarkAblationStaging isolates the MoMuSys-style per-VOP staging
-// traffic — the design choice dominating L2-level behaviour (DESIGN.md).
+// traffic — the design choice dominating L2-level behaviour (README.md,
+// `-sweep staging`).
 func BenchmarkAblationStaging(b *testing.B) {
 	wl := harness.Workload{W: 352, H: 288, Frames: benchFrames}
 	for i := 0; i < b.N; i++ {

@@ -119,7 +119,7 @@ func main() {
 	sessionBurst := flag.Int("session-burst", 0, "per-session submission burst (0 = derived from -session-rate)")
 	heartbeat := flag.Duration("heartbeat", 15*time.Second, "SSE heartbeat interval on /v1/studies/{id}/events")
 	memoDir := flag.String("memo-dir", "", "persist the shared result memo to this directory (resubmitted studies replay only unseen cells)")
-	replayWorkers := flag.Int("replay-workers", 0, "cores per single-trace replay (0 = GOMAXPROCS, 1 = serial)")
+	replayWorkers := flag.Int("replay-workers", 0, "goroutines one fused multi-config L2 replay splits its configs across (0 = GOMAXPROCS); single replays always run serially")
 	noMemo := flag.Bool("no-memo", false, "disable result memoization (default: in-memory memo shared by all studies)")
 	srvFlags := obs.RegisterServerFlags(flag.CommandLine)
 	flag.Parse()

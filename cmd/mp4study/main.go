@@ -153,7 +153,7 @@ func main() {
 	priority := flag.String("priority", "", "with -service: admission priority, interactive or batch (default batch)")
 	authToken := flag.String("auth-token", "", "with -service: send Authorization: Bearer <token>")
 	parallel := flag.Int("parallel", 0, "farm worker count (0 = GOMAXPROCS)")
-	replayWorkers := flag.Int("replay-workers", 0, "cores per single-trace replay: chunk-speculative parallel replay (0 = GOMAXPROCS, 1 = serial)")
+	replayWorkers := flag.Int("replay-workers", 0, "goroutines one fused multi-config L2 replay splits its configs across (0 = GOMAXPROCS); single replays always run serially")
 	progress := flag.Bool("progress", false, "report job completions to stderr")
 	replay := flag.Bool("replay", true, "simulate machines by trace capture and replay (false = legacy live simulation)")
 	traceOut := flag.String("trace-out", "", "with -sweep geometry: write the encode capture to this file (portable wire format)")

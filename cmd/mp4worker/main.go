@@ -53,7 +53,7 @@ func main() {
 	workers := flag.Int("workers", 0, "farm worker count (0 = GOMAXPROCS)")
 	maxTraces := flag.Int("max-traces", 8, "resident uploaded traces")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "bound the trace store's total wire bytes; crossing it evicts least-recently-used traces (0 = unbounded)")
-	replayWorkers := flag.Int("replay-workers", 0, "cores per single-trace replay (0 = GOMAXPROCS, 1 = serial)")
+	replayWorkers := flag.Int("replay-workers", 0, "goroutines one fused multi-config L2 replay splits its configs across (0 = GOMAXPROCS); single replays always run serially")
 	srvFlags := obs.RegisterServerFlags(flag.CommandLine)
 	flag.Parse()
 	trace.SetReplayWorkers(*replayWorkers)

@@ -355,9 +355,3 @@ func (c *Cache) Occupancy() int {
 	}
 	return n
 }
-
-// CheckLRUInvariant is the pre-policy name of CheckInvariant, kept as
-// a thin wrapper so existing tests and callers compile unchanged. On a
-// non-LRU cache it checks that cache's own policy invariants (the name
-// is historical, the dispatch is per-policy).
-func (c *Cache) CheckLRUInvariant() error { return c.CheckInvariant() }

@@ -138,7 +138,7 @@ func TestQuickLRUInvariant(t *testing.T) {
 		for i := 0; i < int(n)%2000; i++ {
 			c.Access(uint64(rng.Intn(8192)), rng.Intn(2) == 0)
 		}
-		return c.CheckLRUInvariant() == nil
+		return c.CheckInvariant() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestAccessMatchesReferenceLRU(t *testing.T) {
 				t.Fatalf("ways=%d step %d addr %#x write=%v: got %+v want %+v", ways, i, addr, write, got, want)
 			}
 		}
-		if err := c.CheckLRUInvariant(); err != nil {
+		if err := c.CheckInvariant(); err != nil {
 			t.Fatalf("ways=%d: %v", ways, err)
 		}
 	}

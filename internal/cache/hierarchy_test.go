@@ -141,7 +141,7 @@ func TestQuickHierarchyInvariants(t *testing.T) {
 		if h.PrefetchL1Hits > h.Prefetches {
 			return false
 		}
-		if h.L1.CheckLRUInvariant() != nil || h.L2.CheckLRUInvariant() != nil {
+		if h.L1.CheckInvariant() != nil || h.L2.CheckInvariant() != nil {
 			return false
 		}
 		return true
@@ -215,7 +215,7 @@ func TestRunStridedEquivalentToPerRowRuns(t *testing.T) {
 			t.Fatalf("step %d: strided %+v != per-row %+v", i, a.Snapshot(), b.Snapshot())
 		}
 	}
-	if err := a.L1.CheckLRUInvariant(); err != nil {
+	if err := a.L1.CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
 }

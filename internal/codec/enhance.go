@@ -16,8 +16,8 @@ import (
 // search against the base reconstruction (MPEG-4 scalability codes
 // enhancement VOPs with motion compensation from the reference layer),
 // then a finer-quantizer residual. Shaped objects code their bounding
-// box only. See DESIGN.md for the substitution note versus the MoMuSys
-// scalable VOL tool.
+// box only. This stands in for the MoMuSys scalable VOL tool the paper
+// measured (README.md lists the codec's scope).
 
 // EnhConfig parameterises the enhancement layer.
 type EnhConfig struct {

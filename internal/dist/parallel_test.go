@@ -10,10 +10,9 @@ import (
 	"repro/internal/trace"
 )
 
-// TestDistributedSweepParallelReplayIdentical: a two-worker sweep with
-// chunk-speculative parallel replay enabled on the workers returns
-// points byte-identical to the serial local sweep — the distributed
-// acceptance criterion for the parallel replay engine.
+// TestDistributedSweepParallelReplayIdentical: a two-worker sweep whose
+// workers split each row's L2 configs across four goroutines returns
+// points byte-identical to the local sweep replaying them on one.
 func TestDistributedSweepParallelReplayIdentical(t *testing.T) {
 	defer trace.SetReplayWorkers(0)
 	wl := harness.Workload{W: 160, H: 128, Frames: 3}
@@ -38,13 +37,10 @@ func TestDistributedSweepParallelReplayIdentical(t *testing.T) {
 	if len(distPoints) != len(localPoints) {
 		t.Fatalf("%d distributed points vs %d local", len(distPoints), len(localPoints))
 	}
-	if !reflect.DeepEqual(distPoints, localPoints) {
-		for i := range distPoints {
-			if !reflect.DeepEqual(distPoints[i], localPoints[i]) {
-				t.Fatalf("point %d differs\ndist(parallel) %+v\nlocal(serial)  %+v",
-					i, distPoints[i], localPoints[i])
-			}
+	for i := range distPoints {
+		if !reflect.DeepEqual(distPoints[i], localPoints[i]) {
+			t.Fatalf("point %d differs\ndist (4 replay workers) %+v\nlocal (1 replay worker) %+v",
+				i, distPoints[i], localPoints[i])
 		}
-		t.Fatal("points differ")
 	}
 }

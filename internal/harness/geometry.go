@@ -295,7 +295,9 @@ func geometryRowMemo(ctx context.Context, tr *trace.Trace, l1 cache.Config, l2Si
 // caller must have validated l1 (it is the seam the local sweep and the
 // distributed coordinator share; both validate their axes at ingress).
 func FilterGeometryL1(ctx context.Context, tr *trace.Trace, l1 cache.Config) *trace.L2Trace {
-	lt := tr.FilterL2Parallel(l1, trace.ReplayWorkers())
+	f := trace.NewL2Filter(l1)
+	tr.Replay(f, f)
+	lt := f.Trace()
 	StudyFrom(ctx).noteL2Trace(lt)
 	return lt
 }

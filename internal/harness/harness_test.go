@@ -87,7 +87,7 @@ func TestMultiObjectMultiLayerRuns(t *testing.T) {
 	}
 }
 
-// TestRunLengthInvariance checks the DESIGN.md claim that the reported
+// TestRunLengthInvariance checks the README.md claim that the reported
 // rates are insensitive to sequence length, justifying short runs.
 func TestRunLengthInvariance(t *testing.T) {
 	m := []perf.Machine{perf.O2R12K1MB()}

@@ -7,80 +7,45 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/farm"
-	"repro/internal/perf"
 	"repro/internal/simmem"
 	"repro/internal/trace"
 )
 
-// TestParallelReplayEndToEndIdentical is the harness-level acceptance
-// test for chunk-speculative replay: the same capture produces
-// byte-identical Results with one replay worker (the pre-parallel
-// serial path) and with several (parallel L1 filter + parallel L2
-// replay + fused multi-config pass). The workload is sized so the
-// trace spans multiple speculation chunks at both layers — small
-// traces would silently fall back to the serial engine and prove
-// nothing.
+// TestParallelReplayEndToEndIdentical checks the fused pass's config
+// fan-out end to end: geometry and policy sweeps of one capture produce
+// byte-identical points whether each row's L2 configs replay on one
+// goroutine (-replay-workers 1) or split across four.
 func TestParallelReplayEndToEndIdentical(t *testing.T) {
 	defer trace.SetReplayWorkers(0)
-	wl := Workload{W: 352, H: 288, Frames: 2}
-	capture, err := RecordEncodeIn(simmem.NewSpace(0), wl)
+	capture, err := RecordEncodeIn(simmem.NewSpace(0), Workload{W: 176, H: 144, Frames: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Single-machine replay on every paper machine.
-	for _, m := range perf.PaperMachines() {
-		trace.SetReplayWorkers(1)
-		serial := ReplayOn(m, capture.Enc, capture.SS.TotalBytes())
-		trace.SetReplayWorkers(4)
-		par := ReplayOn(m, capture.Enc, capture.SS.TotalBytes())
-		if !reflect.DeepEqual(serial, par) {
-			t.Errorf("%s: parallel replay differs\nserial   %+v\nparallel %+v",
-				m.Label(), serial, par)
+	pool := farm.Default()
+	sweep := func(workers int, l1s []cache.Config, l2Sizes []int) []GeometryPoint {
+		t.Helper()
+		trace.SetReplayWorkers(workers)
+		pts, err := RunGeometrySweepFromTrace(context.Background(), pool, capture.Enc, l1s, l2Sizes)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return pts
 	}
 
-	// Local geometry sweep: parallel filter feeding the fused
-	// multi-size L2 pass.
-	pool := farm.Default()
 	l1s := GeometryL1Configs()[:2]
 	l2Sizes := []int{256 << 10, 1 << 20, 2 << 20}
-	trace.SetReplayWorkers(1)
-	serialPts, err := RunGeometrySweepFromTrace(context.Background(), pool, capture.Enc, l1s, l2Sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace.SetReplayWorkers(4)
-	parPts, err := RunGeometrySweepFromTrace(context.Background(), pool, capture.Enc, l1s, l2Sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serialPts, parPts) {
-		for i := range serialPts {
-			if !reflect.DeepEqual(serialPts[i], parPts[i]) {
-				t.Fatalf("geometry point %d differs\nserial   %+v\nparallel %+v",
-					i, serialPts[i], parPts[i])
-			}
+	serial, fanned := sweep(1, l1s, l2Sizes), sweep(4, l1s, l2Sizes)
+	for i := range serial {
+		if !reflect.DeepEqual(serial[i], fanned[i]) {
+			t.Fatalf("geometry point %d differs\n1 worker  %+v\n4 workers %+v", i, serial[i], fanned[i])
 		}
-		t.Fatal("geometry sweeps differ")
 	}
 
-	// Fused policy sweep: non-LRU policies must route through the
-	// serial fallback and still match exactly.
 	pl1s := PolicyAxisConfigs([]cache.Policy{
 		cache.PolicyLRU, cache.PolicyPLRU, cache.PolicyFIFO, cache.PolicyRandom, cache.PolicyVictim,
 	})
-	trace.SetReplayWorkers(1)
-	serialPol, err := RunGeometrySweepFromTrace(context.Background(), pool, capture.Enc, pl1s, []int{512 << 10, 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace.SetReplayWorkers(4)
-	parPol, err := RunGeometrySweepFromTrace(context.Background(), pool, capture.Enc, pl1s, []int{512 << 10, 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serialPol, parPol) {
-		t.Fatal("policy sweeps differ between serial and parallel replay")
+	pSizes := []int{512 << 10, 1 << 20}
+	if !reflect.DeepEqual(sweep(1, pl1s, pSizes), sweep(4, pl1s, pSizes)) {
+		t.Fatal("policy sweeps differ between 1 and 4 replay workers")
 	}
 }

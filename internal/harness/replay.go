@@ -255,16 +255,8 @@ func ReplayOn(m perf.Machine, tr *trace.Trace, bytes int) Result {
 	return ReplayOnCtx(context.Background(), m, tr, bytes)
 }
 
-// ReplayOnCtx is ReplayOn accounted to the context's Study. With
-// -replay-workers > 1 (trace.SetReplayWorkers) the replay runs the
-// parallel filter + L2 composition across cores; the counters are
-// byte-identical to the serial hierarchy replay either way.
+// ReplayOnCtx is ReplayOn accounted to the context's Study.
 func ReplayOnCtx(ctx context.Context, m perf.Machine, tr *trace.Trace, bytes int) Result {
-	if w := trace.ReplayWorkers(); w > 1 {
-		whole, phases := tr.ReplayHierarchyParallel(m.L1, m.L2, w)
-		StudyFrom(ctx).noteReplay()
-		return resultFromStats(m, whole, phases, bytes)
-	}
 	h := m.NewHierarchy()
 	pt := newPhaseTracker(h)
 	tr.Replay(h, pt)

@@ -3,10 +3,12 @@ package harness
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/perf"
 	"repro/internal/simmem"
+	"repro/internal/trace"
 )
 
 // liveResults runs the workload on every machine through the legacy
@@ -226,4 +228,34 @@ func TestReplayToggle(t *testing.T) {
 		t.Fatalf("live mode recorded captures: %+v", u)
 	}
 	requireIdentical(t, "toggle", on, off)
+}
+
+// TestFilterGeometryL1Allocation bounds what the L1 filter pass
+// allocates on a long trace to a small multiple of the L2 trace it
+// returns: the pass appends the L2-bound events and keeps no other
+// per-record state.
+func TestFilterGeometryL1Allocation(t *testing.T) {
+	rec := trace.NewRecorder()
+	x := uint64(1)
+	for i := 0; i < 250_000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		kind := simmem.Load
+		if x>>63 == 1 {
+			kind = simmem.Store
+		}
+		rec.Access((x>>20)%(8<<20), 8, kind)
+	}
+	tr := rec.Finish()
+	l1 := GeometryL1Configs()[0]
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	lt := FilterGeometryL1(context.Background(), tr, l1)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if limit := 4 * uint64(lt.SizeBytes()); alloc > limit {
+		t.Fatalf("filtering %d records allocated %d bytes, more than 4x the %d-byte L2 trace",
+			tr.Records(), alloc, lt.SizeBytes())
+	}
 }

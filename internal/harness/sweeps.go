@@ -154,7 +154,7 @@ func RunStagingAblation(wl Workload) ([]AblationResult, error) {
 
 // RunStagingAblationPool compares the full MoMuSys-style per-VOP
 // staging model against a lean codec without it — the design choice
-// that dominates L2-level traffic (DESIGN.md).
+// that dominates L2-level traffic (README.md, `-sweep staging`).
 func RunStagingAblationPool(ctx context.Context, p *farm.Pool, wl Workload) ([]AblationResult, error) {
 	return farm.MapLabeled(ctx, p, []bool{false, true},
 		func(i int, disable bool) string {

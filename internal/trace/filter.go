@@ -12,6 +12,10 @@ package trace
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -66,9 +70,19 @@ func (f *L2Filter) lineRef(addr uint64, write bool) {
 	f.base.L1Misses++
 	if r1.EvictedDirty {
 		f.base.L1Writebacks++
-		f.events = append(f.events, (r1.EvictedLine*f.lineBytes)<<1|1)
+		f.emit((r1.EvictedLine*f.lineBytes)<<1 | 1)
 	}
-	f.events = append(f.events, addr<<1)
+	f.emit(addr << 1)
+}
+
+// emit appends one L2-bound event. The stream doubles when full instead
+// of taking append's 1.25x steps for large slices, so a filter pass
+// allocates about twice its final stream rather than about five times.
+func (f *L2Filter) emit(ev uint64) {
+	if len(f.events) == cap(f.events) {
+		f.events = slices.Grow(f.events, len(f.events))
+	}
+	f.events = append(f.events, ev)
 }
 
 // Access implements simmem.Tracer (cf. cache.Hierarchy.Access).
@@ -308,25 +322,126 @@ func (rp *l2Replay) finish() (cache.Stats, map[string]cache.Stats) {
 // the same begin-snapshot / end-delta semantics as the harness's live
 // phase tracker.
 func (rp *l2Replay) applyMark(m *l2Mark) {
-	applyMarkStats(rp.t.names[m.name], m.begin, rp.statsAt(m), rp.starts, &rp.phases)
-}
-
-// applyMarkStats folds one phase marker with its at-mark counters into
-// the begin-snapshot / end-delta phase accounting. Shared by the
-// serial, fused and parallel replay paths so their per-phase semantics
-// cannot drift apart.
-func applyMarkStats(name string, begin bool, at cache.Stats, starts map[string]cache.Stats, phases *map[string]cache.Stats) {
-	if begin {
-		starts[name] = at
+	name, at := rp.t.names[m.name], rp.statsAt(m)
+	if m.begin {
+		rp.starts[name] = at
 		return
 	}
-	s, ok := starts[name]
+	s, ok := rp.starts[name]
 	if !ok {
 		return
 	}
-	delete(starts, name)
-	if *phases == nil {
-		*phases = map[string]cache.Stats{}
+	delete(rp.starts, name)
+	if rp.phases == nil {
+		rp.phases = map[string]cache.Stats{}
 	}
-	(*phases)[name] = (*phases)[name].Add(at.Sub(s))
+	rp.phases[name] = rp.phases[name].Add(at.Sub(s))
+}
+
+// Fused-replay metrics: the worker gauge mirrors SetReplayWorkers, the
+// counters count fused passes and the configs they replayed.
+var (
+	mReplayWorkers      = obs.Default().Gauge("trace_replay_workers")
+	mFusedReplays       = obs.Default().Counter("trace_replay_fused_total")
+	mFusedReplayConfigs = obs.Default().Counter("trace_replay_fused_configs_total")
+)
+
+// replayWorkers holds the configured worker count; 0 means GOMAXPROCS.
+var replayWorkers atomic.Int32
+
+func init() { mReplayWorkers.Set(int64(runtime.GOMAXPROCS(0))) }
+
+// SetReplayWorkers configures how many goroutines one fused multi-config
+// pass (ReplayMany) splits its configs across — the -replay-workers
+// flag. n <= 0 restores the default, GOMAXPROCS. Every single-config
+// replay runs serially whatever the setting.
+func SetReplayWorkers(n int) {
+	if n < 0 {
+		n = 0
+	}
+	replayWorkers.Store(int32(n))
+	mReplayWorkers.Set(int64(ReplayWorkers()))
+}
+
+// ReplayWorkers returns the effective replay worker count.
+func ReplayWorkers() int {
+	if n := int(replayWorkers.Load()); n > 0 {
+		return n
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// L2ReplayResult is one config's output from a fused multi-config
+// replay.
+type L2ReplayResult struct {
+	Whole  cache.Stats
+	Phases map[string]cache.Stats
+}
+
+// fusedBlockEvents is the event window the fused pass holds hot in the
+// host cache while every config replays it.
+const fusedBlockEvents = 1 << 15
+
+// ReplayMany replays the stream against several L2 configs in one pass
+// over the events: each block of the stream is replayed by every
+// config while it is hot in the host cache, instead of streaming the
+// whole trace once per config. With workers > 1 the configs split
+// across goroutines (each group still fused). Every result is
+// byte-identical to a standalone Replay of that config.
+func (t *L2Trace) ReplayMany(cfgs []cache.Config, workers int) []L2ReplayResult {
+	out := make([]L2ReplayResult, len(cfgs))
+	if len(cfgs) == 0 {
+		return out
+	}
+	if obs.Enabled() {
+		start := time.Now()
+		defer func() {
+			mL2ReplaySeconds.Observe(time.Since(start).Seconds())
+		}()
+	}
+	mFusedReplays.Inc()
+	mFusedReplayConfigs.Add(uint64(len(cfgs)))
+	mL2Replays.Add(uint64(len(cfgs)))
+	mL2ReplayEvents.Add(uint64(len(cfgs) * len(t.events)))
+	if workers > len(cfgs) {
+		workers = len(cfgs)
+	}
+	if workers <= 1 {
+		t.replayFused(cfgs, out)
+		return out
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo := w * len(cfgs) / workers
+		hi := (w + 1) * len(cfgs) / workers
+		if lo == hi {
+			continue
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			t.replayFused(cfgs[lo:hi], out[lo:hi])
+		}(lo, hi)
+	}
+	wg.Wait()
+	return out
+}
+
+// replayFused advances one l2Replay per config across each event block
+// in turn, reusing the per-config scratch for every block.
+func (t *L2Trace) replayFused(cfgs []cache.Config, out []L2ReplayResult) {
+	states := make([]l2Replay, len(cfgs))
+	for i := range states {
+		states[i].reset(t, cfgs[i])
+	}
+	for lo := 0; lo < len(t.events); lo += fusedBlockEvents {
+		hi := min(lo+fusedBlockEvents, len(t.events))
+		for i := range states {
+			states[i].run(lo, hi)
+		}
+	}
+	for i := range states {
+		whole, phases := states[i].finish()
+		out[i] = L2ReplayResult{Whole: whole, Phases: phases}
+	}
 }

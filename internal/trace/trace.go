@@ -182,7 +182,7 @@ func (t *Trace) SizeBytes() int {
 
 // expand unpacks a record to its full field set, following the wide
 // table for spilled records. The slow counterpart of the inline decode
-// in Replay, shared by the wire encoder and the parallel batch decoder.
+// in Replay, used by the wire encoder.
 func (t *Trace) expand(r record) (op uint8, addr uint64, n, stride, unit uint32, rows uint16) {
 	op = r.op()
 	switch op {

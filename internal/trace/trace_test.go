@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -126,10 +129,10 @@ func TestReplayMatchesLiveRandom(t *testing.T) {
 		for _, g := range geoms {
 			replayed := newLiveHierarchy(g.l1, g.l2)
 			tr.Replay(replayed.Hierarchy, replayed)
-			if err := replayed.L1.CheckLRUInvariant(); err != nil {
+			if err := replayed.L1.CheckInvariant(); err != nil {
 				t.Fatalf("seed %d: L1 invariant after replay: %v", seed, err)
 			}
-			if err := replayed.L2.CheckLRUInvariant(); err != nil {
+			if err := replayed.L2.CheckInvariant(); err != nil {
 				t.Fatalf("seed %d: L2 invariant after replay: %v", seed, err)
 			}
 			if g.l1 != geoms[0].l1 || g.l2 != geoms[0].l2 {
@@ -298,4 +301,112 @@ func TestL2TraceSizeReport(t *testing.T) {
 	if s := lt.String(); s == "" {
 		t.Fatal("empty String()")
 	}
+}
+
+// TestRecordPacked asserts the packed record layout: 16 bytes per
+// record, and SizeBytes accounting for it.
+func TestRecordPacked(t *testing.T) {
+	if got := int(reflect.TypeOf(record{}).Size()); got != recordBytes {
+		t.Fatalf("record size = %d bytes, want %d", got, recordBytes)
+	}
+	if recordBytes != 16 {
+		t.Fatalf("recordBytes = %d, want 16", recordBytes)
+	}
+	r := NewRecorder()
+	for i := 0; i < 3*chunkRecords; i++ {
+		r.Access(uint64(i)*64, 4, simmem.Load)
+	}
+	tr := r.Finish()
+	if tr.SizeBytes() < tr.Records()*recordBytes {
+		t.Fatalf("SizeBytes %d below %d records * %d", tr.SizeBytes(), tr.Records(), recordBytes)
+	}
+	if tr.SizeBytes() > 2*tr.Records()*recordBytes {
+		t.Fatalf("SizeBytes %d more than 2x the packed record payload", tr.SizeBytes())
+	}
+	if len(tr.wide) != 0 {
+		t.Fatalf("plain accesses spilled %d wide records", len(tr.wide))
+	}
+}
+
+// TestRecordWideSpill: fields beyond the packed ranges round-trip
+// exactly through the wide table, the replay dispatch, and the wire
+// format.
+func TestRecordWideSpill(t *testing.T) {
+	// Addresses beyond the 56-bit packed payload spill to the wide table
+	// in memory and replay exactly; the wire format has always bounded
+	// addresses at 2^56, so such a trace still refuses to encode.
+	{
+		r := NewRecorder()
+		r.Access(uint64(1)<<60, 8, simmem.Store)
+		tr := r.Finish()
+		if len(tr.wide) != 1 {
+			t.Fatalf("huge address spilled %d wide records, want 1", len(tr.wide))
+		}
+		var got []string
+		tr.Replay(&tracerLog{out: &got}, nil)
+		if len(got) != 1 || got[0] != fmt.Sprintf("A %d 8 %d", uint64(1)<<60, simmem.Store) {
+			t.Fatalf("huge address replayed as %v", got)
+		}
+		var b bytes.Buffer
+		if _, err := tr.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadTrace(&b); err == nil {
+			t.Fatalf("expected ReadTrace to reject a 2^60 address")
+		}
+	}
+
+	r := NewRecorder()
+	r.Run(100, 5<<24, 4, simmem.Load)                // run length beyond 24 bits
+	r.Run(200, 64, 3, simmem.Load)                   // non-power-of-two unit
+	r.Run(300, 64, 1<<16, simmem.Load)               // unit beyond 2^15
+	r.RunStrided(400, 64, 1<<24, 4, 8, simmem.Store) // stride beyond 24 bits
+	r.RunStrided(500, 32, 16, 3, 8, simmem.Prefetch) // packed control
+	r.Ops(1 << 60)                                   // ops count beyond the 56-bit payload
+	r.PhaseBegin("p")
+	r.PhaseEnd("p")
+	tr := r.Finish()
+	if len(tr.wide) == 0 {
+		t.Fatalf("expected wide spills")
+	}
+
+	var got, want []string
+	rec := func(out *[]string) *tracerLog { return &tracerLog{out: out} }
+	tr.Replay(rec(&got), nil)
+
+	// The same stream captured through a fresh recorder must replay
+	// identically after a wire round-trip.
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Records() != tr.Records() {
+		t.Fatalf("round-trip records %d != %d", dec.Records(), tr.Records())
+	}
+	dec.Replay(rec(&want), nil)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("wide records diverged after wire round-trip:\n got %v\nwant %v", got, want)
+	}
+}
+
+// tracerLog records the exact Tracer call stream.
+type tracerLog struct {
+	out *[]string
+}
+
+func (l *tracerLog) Access(addr uint64, size uint32, kind simmem.Kind) {
+	*l.out = append(*l.out, fmt.Sprintf("A %d %d %d", addr, size, kind))
+}
+func (l *tracerLog) Run(addr uint64, n int, unit uint32, kind simmem.Kind) {
+	*l.out = append(*l.out, fmt.Sprintf("R %d %d %d %d", addr, n, unit, kind))
+}
+func (l *tracerLog) RunStrided(addr uint64, rowBytes, stride, rows int, unit uint32, kind simmem.Kind) {
+	*l.out = append(*l.out, fmt.Sprintf("S %d %d %d %d %d %d", addr, rowBytes, stride, rows, unit, kind))
+}
+func (l *tracerLog) Ops(n uint64) {
+	*l.out = append(*l.out, fmt.Sprintf("O %d", n))
 }

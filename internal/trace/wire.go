@@ -106,20 +106,41 @@ const (
 
 // ---- encoding helpers ----
 
+// wireBufSize is the buffer both wire directions stage bytes in; the
+// body digest is fed one buffer span at a time.
+const wireBufSize = 64 << 10
+
 // wireWriter wraps the destination with buffering, varint helpers and
-// write-count tracking for the io.WriterTo contract. Every body byte
-// also streams through a SHA-256 digest, so the content hash falls out
-// of encoding for free.
+// write-count tracking for the io.WriterTo contract. The buffer drains
+// through a SHA-256 digest until the trailer starts, so the content
+// hash falls out of encoding for free, hashed in buffer-sized spans.
 type wireWriter struct {
 	bw  *bufio.Writer
-	h   hash.Hash // body digest; trailer bytes bypass it
+	hw  *hashWriter
 	n   int64
 	err error
 	tmp [binary.MaxVarintLen64]byte
 }
 
+// hashWriter passes writes through to w, feeding them to h while
+// hashing is set.
+type hashWriter struct {
+	w       io.Writer
+	h       hash.Hash
+	hashing bool
+}
+
+func (hw *hashWriter) Write(p []byte) (int, error) {
+	n, err := hw.w.Write(p)
+	if hw.hashing {
+		hw.h.Write(p[:n])
+	}
+	return n, err
+}
+
 func newWireWriter(w io.Writer) *wireWriter {
-	return &wireWriter{bw: bufio.NewWriter(w), h: sha256.New()}
+	hw := &hashWriter{w: w, h: sha256.New(), hashing: true}
+	return &wireWriter{bw: bufio.NewWriterSize(hw, wireBufSize), hw: hw}
 }
 
 func (w *wireWriter) write(p []byte) {
@@ -127,33 +148,35 @@ func (w *wireWriter) write(p []byte) {
 		return
 	}
 	n, err := w.bw.Write(p)
-	w.h.Write(p[:n])
 	w.n += int64(n)
 	w.err = err
 }
 
-// raw writes p without updating the body digest (trailer bytes only).
-func (w *wireWriter) raw(p []byte) {
-	if w.err != nil {
-		return
-	}
-	n, err := w.bw.Write(p)
-	w.n += int64(n)
-	w.err = err
-}
-
-// trailer appends the M4HS content-hash trailer and flushes, returning
-// the body hash alongside the io.WriterTo results.
+// trailer drains the body through the digest, appends the M4HS
+// content-hash trailer and flushes, returning the body hash alongside
+// the io.WriterTo results.
 func (w *wireWriter) trailer() (Hash, int64, error) {
+	if w.err == nil {
+		w.err = w.bw.Flush()
+	}
 	var sum Hash
-	w.h.Sum(sum[:0])
-	w.raw(hashMagic[:])
-	w.raw(sum[:])
+	w.hw.h.Sum(sum[:0])
+	w.hw.hashing = false
+	w.write(hashMagic[:])
+	w.write(sum[:])
 	n, err := w.flush()
 	return sum, n, err
 }
 
-func (w *wireWriter) byte(b byte) { w.write([]byte{b}) }
+func (w *wireWriter) byte(b byte) {
+	if w.err != nil {
+		return
+	}
+	w.err = w.bw.WriteByte(b)
+	if w.err == nil {
+		w.n++
+	}
+}
 
 func (w *wireWriter) uvarint(v uint64) {
 	w.write(w.tmp[:binary.PutUvarint(w.tmp[:], v)])
@@ -179,35 +202,82 @@ func (w *wireWriter) flush() (int64, error) {
 // ---- decoding helpers ----
 
 // wireReader wraps the source with buffering and validated varint
-// reads. Truncation surfaces as an ErrBadFormat-tagged error. Body
-// bytes stream through a SHA-256 digest as they are consumed, so the
-// decoder knows the content hash (and can verify the M4HS trailer)
-// without a second pass.
+// reads. Truncation surfaces as an ErrBadFormat-tagged error. Consumed
+// body bytes go through a SHA-256 digest one buffer span at a time (on
+// each refill, and the rest at the trailer), so the decoder knows the
+// content hash, and can verify the M4HS trailer, without a second pass.
 type wireReader struct {
-	br *bufio.Reader
-	h  hash.Hash
-	n  int64
-	hb [1]byte
+	src    io.Reader
+	buf    []byte
+	pos    int // next unread byte of buf
+	hashed int // buf[hashed:pos] is consumed body not yet in h
+	h      hash.Hash
+	n      int64 // bytes consumed before buf
+	err    error // sticky source error, returned once buf drains
 }
 
 func newWireReader(r io.Reader) *wireReader {
-	return &wireReader{br: bufio.NewReader(r), h: sha256.New()}
+	return &wireReader{src: r, buf: make([]byte, 0, wireBufSize), h: sha256.New()}
+}
+
+// consumed returns the number of bytes decoded so far.
+func (r *wireReader) consumed() int64 { return r.n + int64(r.pos) }
+
+// fill hashes the consumed span of an exhausted buffer and refills it
+// from the source.
+func (r *wireReader) fill() error {
+	if r.err != nil {
+		return r.err
+	}
+	r.h.Write(r.buf[r.hashed:r.pos])
+	r.n += int64(r.pos)
+	r.buf, r.pos, r.hashed = r.buf[:0], 0, 0
+	for range 100 {
+		m, err := r.src.Read(r.buf[:cap(r.buf)])
+		r.buf = r.buf[:m]
+		r.err = err
+		if m > 0 {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	r.err = io.ErrNoProgress
+	return r.err
 }
 
 func (r *wireReader) ReadByte() (byte, error) {
-	b, err := r.br.ReadByte()
-	if err == nil {
-		r.n++
-		r.hb[0] = b
-		r.h.Write(r.hb[:])
+	if r.pos == len(r.buf) {
+		if err := r.fill(); err != nil {
+			return 0, err
+		}
 	}
-	return b, err
+	b := r.buf[r.pos]
+	r.pos++
+	return b, nil
+}
+
+// read fills p with io.ReadFull's EOF semantics.
+func (r *wireReader) read(p []byte) error {
+	for got := 0; got < len(p); {
+		if r.pos == len(r.buf) {
+			if err := r.fill(); err != nil {
+				if err == io.EOF && got > 0 {
+					return io.ErrUnexpectedEOF
+				}
+				return err
+			}
+		}
+		k := copy(p[got:], r.buf[r.pos:])
+		r.pos += k
+		got += k
+	}
+	return nil
 }
 
 func (r *wireReader) full(p []byte) error {
-	n, err := io.ReadFull(r.br, p)
-	r.h.Write(p[:n])
-	r.n += int64(n)
+	err := r.read(p)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		return badf("truncated input")
 	}
@@ -222,12 +292,14 @@ func (r *wireReader) full(p []byte) error {
 // stored digest that disagrees with the bytes actually read — is a
 // format error.
 func (r *wireReader) verifyTrailer() (Hash, error) {
+	r.h.Write(r.buf[r.hashed:r.pos])
+	r.hashed = r.pos
 	var sum Hash
 	r.h.Sum(sum[:0])
-	// The trailer is read around the digest, not through it.
+	// sum is final: trailer bytes a refill may still feed the digest
+	// cannot change it.
 	var magic [4]byte
-	n, err := io.ReadFull(r.br, magic[:])
-	r.n += int64(n)
+	err := r.read(magic[:])
 	if err == io.EOF {
 		return sum, nil // pre-trailer stream
 	}
@@ -241,8 +313,7 @@ func (r *wireReader) verifyTrailer() (Hash, error) {
 		return Hash{}, badf("bad hash trailer magic %q", magic)
 	}
 	var stored Hash
-	n, err = io.ReadFull(r.br, stored[:])
-	r.n += int64(n)
+	err = r.read(stored[:])
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		return Hash{}, badf("truncated hash trailer")
 	}
@@ -256,6 +327,11 @@ func (r *wireReader) verifyTrailer() (Hash, error) {
 }
 
 func (r *wireReader) uvarint(what string) (uint64, error) {
+	if v, k := binary.Uvarint(r.buf[r.pos:]); k > 0 {
+		r.pos += k
+		return v, nil
+	}
+	// Slow path: a varint split across refills, truncation or overflow.
 	v, err := binary.ReadUvarint(r)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		return 0, badf("truncated %s", what)
@@ -411,10 +487,10 @@ func (t *Trace) ReadFrom(r io.Reader) (int64, error) {
 	dec, err := readTrace(wr)
 	if err != nil {
 		*t = Trace{}
-		return wr.n, err
+		return wr.consumed(), err
 	}
 	*t = *dec
-	return wr.n, nil
+	return wr.consumed(), nil
 }
 
 // ReadTrace decodes a wire-format trace from r.
@@ -629,10 +705,10 @@ func (t *L2Trace) ReadFrom(r io.Reader) (int64, error) {
 	dec, err := readL2Trace(wr)
 	if err != nil {
 		*t = L2Trace{}
-		return wr.n, err
+		return wr.consumed(), err
 	}
 	*t = *dec
-	return wr.n, nil
+	return wr.consumed(), nil
 }
 
 // ReadL2Trace decodes a wire-format L1-filtered trace from r.
@@ -712,6 +788,9 @@ func readL2Trace(r *wireReader) (*L2Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The count is untrusted input: pre-size at most 1<<20 events and let
+	// a longer stream grow as it proves itself.
+	t.events = make([]uint64, 0, min(nEvents, 1<<20))
 	prev := uint64(0)
 	for i := uint64(0); i < nEvents; i++ {
 		d, err := r.svarint("event delta")

@@ -77,7 +77,7 @@ func TestTraceWireRoundTrip(t *testing.T) {
 				t.Fatalf("seed %d geom %v: phase deltas differ\nwant %+v\ngot  %+v",
 					seed, g, want.acc, got.acc)
 			}
-			if err := got.L1.CheckLRUInvariant(); err != nil {
+			if err := got.L1.CheckInvariant(); err != nil {
 				t.Fatalf("seed %d: L1 invariant after decoded replay: %v", seed, err)
 			}
 		}

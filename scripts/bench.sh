@@ -25,31 +25,15 @@
 # cold must stay within noise of each other (the memo's write path is
 # a map insert per cell); warm must be orders of magnitude below both
 # (every cell served from memoized stats, zero replays).
-# BENCH_pr10.json adds the parallel-replay scaling pass:
-# BenchmarkReplayOnly/{serial,parallel} run at -cpu 1,2,4,8, recorded
-# as .../cpu=N (go test's trailing -N suffix would otherwise collide
-# once benchjson strips it). serial/cpu=1 is the regression-gated
-# pre-parallel path (scripts/perfgate.sh); parallel/cpu=N is the
-# chunk-speculative replay's scaling curve. Like ObsOverhead, the
-# scaling pass runs 3 iterations per point: a one-iteration replay is
-# within GC/noise of the per-cpu deltas being recorded.
+# BENCH_pr10.json adds BenchmarkReplayOnly/serial: one full-trace
+# hierarchy replay of a CIF capture, recorded like ObsOverhead at 3
+# iterations (a one-iteration replay is within GC noise).
 set -eu
 
 BENCH="${BENCH:-.}"
 OUT="${OUT:-BENCH_pr10.json}"
-CPUS="${CPUS:-1,2,4,8}"
 
 cd "$(dirname "$0")/.."
-
-# relabel_cpu rewrites go test's trailing -GOMAXPROCS suffix into an
-# explicit /cpu=N sub-benchmark path (and pins /cpu=1 onto the
-# suffix-free single-proc lines) so per-cpu results keep distinct names
-# in the JSON record.
-relabel_cpu() {
-  sed -E \
-    -e 's|^(Benchmark[^[:space:]]*)-([0-9]+)([[:space:]])|\1/cpu=\2\3|' \
-    -e '/^Benchmark[^[:space:]]*\/cpu=/!s|^(Benchmark[^[:space:]]*)([[:space:]])|\1/cpu=1\2|'
-}
 
 raw="${OUT%.json}.txt"
 go test -run '^$' -bench "$BENCH" -benchtime=1x -timeout 60m . \
@@ -59,8 +43,8 @@ if printf 'BenchmarkObsOverhead/instrumented' | grep -Eq "$BENCH"; then
     | grep '^BenchmarkObsOverhead' | tee -a "$raw"
 fi
 if printf 'BenchmarkReplayOnly/serial' | grep -Eq "$BENCH"; then
-  go test -run '^$' -bench 'BenchmarkReplayOnly' -benchtime=3x -cpu "$CPUS" -timeout 60m . \
-    | grep '^BenchmarkReplayOnly' | relabel_cpu | tee -a "$raw"
+  go test -run '^$' -bench 'BenchmarkReplayOnly' -benchtime=3x -timeout 60m . \
+    | grep '^BenchmarkReplayOnly' | tee -a "$raw"
 fi
 go run ./cmd/benchjson < "$raw" > "$OUT"
 echo "wrote $OUT (raw log in $raw)" >&2

@@ -1,9 +1,8 @@
 #!/usr/bin/env sh
 # Perf regression gate: compares BenchmarkReplaySweep/replay in a
 # freshly generated BENCH json (see scripts/bench.sh) against the
-# BENCH_pr5.json baseline and fails on a >10% ns/op slowdown — the
-# proof that the chunk-speculative parallel replay engine did not tax
-# the serial path it falls back to at -cpu 1.
+# BENCH_pr5.json baseline and fails on a >10% ns/op slowdown of the
+# replay path.
 #
 #   scripts/bench.sh && scripts/perfgate.sh BENCH_pr10.json
 #   scripts/perfgate.sh /tmp/bench-ci.json          # CI
