@@ -34,7 +34,11 @@
 //
 // Experiments run on the internal/farm worker pool; -parallel sets the
 // worker count (default GOMAXPROCS). Output is deterministic: the same
-// bytes at every worker count, in the paper's layout.
+// bytes at every worker count, in the paper's layout. Every mode runs
+// in one harness.Study, which carries the -replay strategy, the memo
+// and the usage report, and keeps the paper-machine measurements its
+// tables and figures share: a workload that several experiments show
+// is simulated once per invocation.
 //
 // Multi-machine simulations use trace capture and replay by default:
 // each workload's reference stream is captured once (for the paper's
@@ -181,7 +185,9 @@ func main() {
 		}
 	})
 
-	harness.SetReplayEnabled(*replay)
+	// One study scopes every mode's strategy, memo, usage report and
+	// measurements, so -all's figures read the runs its tables made.
+	study := harness.NewStudy(*replay)
 	if *noMemo && *memoDir != "" {
 		fatal(fmt.Errorf("-no-memo and -memo-dir are mutually exclusive"))
 	}
@@ -190,7 +196,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		harness.SetMemo(mc)
+		study.SetMemo(mc)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -269,7 +275,7 @@ func main() {
 	}
 
 	start := time.Now()
-	ctx := context.Background()
+	ctx := harness.WithStudy(context.Background(), study)
 	pool := newPool(*parallel, *progress)
 
 	switch {
@@ -307,7 +313,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	reportTraceUsage()
+	reportTraceUsage(study.Usage())
 	statusf("total time: %v (%d workers)\n",
 		time.Since(start).Round(time.Millisecond), pool.Workers())
 	if *metricsOut != "" {
@@ -318,13 +324,13 @@ func main() {
 	}
 }
 
-// reportTraceUsage summarises the capture/replay traffic of the run:
-// how many reference streams were recorded, their memory cost, and how
-// many machine/geometry simulations were served from them. It reports
-// whenever the counters are nonzero, whatever the -replay flag said —
-// the geometry sweep and the trace-file paths capture regardless.
-func reportTraceUsage() {
-	u := harness.TraceUsageSnapshot()
+// reportTraceUsage summarises the capture/replay traffic of the run's
+// study: how many reference streams were recorded, their memory cost,
+// and how many machine/geometry simulations were served from them. It
+// reports whenever the counters are nonzero, whatever the -replay flag
+// said — the geometry sweep and the trace-file paths capture
+// regardless.
+func reportTraceUsage(u harness.TraceUsage) {
 	if u.Zero() {
 		return
 	}
@@ -418,11 +424,11 @@ func runGeometryFleet(ctx context.Context, frames int, workers string, maxAttemp
 		Workers:       urls,
 		MaxAttempts:   maxAttempts,
 		FallbackLocal: fallbackLocal,
-		// The default study's memo (nil under -no-memo): memo-covered
-		// cells dispatch nothing, replayed cells are memoized — so with
+		// The run's study memo (nil under -no-memo): memo-covered cells
+		// dispatch nothing, replayed cells are memoized — so with
 		// -memo-dir, a repeated fleet sweep moves zero bytes and replays
 		// zero shards.
-		Memo: harness.Memo(),
+		Memo: harness.StudyFrom(ctx).Memo(),
 	}
 	wl := harness.Workload{W: 352, H: 288, Frames: frames}
 	l1s, l2Sizes, err := spec.SweepAxes()
@@ -458,11 +464,15 @@ func runGeometryFleet(ctx context.Context, frames int, workers string, maxAttemp
 	return nil
 }
 
-// runAll regenerates every table and figure in paper order. Tables 2–7
-// fan out through harness.RunTables at workload granularity (encode and
-// decode tables of the same configuration share one capture), Table 8
-// and Figure 2 fan out through their own pool paths, and Figures 3 and
-// 4 — two views of one object/layer sweep — share a single sweep run.
+// runAll regenerates every table and figure in paper order, in the
+// context's study. Tables 2–7 fan out through harness.RunTables at
+// workload granularity (encode and decode tables of the same
+// configuration share one capture) and leave their measurements in the
+// study. Table 8, Figure 2 and Figures 3/4 — the latter two views of
+// one object/layer sweep, run once — read their machine's column of
+// those measurements; only Figure 2's three sizes outside Table 3
+// simulate. The study makes 9 encodes and 9 decodes in all, against 19
+// of each when Table 8 and the figures simulate their own runs.
 func runAll(ctx context.Context, pool *farm.Pool, frames int) error {
 	fmt.Print(harness.Table1() + "\n")
 	tabs, err := harness.RunTables(ctx, pool, harness.TableSpecs(), frames)
@@ -545,7 +555,7 @@ func runManifest(ctx context.Context, path string, frames, parallel int, progres
 		}
 	}
 	if mf.Replay != nil && !replayFlagSet {
-		harness.SetReplayEnabled(*mf.Replay)
+		harness.StudyFrom(ctx).SetReplayEnabled(*mf.Replay)
 	}
 	if frames == 0 {
 		frames = mf.Frames

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/obs"
 )
 
@@ -20,7 +21,7 @@ func TestStatusWriterSeam(t *testing.T) {
 	defer func() { statusW = old }()
 
 	statusf("total time: %v (%d workers)\n", "1s", 4)
-	reportTraceUsage() // zero usage: must print nothing
+	reportTraceUsage(harness.TraceUsage{}) // zero usage: must print nothing
 
 	out := sb.String()
 	if !strings.Contains(out, "total time: 1s (4 workers)") {

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -68,15 +69,18 @@ type FallacyFinding struct {
 	Detail  string
 }
 
-// Run executes the configured experiments.
+// Run executes the configured experiments in one harness study, so
+// the tables and figures read shared paper-machine runs: a workload
+// several of them show is simulated once.
 func (s *Study) Run() (*Report, error) {
+	ctx := harness.WithStudy(context.Background(), harness.NewStudy(true))
 	rep := &Report{Tables: map[int]string{}, Figures: map[int][]perf.Series{}}
 	for _, n := range s.opt.Tables {
 		switch n {
 		case 1:
 			rep.Tables[1] = harness.Table1()
 		case 8:
-			tab, err := harness.Table8(s.opt.Frames)
+			tab, err := harness.Table8Pool(ctx, nil, s.opt.Frames)
 			if err != nil {
 				return nil, fmt.Errorf("core: table 8: %w", err)
 			}
@@ -86,7 +90,7 @@ func (s *Study) Run() (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			tab, _, err := harness.RunTable(spec, s.opt.Frames)
+			tab, _, err := harness.RunTablePool(ctx, nil, spec, s.opt.Frames)
 			if err != nil {
 				return nil, fmt.Errorf("core: table %d: %w", n, err)
 			}
@@ -97,7 +101,7 @@ func (s *Study) Run() (*Report, error) {
 	for _, n := range s.opt.Figures {
 		switch n {
 		case 2:
-			series, err := harness.Figure2(s.opt.Frames)
+			series, err := harness.Figure2Pool(ctx, nil, s.opt.Frames)
 			if err != nil {
 				return nil, fmt.Errorf("core: figure 2: %w", err)
 			}
@@ -105,7 +109,7 @@ func (s *Study) Run() (*Report, error) {
 		case 3, 4:
 			if sweepPoints == nil {
 				var err error
-				sweepPoints, err = harness.RunObjectSweep(s.opt.Frames)
+				sweepPoints, err = harness.RunObjectSweepPool(ctx, nil, s.opt.Frames)
 				if err != nil {
 					return nil, fmt.Errorf("core: object sweep: %w", err)
 				}

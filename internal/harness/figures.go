@@ -6,18 +6,11 @@ import (
 
 	"repro/internal/farm"
 	"repro/internal/perf"
-	"repro/internal/simmem"
 )
 
 // Figure2Sizes is the growing-image-size sweep (the paper reports
 // 720×576 through 2048×1024; we add smaller points to show the trend).
 var Figure2Sizes = [][2]int{{512, 384}, {720, 576}, {1024, 768}, {1440, 960}, {2048, 1024}}
-
-// Figure2 regenerates the growing-image-size figure on the default
-// pool; see Figure2Pool.
-func Figure2(frames int) ([]perf.Series, error) {
-	return Figure2Pool(context.Background(), nil, frames)
-}
 
 // Figure2Pool regenerates "Memory Statistics for Growing Image Size
 // (Decoding, 1MB L2C)": L2 miss rate, L2–DRAM bandwidth and DRAM stall
@@ -31,28 +24,28 @@ func Figure2Pool(ctx context.Context, p *farm.Pool, frames int) ([]perf.Series, 
 
 // Figure2Sweep is Figure2Pool over a caller-chosen size list (the
 // determinism tests sweep small sizes; the paper figure uses
-// Figure2Sizes).
+// Figure2Sizes). Each point is the O2 (R12K/1MB) column of the size's
+// decode measured on the paper machines, read from the context's Study:
+// after RunTables, the 720×576 and 1024×768 points are Table 3's and
+// only the other sizes simulate.
 func Figure2Sweep(ctx context.Context, p *farm.Pool, frames int, sizes [][2]int) ([]perf.Series, error) {
-	m := perf.O2R12K1MB()
+	col := paperColumn(perf.O2R12K1MB())
 	chunks, err := farm.MapLabeled(ctx, p, sizes,
 		func(i int, sz [2]int) string { return fmt.Sprintf("figure2/%dx%d", sz[0], sz[1]) },
 		func(ctx context.Context, env farm.Env, sz [2]int) ([]perf.Series, error) {
 			wl := Workload{W: sz[0], H: sz[1], Frames: frames}
-			_, ss, err := RunEncodeCtx(ctx, env.Space, []perf.Machine{m}, wl)
+			_, dec, err := measure(ctx, env.Space, wl, false, true)
 			if err != nil {
 				return nil, err
 			}
-			res, err := RunDecodeCtx(ctx, simmem.NewSpace(0), []perf.Machine{m}, wl, ss)
-			if err != nil {
-				return nil, err
-			}
+			whole := dec[col].Whole
 			missRate := perf.Series{Label: "Figure 2a: L2C miss rate (decode, 1MB L2C)", YUnit: "%"}
 			bw := perf.Series{Label: "Figure 2b: L2-DRAM bandwidth (decode, 1MB L2C)", YUnit: "MB/s"}
 			stall := perf.Series{Label: "Figure 2c: DRAM stall time (decode, 1MB L2C)", YUnit: "%"}
 			x := wl.Label()
-			missRate.Append(x, res[0].Whole.L2MissRate*100)
-			bw.Append(x, res[0].Whole.L2DRAMMBps)
-			stall.Append(x, res[0].Whole.DRAMTimeFrac*100)
+			missRate.Append(x, whole.L2MissRate*100)
+			bw.Append(x, whole.L2DRAMMBps)
+			stall.Append(x, whole.DRAMTimeFrac*100)
 			return []perf.Series{missRate, bw, stall}, nil
 		})
 	if err != nil {
@@ -84,18 +77,14 @@ var ObjectSweepConfigs = []struct {
 	{3, 2, "3 VOs, 2 layers each"},
 }
 
-// RunObjectSweep measures the Figures 3/4 sweep on the default pool;
-// see RunObjectSweepPool.
-func RunObjectSweep(frames int) ([]ObjectSweepPoint, error) {
-	return RunObjectSweepPool(context.Background(), nil, frames)
-}
-
 // RunObjectSweepPool measures the Figures 3/4 sweep on the R10K/2MB
 // machine (the machine the paper plots). Every (resolution, object
 // configuration) pair is one pool job; the points return in the paper's
-// order (resolution outer, configuration inner).
+// order (resolution outer, configuration inner). The pairs are the six
+// workloads of Tables 2–7, so each point is their R10K/2MB column, read
+// from the context's Study: after RunTables, nothing simulates.
 func RunObjectSweepPool(ctx context.Context, p *farm.Pool, frames int) ([]ObjectSweepPoint, error) {
-	m := perf.OnyxR10K2MB()
+	col := paperColumn(perf.OnyxR10K2MB())
 	type sweepCase struct {
 		res [2]int
 		cfg struct {
@@ -112,23 +101,20 @@ func RunObjectSweepPool(ctx context.Context, p *farm.Pool, frames int) ([]Object
 	return farm.Map(ctx, p, cases, func(ctx context.Context, env farm.Env, c sweepCase) (ObjectSweepPoint, error) {
 		wl := Workload{W: c.res[0], H: c.res[1], Frames: frames,
 			Objects: c.cfg.Objects, Layers: c.cfg.Layers}
-		encRes, ss, err := RunEncodeCtx(ctx, env.Space, []perf.Machine{m}, wl)
+		enc, dec, err := measure(ctx, env.Space, wl, true, true)
 		if err != nil {
 			return ObjectSweepPoint{}, err
 		}
-		decRes, err := RunDecodeCtx(ctx, simmem.NewSpace(0), []perf.Machine{m}, wl, ss)
-		if err != nil {
-			return ObjectSweepPoint{}, err
-		}
+		e, d := enc[col].Whole, dec[col].Whole
 		return ObjectSweepPoint{
 			Label:      c.cfg.Label,
 			Objects:    c.cfg.Objects,
 			Layers:     c.cfg.Layers,
 			Resolution: wl.Label(),
-			EncodeL1:   encRes[0].Whole.L1MissRate * 100,
-			DecodeL1:   decRes[0].Whole.L1MissRate * 100,
-			EncodeL2:   encRes[0].Whole.L2MissRate * 100,
-			DecodeL2:   decRes[0].Whole.L2MissRate * 100,
+			EncodeL1:   e.L1MissRate * 100,
+			DecodeL1:   d.L1MissRate * 100,
+			EncodeL2:   e.L2MissRate * 100,
+			DecodeL2:   d.L2MissRate * 100,
 		}, nil
 	})
 }

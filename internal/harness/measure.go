@@ -1,0 +1,108 @@
+package harness
+
+import (
+	"context"
+	"sync"
+
+	"repro/internal/codec"
+	"repro/internal/perf"
+	"repro/internal/simmem"
+)
+
+// The paper's three machines share one L1 (Table 1), so every
+// experiment of the paper reads columns of the same runs: Tables 2–7
+// are the encode and decode of six workloads on all three machines,
+// Table 8 is the R12K/8MB column of the Tables 2/3 workloads, Figures
+// 3/4 the R10K/2MB column of all six, and Figure 2's 720×576 and
+// 1024×768 points the O2 column of Table 3. A Study therefore keeps one
+// table of paper-machine measurements, keyed by the normalized
+// Workload, and each experiment reads its column from it: within one
+// study a workload is encoded and decoded at most once however many
+// experiments show it.
+
+// measurements is a Study's table of paper-machine runs.
+type measurements struct {
+	mu      sync.Mutex
+	entries map[Workload]*measurement
+}
+
+// measurement is one workload's row of the table. Each direction is
+// filled at most once, under mu; a failed run stores nothing, so the
+// next request retries it.
+type measurement struct {
+	mu       sync.Mutex
+	enc, dec []Result // on perf.PaperMachines(), in that order
+	// ss is the encode's coded stream, kept only until the decode is
+	// measured from it.
+	ss *codec.SessionStream
+}
+
+// measurement returns wl's row in the study's table. The process-default
+// study shares nothing: every call gets a fresh row, so callers without
+// a WithStudy scope simulate every request.
+func (s *Study) measurement(wl Workload) *measurement {
+	if s == defaultStudy {
+		return &measurement{}
+	}
+	s.measured.mu.Lock()
+	defer s.measured.mu.Unlock()
+	if s.measured.entries == nil {
+		s.measured.entries = map[Workload]*measurement{}
+	}
+	m := s.measured.entries[wl]
+	if m == nil {
+		m = &measurement{}
+		s.measured.entries[wl] = m
+	}
+	return m
+}
+
+// measure returns the workload's encode and/or decode Results on
+// perf.PaperMachines() from the context's Study, simulating whichever
+// requested direction the study has not measured yet. An encode is the
+// study's multi-machine encode (RunEncodeCtx); a decode plays the coded
+// stream of that encode when the study still holds it, or else that of
+// an untraced encode in space. Results of a direction not requested
+// are not to be read.
+func measure(ctx context.Context, space *simmem.Space, wl Workload, enc, dec bool) (encRes, decRes []Result, err error) {
+	wl = wl.normalize()
+	m := StudyFrom(ctx).measurement(wl)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	machines := perf.PaperMachines()
+	if enc && m.enc == nil {
+		res, ss, err := RunEncodeCtx(ctx, space, machines, wl)
+		if err != nil {
+			return nil, nil, err
+		}
+		m.enc = res
+		if m.dec == nil {
+			m.ss = ss
+		}
+	}
+	if dec && m.dec == nil {
+		ss := m.ss
+		if ss == nil {
+			if _, ss, err = RunEncodeCtx(ctx, space, nil, wl); err != nil {
+				return nil, nil, err
+			}
+		}
+		res, err := RunDecodeCtx(ctx, simmem.NewSpace(0), machines, wl, ss)
+		if err != nil {
+			return nil, nil, err
+		}
+		m.dec, m.ss = res, nil
+	}
+	return m.enc, m.dec, nil
+}
+
+// paperColumn returns the index of m in perf.PaperMachines(): the
+// column of a measurement that a single-machine experiment reads.
+func paperColumn(m perf.Machine) int {
+	for i, pm := range perf.PaperMachines() {
+		if pm == m {
+			return i
+		}
+	}
+	panic("harness: " + m.Name + " is not a paper machine")
+}

@@ -1,0 +1,165 @@
+package harness
+
+import (
+	"context"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/simmem"
+)
+
+// requireUsage asserts a study's L1-filtered capture and replay counts.
+func requireUsage(t *testing.T, label string, s *Study, l2Traces, replays uint64) {
+	t.Helper()
+	if u := s.Usage(); u.L2Traces != l2Traces || u.Replays != replays {
+		t.Fatalf("%s: %d L1-filtered traces / %d replays, want %d / %d",
+			label, u.L2Traces, u.Replays, l2Traces, replays)
+	}
+}
+
+// TestPaperExperimentsReadSharedRuns runs every simulated experiment of
+// the paper in one study, as mp4study -all does. Tables 2–7 capture the
+// encode and decode of six workloads; Table 8 and Figures 3/4 read
+// columns of those runs and capture nothing; Figure 2 captures only its
+// three sizes outside Table 3. Every output must equal the same
+// experiment rendered alone in a fresh study.
+func TestPaperExperimentsReadSharedRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-resolution paper experiments in -short mode")
+	}
+	const frames = 1
+	study := NewStudy(true)
+	ctx := WithStudy(context.Background(), study)
+	fresh := func() context.Context { return WithStudy(context.Background(), NewStudy(true)) }
+
+	tabs, err := RunTables(ctx, nil, TableSpecs(), frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireUsage(t, "after Tables 2-7", study, 12, 36)
+	tab8, err := Table8Pool(ctx, nil, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := RunObjectSweepPool(ctx, nil, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireUsage(t, "after Table 8 and Figures 3/4", study, 12, 36)
+	fig2, err := Figure2Sweep(ctx, nil, frames, Figure2Sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireUsage(t, "after Figure 2", study, 15, 45)
+
+	wantTabs, err := RunTables(fresh(), nil, TableSpecs(), frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantTabs {
+		if tabs[i].String() != wantTabs[i].String() {
+			t.Errorf("table %d differs from a fresh study's:\n%s\nwant\n%s", i+2, tabs[i], wantTabs[i])
+		}
+	}
+	wantTab8, err := Table8Pool(fresh(), nil, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab8.String() != wantTab8.String() {
+		t.Errorf("Table 8 differs from a fresh study's:\n%s\nwant\n%s", tab8, wantTab8)
+	}
+	wantPoints, err := RunObjectSweepPool(fresh(), nil, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(points, wantPoints) {
+		t.Errorf("Figures 3/4 differ from a fresh study's:\n%+v\nwant\n%+v", points, wantPoints)
+	}
+	wantFig2, err := Figure2Sweep(fresh(), nil, frames, Figure2Sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fig2, wantFig2) {
+		t.Errorf("Figure 2 differs from a fresh study's:\n%+v\nwant\n%+v", fig2, wantFig2)
+	}
+}
+
+// TestStudyConcurrentRequestsSimulateOnce: goroutines asking one study
+// for one workload — encode only, decode only, or both — share a single
+// encode and a single decode, and every caller gets the results a fresh
+// study measures.
+func TestStudyConcurrentRequestsSimulateOnce(t *testing.T) {
+	wl := Workload{W: 96, H: 80, Frames: 2}
+	wantEnc, wantDec, err := measure(WithStudy(context.Background(), NewStudy(true)), simmem.NewSpace(0), wl, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	study := NewStudy(true)
+	ctx := WithStudy(context.Background(), study)
+	type call struct {
+		enc, dec       bool
+		encRes, decRes []Result
+		err            error
+	}
+	calls := make([]call, 9)
+	var wg sync.WaitGroup
+	for i := range calls {
+		c := &calls[i]
+		c.enc, c.dec = i%3 != 1, i%3 != 0
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.encRes, c.decRes, c.err = measure(ctx, simmem.NewSpace(0), wl, c.enc, c.dec)
+		}()
+	}
+	wg.Wait()
+	for i, c := range calls {
+		if c.err != nil {
+			t.Fatalf("call %d: %v", i, c.err)
+		}
+		if c.enc {
+			requireIdentical(t, "shared encode", wantEnc, c.encRes)
+		}
+		if c.dec {
+			requireIdentical(t, "shared decode", wantDec, c.decRes)
+		}
+	}
+	requireUsage(t, "one workload, both directions", study, 2, 6)
+	if m := study.measurement(wl.normalize()); m.ss != nil {
+		t.Error("the coded stream outlived the decode it was kept for")
+	}
+}
+
+// TestStudyFailedRunStoresNothing: a run that fails leaves the
+// workload's row empty, so the next request simulates again.
+func TestStudyFailedRunStoresNothing(t *testing.T) {
+	wl := Workload{W: 96, H: 80, Frames: 2, Layers: 3} // the codec takes 1 or 2 layers
+	study := NewStudy(true)
+	ctx := WithStudy(context.Background(), study)
+	for i := 0; i < 2; i++ {
+		if _, _, err := measure(ctx, simmem.NewSpace(0), wl, true, true); err == nil {
+			t.Fatalf("request %d: invalid workload measured without error", i)
+		}
+	}
+	if m := study.measurement(wl.normalize()); m.enc != nil || m.dec != nil || m.ss != nil {
+		t.Fatalf("failed runs left a measurement behind: %+v", m)
+	}
+}
+
+// TestDefaultStudySimulatesEveryCall: without a WithStudy scope nothing
+// is shared — two requests for one workload simulate twice.
+func TestDefaultStudySimulatesEveryCall(t *testing.T) {
+	ResetTraceUsage()
+	defer ResetTraceUsage()
+	wl := Workload{W: 96, H: 80, Frames: 2}
+	for i := 0; i < 2; i++ {
+		if _, _, err := measure(context.Background(), simmem.NewSpace(0), wl, true, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if u := TraceUsageSnapshot(); u.L2Traces != 2 || u.Replays != 6 {
+		t.Fatalf("default study usage %+v, want 2 L1-filtered traces / 6 replays", u)
+	}
+}

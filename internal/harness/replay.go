@@ -27,23 +27,27 @@ import (
 // interchangeable with the live Multi-tracer path it replaced.
 
 // Study bundles the per-run simulation policy and accounting: the
-// capture/replay strategy and the TraceUsage counters. Every run
-// belongs to exactly one Study, carried through the context (see
-// WithStudy); runs without one share the process-default Study, which
-// the CLI configures via SetReplayEnabled.
+// capture/replay strategy, the TraceUsage counters and the table of
+// paper-machine measurements its tables and figures read (see
+// measure.go). Every run belongs to exactly one Study, carried through
+// the context (see WithStudy); runs without one share the
+// process-default Study, which keeps no measurements: every table or
+// figure rendered there simulates afresh.
 //
 // The split exists because the service front-end runs many unrelated
 // studies concurrently in one process: with process-global state, one
 // request flipping the strategy would race every other request, and
 // usage accounting would interleave across clients. A Study isolates
 // both per request while staying safe for the farm's worker
-// concurrency inside one study (the counters are atomics).
+// concurrency inside one study (the counters are atomics, the
+// measurement table is locked per workload).
 type Study struct {
 	replayDisabled atomic.Bool
 	// memoCache, when set, memoizes per-cell sweep stats by trace
 	// content hash (see RunGeometrySweepFromTrace). Nil disables
 	// memoization; output is byte-identical either way.
 	memoCache atomic.Pointer[memo.Cache]
+	measured  measurements
 	usage     struct {
 		traces, traceRecords, traceBytes atomic.Uint64
 		l2Traces, l2Events, l2Bytes      atomic.Uint64
@@ -131,28 +135,19 @@ func (s *Study) CountMemo(hits, misses uint64) {
 	s.usage.memoMisses.Add(misses)
 }
 
-// defaultStudy backs the package-level strategy and usage functions:
-// the process-wide defaults that cmd/mp4study's flags configure. Runs
-// whose context carries no explicit Study land here.
+// defaultStudy backs the package-level strategy and usage functions.
+// Runs whose context carries no explicit Study land here; it keeps no
+// measurements, so every table or figure rendered there simulates —
+// which is what the farm's serial-vs-parallel determinism tests compare.
 var defaultStudy = NewStudy(true)
 
-// SetReplayEnabled switches the default study's strategy (the CLI
-// -replay flag). Server-style callers should configure a per-request
-// Study via WithStudy instead of mutating the process default.
+// SetReplayEnabled switches the default study's strategy. Callers
+// that run experiments should configure their own Study via WithStudy
+// instead of mutating the process default.
 func SetReplayEnabled(on bool) { defaultStudy.SetReplayEnabled(on) }
 
 // ReplayEnabled reports the default study's strategy.
 func ReplayEnabled() bool { return defaultStudy.ReplayEnabled() }
-
-// SetMemo attaches a result memo to the default study (the CLI
-// -memo-dir / -no-memo flags). Server-style callers should attach a
-// memo to their per-request Study instead.
-func SetMemo(m *memo.Cache) { defaultStudy.SetMemo(m) }
-
-// Memo returns the default study's memo cache, or nil when
-// memoization is off — the CLI hands it to the dist coordinator so
-// local and fleet sweeps share one memo.
-func Memo() *memo.Cache { return defaultStudy.Memo() }
 
 // TraceUsageSnapshot returns the default study's counters.
 func TraceUsageSnapshot() TraceUsage { return defaultStudy.Usage() }
@@ -164,9 +159,10 @@ func ResetTraceUsage() { defaultStudy.ResetUsage() }
 type studyKey struct{}
 
 // WithStudy returns a context whose harness runs use s for strategy
-// selection and usage accounting. The farm propagates the context into
-// every job, so one WithStudy at submission scope covers a whole
-// fanned-out experiment.
+// selection, usage accounting and shared paper-machine measurements.
+// The farm propagates the context into every job, so one WithStudy at
+// submission scope covers a whole fanned-out experiment — or, as in
+// mp4study and each service study, every experiment of a run.
 func WithStudy(ctx context.Context, s *Study) context.Context {
 	return context.WithValue(ctx, studyKey{}, s)
 }

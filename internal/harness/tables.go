@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/simmem"
-
 	"repro/internal/farm"
 	"repro/internal/perf"
 )
@@ -45,25 +43,6 @@ func TableSpecByNum(n int) (TableSpec, error) {
 	return TableSpec{}, fmt.Errorf("harness: no table %d", n)
 }
 
-// runTableCell runs the simulation behind one resolution of one table.
-// Encode tables measure the encode on all machines; decode tables
-// encode untraced (only the coded stream matters) and measure the
-// decode. It is the farm job body for single-table generation.
-func runTableCell(ctx context.Context, env farm.Env, spec TableSpec, res [2]int, frames int) ([]Result, error) {
-	machines := perf.PaperMachines()
-	wl := Workload{W: res[0], H: res[1], Frames: frames,
-		Objects: spec.Objects, Layers: spec.Layers}
-	if spec.Encode {
-		encRes, _, err := RunEncodeCtx(ctx, env.Space, machines, wl)
-		return encRes, err
-	}
-	_, ss, err := RunEncodeCtx(ctx, env.Space, nil, wl)
-	if err != nil {
-		return nil, err
-	}
-	return RunDecodeCtx(ctx, simmem.NewSpace(0), machines, wl, ss)
-}
-
 // assembleTable lays per-resolution results into the paper's column
 // order (resolution outer, machine inner) — identical to what a serial
 // loop produces, whatever order the cells were computed in.
@@ -81,28 +60,26 @@ func assembleTable(spec TableSpec, cells [][]Result) (*perf.Table, []Result) {
 	return tab, all
 }
 
-// RunTable regenerates one of Tables 2–7 on the default pool; see
-// RunTablePool.
-func RunTable(spec TableSpec, frames int) (*perf.Table, []Result, error) {
-	return RunTablePool(context.Background(), nil, spec, frames)
-}
-
 // RunTablePool regenerates one of Tables 2–7 with the given sequence
-// length (0 = default), fanning the per-resolution simulations out on
+// length (0 = default), fanning the per-resolution measurements out on
 // the pool. It also returns the per-column raw results keyed the same
-// way as the columns.
+// way as the columns. An encode table measures the encode on all
+// machines; a decode table plays the coded stream of an untraced
+// encode, or the stream its study already holds. Within one study (see
+// WithStudy) each direction of a workload is simulated once, however
+// many tables and figures read it.
 func RunTablePool(ctx context.Context, p *farm.Pool, spec TableSpec, frames int) (*perf.Table, []Result, error) {
-	jobs := make([]farm.Job[[]Result], len(TableResolutions))
-	for i, res := range TableResolutions {
-		res := res
-		jobs[i] = farm.Job[[]Result]{
-			Label: fmt.Sprintf("table%d/%dx%d", spec.Num, res[0], res[1]),
-			Run: func(ctx context.Context, env farm.Env) ([]Result, error) {
-				return runTableCell(ctx, env, spec, res, frames)
-			},
-		}
-	}
-	cells, err := farm.Run(ctx, p, jobs)
+	cells, err := farm.MapLabeled(ctx, p, TableResolutions,
+		func(i int, res [2]int) string { return fmt.Sprintf("table%d/%dx%d", spec.Num, res[0], res[1]) },
+		func(ctx context.Context, env farm.Env, res [2]int) ([]Result, error) {
+			wl := Workload{W: res[0], H: res[1], Frames: frames,
+				Objects: spec.Objects, Layers: spec.Layers}
+			enc, dec, err := measure(ctx, env.Space, wl, spec.Encode, !spec.Encode)
+			if spec.Encode {
+				return enc, err
+			}
+			return dec, err
+		})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -117,8 +94,11 @@ func RunTablePool(ctx context.Context, p *farm.Pool, spec TableSpec, frames int)
 // is encoded once, its encode measured if an encode table wants it and
 // its stream decoded-and-measured if a decode table does. That turns
 // O(tables × resolutions) codec runs into O(workloads), with every
-// machine served by capture replay inside RunEncodeIn/RunDecodeIn.
-// Tables return in spec order, byte-identical to RunTablePool per spec.
+// machine served by capture replay inside RunEncodeCtx/RunDecodeCtx.
+// The measurements land in the context's Study, where Table8Pool,
+// Figure2Sweep and RunObjectSweepPool read their columns without
+// simulating again. Tables return in spec order, byte-identical to
+// RunTablePool per spec.
 func RunTables(ctx context.Context, p *farm.Pool, specs []TableSpec, frames int) ([]*perf.Table, error) {
 	type group struct{ objects, layers int }
 	type need struct{ enc, dec bool }
@@ -155,26 +135,11 @@ func RunTables(ctx context.Context, p *farm.Pool, specs []TableSpec, frames int)
 			return fmt.Sprintf("tables/%dobj%dlay/%dx%d", k.g.objects, k.g.layers, k.res[0], k.res[1])
 		},
 		func(ctx context.Context, env farm.Env, k cellKey) (cellOut, error) {
-			machines := perf.PaperMachines()
 			wl := Workload{W: k.res[0], H: k.res[1], Frames: frames,
 				Objects: k.g.objects, Layers: k.g.layers}
 			n := needs[k.g]
-			var out cellOut
-			var encMachines []perf.Machine
-			if n.enc {
-				encMachines = machines
-			}
-			encRes, ss, err := RunEncodeCtx(ctx, env.Space, encMachines, wl)
-			if err != nil {
-				return cellOut{}, err
-			}
-			out.enc = encRes
-			if n.dec {
-				if out.dec, err = RunDecodeCtx(ctx, simmem.NewSpace(0), machines, wl, ss); err != nil {
-					return cellOut{}, err
-				}
-			}
-			return out, nil
+			enc, dec, err := measure(ctx, env.Space, wl, n.enc, n.dec)
+			return cellOut{enc: enc, dec: dec}, err
 		})
 	if err != nil {
 		return nil, err
@@ -218,36 +183,23 @@ func Table1() string {
 	return out
 }
 
-// Table8 regenerates the burstiness table on the default pool; see
-// Table8Pool.
-func Table8(frames int) (*perf.Table, error) {
-	return Table8Pool(context.Background(), nil, frames)
-}
-
-// table8Cell is the encode+decode measurement of one resolution.
-type table8Cell struct {
-	enc, dec Result
-}
-
 // Table8Pool regenerates the burstiness table: per-phase (VopEncode /
 // VopDecode) metrics against whole-program metrics, on the R12K/8MB
-// machine, at both table resolutions. Cells are "phase (whole)". The
-// per-resolution runs fan out on the pool.
+// machine, at both table resolutions. Cells are "phase (whole)". It is
+// the R12K/8MB column of the Tables 2/3 workloads: the per-resolution
+// jobs fan out on the pool and read that column from the context's
+// Study, simulating only what the study has not measured yet (after
+// RunTables, nothing).
 func Table8Pool(ctx context.Context, p *farm.Pool, frames int) (*perf.Table, error) {
-	m := perf.Onyx2R12K8MB()
+	col := paperColumn(perf.Onyx2R12K8MB())
 	cells, err := farm.MapLabeled(ctx, p, TableResolutions,
 		func(i int, res [2]int) string { return fmt.Sprintf("table8/%dx%d", res[0], res[1]) },
-		func(ctx context.Context, env farm.Env, res [2]int) (table8Cell, error) {
-			wl := Workload{W: res[0], H: res[1], Frames: frames}
-			encRes, ss, err := RunEncodeCtx(ctx, env.Space, []perf.Machine{m}, wl)
+		func(ctx context.Context, env farm.Env, res [2]int) ([2]Result, error) {
+			enc, dec, err := measure(ctx, env.Space, Workload{W: res[0], H: res[1], Frames: frames}, true, true)
 			if err != nil {
-				return table8Cell{}, err
+				return [2]Result{}, err
 			}
-			decRes, err := RunDecodeCtx(ctx, simmem.NewSpace(0), []perf.Machine{m}, wl, ss)
-			if err != nil {
-				return table8Cell{}, err
-			}
-			return table8Cell{enc: encRes[0], dec: decRes[0]}, nil
+			return [2]Result{enc[col], dec[col]}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -264,8 +216,8 @@ func Table8Pool(ctx context.Context, p *farm.Pool, frames int) (*perf.Table, err
 	}
 	for ri, res := range TableResolutions {
 		wl := Workload{W: res[0], H: res[1]}
-		addPhaseColumn(tab, fmt.Sprintf("VopEncode %s", wl.Label()), cells[ri].enc, "VopEncode")
-		addPhaseColumn(tab, fmt.Sprintf("VopDecode %s", wl.Label()), cells[ri].dec, "VopDecode")
+		addPhaseColumn(tab, fmt.Sprintf("VopEncode %s", wl.Label()), cells[ri][0], "VopEncode")
+		addPhaseColumn(tab, fmt.Sprintf("VopDecode %s", wl.Label()), cells[ri][1], "VopDecode")
 	}
 	return tab, nil
 }

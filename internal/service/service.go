@@ -210,9 +210,14 @@ const (
 
 // job is the server-side state of one submission.
 type job struct {
-	id       string
-	spec     StudySpec
+	id   string
+	spec StudySpec
+	// study scopes the job's strategy, memo, usage and measurements. The
+	// run goroutine owns it and, on exit, settles its final usage into
+	// usage and drops it (under mu), so the up to MaxHistory retained
+	// terminal jobs do not pin their measurement tables.
 	study    *harness.Study
+	usage    harness.TraceUsage
 	cancel   context.CancelFunc
 	priority int           // queue level
 	session  *session      // owner, for quota release (nil without middleware)
@@ -287,9 +292,23 @@ func (j *job) fail(err error) {
 	j.notifyLocked()
 }
 
+// retireStudy stores the study's final usage and drops the study. The
+// run goroutine calls it as it exits, after the job turned terminal:
+// nothing adds to the usage from then on.
+func (j *job) retireStudy() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.usage = j.study.Usage()
+	j.study = nil
+}
+
 func (j *job) status() StudyStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	usage := j.usage
+	if j.study != nil {
+		usage = j.study.Usage()
+	}
 	st := StudyStatus{
 		ID:         j.id,
 		State:      j.state,
@@ -301,7 +320,7 @@ func (j *job) status() StudyStatus {
 		Error:      j.errMsg,
 		Priority:   priorityName(j.priority),
 		Events:     len(j.events),
-		TraceUsage: j.study.Usage(),
+		TraceUsage: usage,
 	}
 	for _, e := range j.spec.Experiments {
 		st.Experiments = append(st.Experiments, e.Label())
@@ -638,6 +657,7 @@ func (s *Server) run(ctx context.Context, j *job) {
 	defer s.wg.Done()
 	defer j.cancel()
 	defer s.releaseSession(j)
+	defer j.retireStudy()
 	select {
 	case <-j.grant:
 	case <-ctx.Done():

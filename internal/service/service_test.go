@@ -136,6 +136,37 @@ func TestServiceRunsStudyMatchingLocal(t *testing.T) {
 	}
 }
 
+// TestServiceTerminalStudyDropsItsStudy: once a study's run has ended,
+// its job keeps the final trace usage, not the harness.Study and the
+// measurements it holds.
+func TestServiceTerminalStudyDropsItsStudy(t *testing.T) {
+	svc, ts := newTestServer(t, Config{})
+	st := submit(t, ts, tinyStudy)
+	fin := waitTerminal(t, ts, st.ID)
+	if fin.State != StateDone {
+		t.Fatalf("study ended %s: %s", fin.State, fin.Error)
+	}
+	svc.mu.Lock()
+	j := svc.jobs[st.ID]
+	svc.mu.Unlock()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		j.mu.Lock()
+		dropped := j.study == nil
+		j.mu.Unlock()
+		if dropped {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("terminal study still holds its harness.Study")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if u := getStatus(t, ts, st.ID).TraceUsage; u != fin.TraceUsage || u.Zero() {
+		t.Fatalf("retired study reports usage %+v, want %+v", u, fin.TraceUsage)
+	}
+}
+
 // TestServiceValidatesSubmissions: malformed specs and invalid
 // geometries are rejected with 400 before any simulation starts — in
 // particular a bad cache geometry must be an error response, not a

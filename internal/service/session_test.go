@@ -220,6 +220,16 @@ func TestServicePrioritySchedulesInteractiveFirst(t *testing.T) {
 	})
 
 	blocker := submit(t, ts, tinyStudy) // occupies the only slot, blocked
+	// The dispatcher must grant the blocker before the others exist:
+	// if it first woke after all four POSTs, it would pop the
+	// interactive study, whose render would then be the one to block.
+	deadline := time.Now().Add(30 * time.Second)
+	for getStatus(t, ts, blocker.ID).State != StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker never started running")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	b1 := submit(t, ts, `{"frames": 2, "priority": "batch", "experiments": [`+smallGeometry+`]}`)
 	b2 := submit(t, ts, `{"frames": 2, "priority": "batch", "experiments": [`+smallGeometry+`]}`)
 	inter := submit(t, ts, `{"frames": 2, "priority": "interactive", "experiments": [`+smallGeometry+`]}`)
@@ -228,7 +238,7 @@ func TestServicePrioritySchedulesInteractiveFirst(t *testing.T) {
 	}
 
 	// All three are queued behind the blocked slot before it frees.
-	deadline := time.Now().Add(30 * time.Second)
+	deadline = time.Now().Add(30 * time.Second)
 	for {
 		st := getStatus(t, ts, blocker.ID)
 		queued := 0
