@@ -94,18 +94,21 @@ type Cache struct {
 	// wrapper), ways within a set are kept in recency order: way 0 is
 	// most recently used. Under the fixed-way policies (plru, fifo,
 	// random) lines stay in the way they were installed in.
-	tags  []uint64 // line-number tags (full address >> lineShift)
+	tags  []uint64 // line-number tags (full address >> lineShift); noLine when invalid
 	valid []bool
 	dirty []bool
 
 	// Replacement-policy state (see policy.go). pol dispatches the
 	// access path; state is one word per set (plru tree bits or the
 	// fifo round-robin pointer); rng is the PolicyRandom stream;
-	// victim is non-nil only for PolicyVictim.
-	pol    uint8
-	state  []uint64
-	rng    uint64
-	victim *victimBuf
+	// victim is non-nil only for PolicyVictim. lastWay, non-nil only
+	// under the fixed-way policies, holds the way each set touched
+	// last — the one way AccessRows may hit without a policy update.
+	pol     uint8
+	state   []uint64
+	lastWay []uint32
+	rng     uint64
+	victim  *victimBuf
 
 	// Counters.
 	Accesses   uint64
@@ -155,6 +158,9 @@ func TryNew(cfg Config) (*Cache, error) {
 		valid:     make([]bool, lines),
 		dirty:     make([]bool, lines),
 	}
+	for i := range c.tags {
+		c.tags[i] = noLine
+	}
 	switch cfg.Policy {
 	case "", PolicyLRU:
 		c.pol = polLRU
@@ -173,6 +179,9 @@ func TryNew(cfg Config) (*Cache, error) {
 		if c.rng == 0 {
 			c.rng = defaultSeed
 		}
+	}
+	if c.pol != polLRU {
+		c.lastWay = make([]uint32, sets)
 	}
 	return c, nil
 }
@@ -200,6 +209,11 @@ func (c *Cache) Lookup(addr uint64) bool {
 	return c.victim != nil && c.victim.lookup(ln)
 }
 
+// noLine is the tag of every invalid slot. Only a 1-byte-line cache
+// can name a line with it, so AccessRows compares tags alone and reads
+// a valid flag only for that line.
+const noLine = ^uint64(0)
+
 // Result of a cache access.
 type Result struct {
 	Hit          bool
@@ -208,13 +222,93 @@ type Result struct {
 	EvictedLine  uint64 // line number of the displaced line
 }
 
+// AccessRows references every line covered by rows rows of rowBytes
+// bytes, stride bytes apart from addr: row by row, first line to last,
+// exactly the references of one Access per line-aligned address. A row
+// whose end wraps the address space covers no line. Hits resolve
+// inline, without a call: a recency-ordered set (LRU, victim) checks
+// way 0, its MRU line; a fixed-way set (PLRU, FIFO, random) checks the
+// way it touched last, which it may touch again with no policy update
+// — PLRU's tree already points away from that way, and FIFO and random
+// hits change no state. Every other reference takes the Access path,
+// and miss receives the line-aligned address and Result of each one
+// that missed. The kernel allocates nothing, and miss does not escape,
+// so a method value made per call stays on the caller's stack.
+func (c *Cache) AccessRows(addr uint64, rowBytes, stride, rows int, write bool, miss func(addr uint64, r Result)) {
+	if rowBytes <= 0 {
+		return
+	}
+	w := rowWalk{addr: addr, end: uint64(rowBytes) - 1, stride: uint64(stride), rows: rows}
+	for {
+		ln, ok := c.walkHits(&w, write)
+		if !ok {
+			return
+		}
+		if r := c.Access(ln<<c.lineShift, write); !r.Hit {
+			miss(ln<<c.lineShift, r)
+		}
+	}
+}
+
+// rowWalk is AccessRows's position: the lines left in the current row,
+// and the rows not yet started.
+type rowWalk struct {
+	addr, end, stride uint64 // next row's first byte, rowBytes-1, stride
+	rows              int    // rows not yet started
+	ln, left          uint64 // next line of the current row, lines left in it
+}
+
+// walkHits advances w over inline hits. It returns the first line that
+// needs the Access path, with w already past it, or false once every
+// row is done. It makes no call, so the walk stays in registers;
+// Accesses is current whenever it returns.
+func (c *Cache) walkHits(w *rowWalk, write bool) (uint64, bool) {
+	mask, ways, lastWay, tags := c.setMask, c.ways, c.lastWay, c.tags
+	ln, left := w.ln, w.left
+	// lines counts every line of the rows begun here, the current row's
+	// remainder included; the lines not consumed as hits come off it.
+	lines := left
+	for {
+		for ; left > 0; left-- {
+			set := int(ln & mask)
+			i := set * ways
+			if lastWay != nil {
+				i += int(lastWay[set])
+			}
+			if tags[i] != ln || ln == noLine && !c.valid[i] {
+				w.ln, w.left = ln+1, left-1
+				c.Accesses += lines - left
+				return ln, true
+			}
+			if write {
+				c.dirty[i] = true
+			}
+			ln++
+		}
+		if w.rows <= 0 {
+			w.ln, w.left = ln, 0
+			c.Accesses += lines
+			return 0, false
+		}
+		first, last := w.addr>>c.lineShift, (w.addr+w.end)>>c.lineShift
+		w.addr += w.stride
+		w.rows--
+		ln = first
+		if last >= first {
+			left = last - first + 1
+			lines += left
+		}
+	}
+}
+
 // Access references the line containing addr, allocating on miss and
 // marking dirty when write is true. The common hit path is kept minimal:
 // tag match in LRU position 0 falls through with only the access counter
 // incremented. Non-LRU policies dispatch to the fixed-way path up
 // front so the LRU fast paths below stay exactly as they were; the
 // victim-buffer probes sit on the miss path only and are skipped
-// entirely (nil check) outside PolicyVictim.
+// entirely (nil check) outside PolicyVictim. AccessRows resolves the
+// commonest hits before reaching here.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	if c.pol != polLRU {
 		return c.accessIndexed(addr, write)
@@ -327,12 +421,12 @@ func (c *Cache) FillClean(addr uint64) Result { return c.Access(addr, false) }
 // stream identically to a fresh one).
 func (c *Cache) Reset() {
 	for i := range c.valid {
+		c.tags[i] = noLine
 		c.valid[i] = false
 		c.dirty[i] = false
 	}
-	for i := range c.state {
-		c.state[i] = 0
-	}
+	clear(c.state)
+	clear(c.lastWay)
 	if c.pol == polRandom {
 		c.rng = c.cfg.Seed
 		if c.rng == 0 {

@@ -110,7 +110,10 @@ var (
 // Access implements simmem.Tracer. Accesses that straddle an L1 line
 // boundary are split per line, as the hardware would split them into
 // separate cache references (the compiler mostly avoids such accesses;
-// the split keeps the model exact regardless).
+// the split keeps the model exact regardless). A load or store
+// references each line at its line-aligned address, and an L1 miss
+// asks L2 for that address, as L2Filter records it; a prefetch probes
+// with its own address.
 func (h *Hierarchy) Access(addr uint64, size uint32, kind simmem.Kind) {
 	switch kind {
 	case simmem.Load:
@@ -127,71 +130,41 @@ func (h *Hierarchy) Access(addr uint64, size uint32, kind simmem.Kind) {
 			h.PrefetchL1Hits++
 			return
 		}
-		h.lineRef(addr, false)
-		return
-	}
-	if size == 0 {
-		return
-	}
-	lineBytes := uint64(1) << h.L1.lineShift
-	first := addr &^ (lineBytes - 1)
-	last := (addr + uint64(size) - 1) &^ (lineBytes - 1)
-	write := kind == simmem.Store
-	if first == last {
-		h.lineRef(addr, write)
-		return
-	}
-	for a := first; a <= last; a += lineBytes {
-		h.lineRef(a, write)
-	}
-}
-
-// Run implements simmem.Tracer: a contiguous run of n bytes referenced
-// in unit-sized accesses. The graduated-operation counters advance by
-// n/unit, but each covered L1 line is probed exactly once — consecutive
-// same-line references cannot change LRU state in between, so the
-// hit/miss outcome is identical to per-access probing at a fraction of
-// the simulation cost.
-func (h *Hierarchy) Run(addr uint64, n int, unit uint32, kind simmem.Kind) {
-	if n <= 0 {
-		return
-	}
-	refs := simmem.RunRefs(n, unit)
-	switch kind {
-	case simmem.Load:
-		h.Loads += refs
-		h.LoadBytes += uint64(n)
-	case simmem.Store:
-		h.Stores += refs
-		h.StoreBytes += uint64(n)
-	case simmem.Prefetch:
-		// Prefetch runs degenerate to per-line prefetch probes.
-		lineBytes := uint64(1) << h.L1.lineShift
-		for a := addr &^ (lineBytes - 1); a < addr+uint64(n); a += lineBytes {
-			h.Access(a, 0, simmem.Prefetch)
+		if r1 := h.L1.Access(addr, false); !r1.Hit {
+			h.l1Miss(addr, r1)
 		}
 		return
 	}
-	write := kind == simmem.Store
-	lineBytes := uint64(1) << h.L1.lineShift
-	first := addr &^ (lineBytes - 1)
-	last := (addr + uint64(n) - 1) &^ (lineBytes - 1)
-	for a := first; a <= last; a += lineBytes {
-		h.lineRef(a, write)
-	}
+	h.L1.AccessRows(addr, int(size), 0, 1, kind == simmem.Store, h.l1Miss)
 }
 
-// RunStrided implements simmem.StridedTracer: exactly equivalent to
-// rows consecutive Run calls, with the counter updates batched outside
-// the per-row line loop. The SAD and compensation kernels deliver their
-// blocks through this path, so it carries most of the simulated stream.
+// Run implements simmem.Tracer: a contiguous run of n bytes referenced
+// in unit-sized accesses, the one-row case of RunStrided.
+func (h *Hierarchy) Run(addr uint64, n int, unit uint32, kind simmem.Kind) {
+	h.RunStrided(addr, n, 0, 1, unit, kind)
+}
+
+// RunStrided implements simmem.StridedTracer: rows runs of rowBytes
+// bytes, stride bytes apart. The graduated-operation counters advance
+// by rowBytes/unit per row, but each covered L1 line is probed exactly
+// once per row — consecutive same-line references cannot change any
+// policy's state in between, so the hit/miss outcome is identical to
+// per-access probing at a fraction of the simulation cost. The lines go
+// through Cache.AccessRows, the row walker L2Filter shares: hits
+// resolve inside the L1, and only misses reach L2. The SAD and
+// compensation kernels deliver their blocks through this path, so it
+// carries most of the simulated stream.
 func (h *Hierarchy) RunStrided(addr uint64, rowBytes, stride, rows int, unit uint32, kind simmem.Kind) {
 	if rowBytes <= 0 || rows <= 0 {
 		return
 	}
 	if kind == simmem.Prefetch {
+		// Prefetch runs degenerate to per-line prefetch probes.
+		lineBytes := uint64(1) << h.L1.lineShift
 		for r := 0; r < rows; r++ {
-			h.Run(addr, rowBytes, unit, simmem.Prefetch)
+			for a := addr &^ (lineBytes - 1); a < addr+uint64(rowBytes); a += lineBytes {
+				h.Access(a, 0, simmem.Prefetch)
+			}
 			addr += uint64(stride)
 		}
 		return
@@ -206,23 +179,12 @@ func (h *Hierarchy) RunStrided(addr uint64, rowBytes, stride, rows int, unit uin
 		h.Loads += refs
 		h.LoadBytes += bytes
 	}
-	lineBytes := uint64(1) << h.L1.lineShift
-	for r := 0; r < rows; r++ {
-		first := addr &^ (lineBytes - 1)
-		last := (addr + uint64(rowBytes) - 1) &^ (lineBytes - 1)
-		for a := first; a <= last; a += lineBytes {
-			h.lineRef(a, write)
-		}
-		addr += uint64(stride)
-	}
+	h.L1.AccessRows(addr, rowBytes, stride, rows, write, h.l1Miss)
 }
 
-// lineRef performs one L1 reference and handles the miss path.
-func (h *Hierarchy) lineRef(addr uint64, write bool) {
-	r1 := h.L1.Access(addr, write)
-	if r1.Hit {
-		return
-	}
+// l1Miss handles one L1 reference that missed with result r1: the
+// dirty victim's writeback into L2, then the demand fill of addr.
+func (h *Hierarchy) l1Miss(addr uint64, r1 Result) {
 	h.L1Misses++
 	if r1.EvictedDirty {
 		h.L1Writebacks++

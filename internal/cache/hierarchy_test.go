@@ -235,3 +235,24 @@ func TestPrefetchRunCountsPerLine(t *testing.T) {
 		t.Fatalf("Count (%d) and Hierarchy (%d) disagree on prefetch run", c.Prefetches, h.Prefetches)
 	}
 }
+
+// TestHierarchyAllocatesNothing: the demand paths hand AccessRows a
+// method value per call; it must stay on the stack, so a simulated
+// reference costs no allocation, hit or miss.
+func TestHierarchyAllocatesNothing(t *testing.T) {
+	h := testHier()
+	addr := uint64(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		h.Access(addr+4, 8, simmem.Store)
+		h.Run(addr, 100, 4, simmem.Load)
+		h.RunStrided(addr, 24, 352, 16, 1, simmem.Load)
+		h.Access(addr+4096, 0, simmem.Prefetch)
+		addr += 4096 // keep missing
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per round, want 0", allocs)
+	}
+	if h.L1Misses == 0 || h.L2Misses == 0 {
+		t.Fatalf("no misses exercised: %+v", h.Stats)
+	}
+}

@@ -4,14 +4,17 @@
 // some primaries hide conflict misses behind a small victim buffer
 // (Jouppi, ISCA 1990). Config.Policy selects the policy per cache
 // level; the default (empty string) is the original true-LRU model,
-// whose hot paths in cache.go are untouched and byte-identical.
+// and its results are byte-identical to the pre-policy model.
 //
 // The seam is deliberately enum-dispatched rather than an interface:
 // Access is the innermost loop of every simulation, and the LRU fast
 // paths (MRU probe, 2-way swap) must stay free of indirect calls. LRU
 // keeps the recency-ordered set array of cache.go; the other policies
 // share one fixed-way-placement path (accessIndexed) with per-set
-// policy state in Cache.state.
+// policy state in Cache.state. In front of both, the row walker
+// AccessRows resolves the commonest hit of every policy inline: way 0
+// of a recency-ordered set, or the way a fixed-way set touched last
+// (Cache.lastWay), whose re-touch changes no policy state.
 package cache
 
 import "fmt"
@@ -185,7 +188,10 @@ func (v *victimBuf) reset() {
 // FIFO and random replacement: lines stay in the way they were
 // installed in, and the per-set policy state (tree bits or round-robin
 // pointer in c.state, the xorshift stream in c.rng) picks victims.
-// Counter and Result semantics match the LRU path exactly.
+// Counter and Result semantics match the LRU path exactly. Every hit
+// and every fill records its way in c.lastWay, which AccessRows's
+// inline hit relies on: touching PLRU's last-touched way again is a
+// no-op only while that record is current.
 func (c *Cache) accessIndexed(addr uint64, write bool) Result {
 	c.Accesses++
 	ln := addr >> c.lineShift
@@ -200,6 +206,7 @@ func (c *Cache) accessIndexed(addr uint64, write bool) Result {
 			if c.pol == polPLRU {
 				c.touchPLRU(set, w)
 			}
+			c.lastWay[set] = uint32(w)
 			return Result{Hit: true}
 		}
 	}
@@ -235,6 +242,7 @@ func (c *Cache) accessIndexed(addr uint64, write bool) Result {
 	if c.pol == polPLRU {
 		c.touchPLRU(set, w)
 	}
+	c.lastWay[set] = uint32(w)
 	return res
 }
 
@@ -319,8 +327,10 @@ func (c *Cache) nextRand() uint64 {
 // to its own set, plus per-policy structure — LRU keeps valid lines
 // packed ahead of invalid slots (installs happen at the MRU end), the
 // victim buffer never shadows a resident line, FIFO's round-robin
-// pointer and PLRU's tree bits stay in range. Intended for property
-// tests; returns an error describing the first violation.
+// pointer, PLRU's tree bits and the last-touched way stay in range, and
+// every invalid slot holds the noLine tag AccessRows relies on.
+// Intended for property tests; returns an error describing the first
+// violation.
 func (c *Cache) CheckInvariant() error {
 	sets := len(c.tags) / c.ways
 	for s := 0; s < sets; s++ {
@@ -330,6 +340,9 @@ func (c *Cache) CheckInvariant() error {
 		for w := 0; w < c.ways; w++ {
 			i := base + w
 			if !c.valid[i] {
+				if c.tags[i] != noLine {
+					return fmt.Errorf("set %d: invalid way %d holds tag %#x, not the invalid marker", s, w, c.tags[i])
+				}
 				if invalidAt < 0 {
 					invalidAt = w
 				}
@@ -345,6 +358,9 @@ func (c *Cache) CheckInvariant() error {
 				return fmt.Errorf("set %d: duplicate tag %#x", s, c.tags[i])
 			}
 			seen[c.tags[i]] = true
+		}
+		if c.lastWay != nil && int(c.lastWay[s]) >= c.ways {
+			return fmt.Errorf("set %d: last-touched way %d out of range (%d ways)", s, c.lastWay[s], c.ways)
 		}
 		switch c.pol {
 		case polFIFO:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -64,6 +65,50 @@ func TestMemoKeyCanonicalization(t *testing.T) {
 	k3.L1.Policy = cache.PolicyFIFO
 	if _, ok := m.Get(k3); ok {
 		t.Fatal("different policy hit the lru entry")
+	}
+}
+
+// TestMemoKeyCoversEveryConfigField: every cache.Config field but Name
+// reaches both the in-memory key and the disk file name, so a new
+// geometry or policy knob cannot silently share another cell's entry.
+// A field tagged json:"-", or one normalize drops, fails here.
+func TestMemoKeyCoversEveryConfigField(t *testing.T) {
+	base := testKey(1)
+	cfgType := reflect.TypeOf(cache.Config{})
+	for _, level := range []string{"L1", "L2"} {
+		for i := 0; i < cfgType.NumField(); i++ {
+			field := cfgType.Field(i)
+			k := base
+			v := reflect.ValueOf(&k).Elem().FieldByName(level).Field(i)
+			switch v.Kind() {
+			case reflect.String:
+				v.SetString(v.String() + "x")
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				v.SetInt(v.Int() + 1)
+			case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				v.SetUint(v.Uint() + 1)
+			case reflect.Bool:
+				v.SetBool(!v.Bool())
+			default:
+				t.Fatalf("%s.%s has kind %s: teach this test to change it", level, field.Name, v.Kind())
+			}
+			sameKey := k.normalize() == base.normalize()
+			sameFile := k.fileName() == base.fileName()
+			if field.Name == "Name" {
+				// Display names are dropped on purpose: equal caches
+				// under different names are one cell.
+				if !sameKey || !sameFile {
+					t.Errorf("%s.Name changed the key (in memory %v, on disk %v)", level, !sameKey, !sameFile)
+				}
+				continue
+			}
+			if sameKey {
+				t.Errorf("%s.%s does not reach the in-memory key", level, field.Name)
+			}
+			if sameFile {
+				t.Errorf("%s.%s does not reach the disk file name", level, field.Name)
+			}
+		}
 	}
 }
 

@@ -25,8 +25,11 @@ import (
 
 // L2Filter is a Tracer that simulates one L1 data cache and captures
 // the stream it sends to the next level. It implements simmem.Tracer,
-// simmem.StridedTracer and the codec's PhaseRecorder, mirroring
-// cache.Hierarchy's L1-side behaviour event for event.
+// simmem.StridedTracer and the codec's PhaseRecorder. Its L1 side is
+// cache.Hierarchy's: demand references walk the same row kernel,
+// cache.AccessRows, which resolves hits inside the L1, and prefetches
+// take the same Lookup-then-Access probe. Where the hierarchy sends an
+// L1 miss to its L2, the filter records the L2-bound events instead.
 type L2Filter struct {
 	l1        *cache.Cache
 	lineBytes uint64
@@ -60,13 +63,9 @@ func NewL2Filter(l1 cache.Config) *L2Filter {
 	return &L2Filter{l1: c, lineBytes: uint64(l1.LineBytes), phaseIdx: map[string]uint32{}}
 }
 
-// lineRef mirrors cache.Hierarchy.lineRef up to the L1/L2 boundary,
-// emitting the L2-bound events instead of probing an L2.
-func (f *L2Filter) lineRef(addr uint64, write bool) {
-	r1 := f.l1.Access(addr, write)
-	if r1.Hit {
-		return
-	}
+// l1Miss mirrors cache.Hierarchy's L1 miss handling up to the L1/L2
+// boundary, emitting the L2-bound events instead of probing an L2.
+func (f *L2Filter) l1Miss(addr uint64, r1 cache.Result) {
 	f.base.L1Misses++
 	if r1.EvictedDirty {
 		f.base.L1Writebacks++
@@ -100,18 +99,12 @@ func (f *L2Filter) Access(addr uint64, size uint32, kind simmem.Kind) {
 			f.base.PrefetchL1Hits++
 			return
 		}
-		f.lineRef(addr, false)
+		if r1 := f.l1.Access(addr, false); !r1.Hit {
+			f.l1Miss(addr, r1)
+		}
 		return
 	}
-	if size == 0 {
-		return
-	}
-	first := addr &^ (f.lineBytes - 1)
-	last := (addr + uint64(size) - 1) &^ (f.lineBytes - 1)
-	write := kind == simmem.Store
-	for a := first; a <= last; a += f.lineBytes {
-		f.lineRef(a, write)
-	}
+	f.l1.AccessRows(addr, int(size), 0, 1, kind == simmem.Store, f.l1Miss)
 }
 
 // Run implements simmem.Tracer (cf. cache.Hierarchy.Run).
@@ -144,14 +137,7 @@ func (f *L2Filter) RunStrided(addr uint64, rowBytes, stride, rows int, unit uint
 		f.base.Loads += refs
 		f.base.LoadBytes += bytes
 	}
-	for r := 0; r < rows; r++ {
-		first := addr &^ (f.lineBytes - 1)
-		last := (addr + uint64(rowBytes) - 1) &^ (f.lineBytes - 1)
-		for a := first; a <= last; a += f.lineBytes {
-			f.lineRef(a, write)
-		}
-		addr += uint64(stride)
-	}
+	f.l1.AccessRows(addr, rowBytes, stride, rows, write, f.l1Miss)
 }
 
 // Ops implements simmem.Tracer.

@@ -107,14 +107,18 @@ func filterTrace(tr *Trace, l1 cache.Config) *L2Trace {
 // TestL2FilterMatchesHierarchyProperty: for random traces (with and
 // without prefetches), every replacement policy and random small
 // geometries, the filtered replay equals a full-trace replay through a
-// cache.Hierarchy, whole-run and per phase.
+// cache.Hierarchy, whole-run and per phase. Both levels draw their line
+// size from 16–256 B, so L1 lines longer than L2 lines are covered: an
+// L1 miss must ask L2 for the same address on both paths.
 func TestL2FilterMatchesHierarchyProperty(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		tr := synthTrace(rng, 1500+rng.Intn(4000), seed%2 == 0)
 		for _, pol := range propPolicies {
-			l1 := cache.Config{SizeBytes: 1 << (9 + rng.Intn(4)), LineBytes: 32, Ways: 1 << rng.Intn(3), Policy: pol, Seed: uint64(seed)}
-			l2 := cache.Config{SizeBytes: 1 << (13 + rng.Intn(3)), LineBytes: 128, Ways: 1 << rng.Intn(3), Policy: pol, Seed: uint64(seed)}
+			l1Line, l1Ways := 16<<rng.Intn(5), 1<<rng.Intn(3)
+			l2Line, l2Ways := 16<<rng.Intn(5), 1<<rng.Intn(3)
+			l1 := cache.Config{SizeBytes: l1Line * l1Ways << rng.Intn(5), LineBytes: l1Line, Ways: l1Ways, Policy: pol, Seed: uint64(seed)}
+			l2 := cache.Config{SizeBytes: max(l2Line*l2Ways, 1<<(13+rng.Intn(3))), LineBytes: l2Line, Ways: l2Ways, Policy: pol, Seed: uint64(seed)}
 			live := newLiveHierarchy(l1, l2)
 			tr.Replay(live.Hierarchy, live)
 			whole, phases := filterTrace(tr, l1).Replay(l2)
