@@ -390,13 +390,13 @@ func BenchmarkTraceWire(b *testing.B) {
 // BenchmarkDistributedSweep compares the 18-configuration geometry
 // sweep run locally against the same sweep sharded across two dist
 // workers (in-process HTTP servers here; the protocol and serialization
-// costs are real, the network is loopback). All variants run one
-// encode; the distributed ones add trace serialization, upload and
-// shard round-trips — the overhead a real fleet pays for the fan-out.
-// The two distributed variants measure what is on the wire: the
-// default ships one L1-filtered M4L2 trace per L1 row, the fulltrace
-// baseline ships the whole M4TR capture to every worker. Their uploadMB
-// metrics are the full-vs-L2 shipping ratio BENCH_pr4.json records.
+// costs are real, the network is loopback). Both variants run one
+// encode; the distributed one adds per-L1 filtering, M4L2
+// serialization, upload and shard round-trips — the overhead a real
+// fleet pays for the fan-out — with the full self-healing scheduler
+// (breakers, background health prober) running. The fleet is healthy,
+// so the fault path must never fire: any retry or dead worker fails
+// the benchmark.
 func BenchmarkDistributedSweep(b *testing.B) {
 	wl := harness.Workload{W: 352, H: 288, Frames: benchFrames}
 	nConfigs := len(harness.GeometryL1Configs()) * len(harness.GeometryL2Sizes())
@@ -412,72 +412,33 @@ func BenchmarkDistributedSweep(b *testing.B) {
 		}
 		b.ReportMetric(float64(nConfigs), "configs")
 	})
-	distributed := func(shipFull bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			var urls []string
-			for i := 0; i < 2; i++ {
-				srv := httptest.NewServer(dist.NewWorker(dist.WorkerConfig{}).Handler())
-				defer srv.Close()
-				urls = append(urls, srv.URL)
-			}
-			coord := &dist.Coordinator{Workers: urls, ShipFullTrace: shipFull}
-			var stats dist.SweepStats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pts, st, err := coord.GeometrySweepWithStats(context.Background(), wl, nil, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(pts) != nConfigs {
-					b.Fatalf("got %d points", len(pts))
-				}
-				stats = st
-			}
-			b.ReportMetric(float64(nConfigs), "configs")
-			b.ReportMetric(float64(stats.UploadBytes)/(1<<20), "uploadMB")
-			b.ReportMetric(float64(stats.Uploads), "uploads")
+	b.Run("distributed-2workers", func(b *testing.B) {
+		var urls []string
+		for i := 0; i < 2; i++ {
+			srv := httptest.NewServer(dist.NewWorker(dist.WorkerConfig{}).Handler())
+			defer srv.Close()
+			urls = append(urls, srv.URL)
 		}
-	}
-	b.Run("distributed-2workers", distributed(false))
-	b.Run("distributed-2workers-fulltrace", distributed(true))
-}
-
-// BenchmarkFailoverOverhead prices the self-healing layer on the happy
-// path: the same two-worker distributed sweep with the full resilient
-// scheduler (classification, breakers, background health prober) vs
-// the prober disabled. On a healthy fleet the two must be
-// indistinguishable — the fault machinery may only cost when faults
-// happen (retry backoff, probes of dead workers), never per shard.
-func BenchmarkFailoverOverhead(b *testing.B) {
-	wl := harness.Workload{W: 352, H: 288, Frames: benchFrames}
-	nConfigs := len(harness.GeometryL1Configs()) * len(harness.GeometryL2Sizes())
-	run := func(disableReadmission bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			var urls []string
-			for i := 0; i < 2; i++ {
-				srv := httptest.NewServer(dist.NewWorker(dist.WorkerConfig{}).Handler())
-				defer srv.Close()
-				urls = append(urls, srv.URL)
+		coord := &dist.Coordinator{Workers: urls}
+		var stats dist.SweepStats
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pts, st, err := coord.GeometrySweepWithStats(context.Background(), wl, nil, nil)
+			if err != nil {
+				b.Fatal(err)
 			}
-			coord := &dist.Coordinator{Workers: urls, DisableReadmission: disableReadmission}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pts, st, err := coord.GeometrySweepWithStats(context.Background(), wl, nil, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(pts) != nConfigs {
-					b.Fatalf("got %d points", len(pts))
-				}
-				if st.Retries != 0 || st.DeadWorkers != 0 {
-					b.Fatalf("healthy fleet hit the fault path: %+v", st)
-				}
+			if len(pts) != nConfigs {
+				b.Fatalf("got %d points", len(pts))
 			}
-			b.ReportMetric(float64(nConfigs), "configs")
+			if st.Retries != 0 || st.DeadWorkers != 0 {
+				b.Fatalf("healthy fleet hit the fault path: %+v", st)
+			}
+			stats = st
 		}
-	}
-	b.Run("resilient", run(false))
-	b.Run("no-readmission", run(true))
+		b.ReportMetric(float64(nConfigs), "configs")
+		b.ReportMetric(float64(stats.UploadBytes)/(1<<20), "uploadMB")
+		b.ReportMetric(float64(stats.Uploads), "uploads")
+	})
 }
 
 // BenchmarkPolicySweep measures the replacement-policy axis: one

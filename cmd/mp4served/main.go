@@ -74,7 +74,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/trace"
 )
 
 // parseWorkers interprets the -workers flag: an integer is the local
@@ -119,11 +118,9 @@ func main() {
 	sessionBurst := flag.Int("session-burst", 0, "per-session submission burst (0 = derived from -session-rate)")
 	heartbeat := flag.Duration("heartbeat", 15*time.Second, "SSE heartbeat interval on /v1/studies/{id}/events")
 	memoDir := flag.String("memo-dir", "", "persist the shared result memo to this directory (resubmitted studies replay only unseen cells)")
-	replayWorkers := flag.Int("replay-workers", 0, "goroutines one fused multi-config L2 replay splits its configs across (0 = GOMAXPROCS); single replays always run serially")
 	noMemo := flag.Bool("no-memo", false, "disable result memoization (default: in-memory memo shared by all studies)")
 	srvFlags := obs.RegisterServerFlags(flag.CommandLine)
 	flag.Parse()
-	trace.SetReplayWorkers(*replayWorkers)
 
 	if err := srvFlags.Apply(); err != nil {
 		fmt.Fprintln(os.Stderr, "mp4served:", err)

@@ -136,7 +136,7 @@ func (c *serviceClient) result(ctx context.Context, id string) (string, error) {
 // runServiceStudy is the -service entry point: build the StudySpec
 // from the manifest (flags override, same precedence as local
 // manifest mode), submit, then follow or poll.
-func runServiceStudy(ctx context.Context, base, manifestPath string, frames int, priority, authToken string, follow bool, replayFlagSet, replayFlag bool) error {
+func runServiceStudy(ctx context.Context, base, manifestPath string, frames int, priority, authToken string, follow bool) error {
 	raw, err := os.ReadFile(manifestPath)
 	if err != nil {
 		return err
@@ -153,7 +153,6 @@ func runServiceStudy(ctx context.Context, base, manifestPath string, frames int,
 	spec := service.StudySpec{
 		Frames:      mf.Frames,
 		Parallel:    mf.Parallel,
-		Replay:      mf.Replay,
 		Experiments: mf.Experiments,
 		Priority:    mf.Priority,
 	}
@@ -162,9 +161,6 @@ func runServiceStudy(ctx context.Context, base, manifestPath string, frames int,
 	}
 	if priority != "" {
 		spec.Priority = priority
-	}
-	if replayFlagSet {
-		spec.Replay = &replayFlag
 	}
 
 	c := &serviceClient{

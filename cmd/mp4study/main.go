@@ -16,7 +16,6 @@
 //	mp4study -manifest jobs.json -service ... -priority interactive
 //	mp4study -manifest jobs.json -service ... -auth-token secret
 //	mp4study -progress ...        # job completions to stderr
-//	mp4study -replay=false ...    # legacy live simulation (no captures)
 //	mp4study -sweep geometry      # encode once, replay every cache geometry
 //	mp4study -sweep geometry -trace-out enc.m4tr   # ... and keep the capture
 //	mp4study -sweep geometry -trace-in enc.m4tr    # sweep a shipped capture
@@ -35,22 +34,18 @@
 // Experiments run on the internal/farm worker pool; -parallel sets the
 // worker count (default GOMAXPROCS). Output is deterministic: the same
 // bytes at every worker count, in the paper's layout. Every mode runs
-// in one harness.Study, which carries the -replay strategy, the memo
-// and the usage report, and keeps the paper-machine measurements its
-// tables and figures share: a workload that several experiments show
-// is simulated once per invocation.
+// in one replay harness.Study, which carries the memo and the usage
+// report, and keeps the paper-machine measurements its tables and
+// figures share: a workload that several experiments show is simulated
+// once per invocation.
 //
-// Multi-machine simulations use trace capture and replay by default:
-// each workload's reference stream is captured once (for the paper's
+// Multi-machine simulations use trace capture and replay: each
+// workload's reference stream is captured once (for the paper's
 // same-L1 machines, filtered down to the L2-bound stream) and every
 // machine or cache geometry is simulated by replaying the capture —
 // counter-identical to live simulation, without re-running the codec.
 // Whenever any capture/replay traffic occurred, a summary of capture
-// sizes and replay counts is printed to stderr — including under
-// -replay=false, because the geometry sweep is a replay experiment by
-// nature (its point is simulating every configuration from one
-// capture; -replay=false only switches it to the re-encode baseline,
-// and -trace-in/-trace-out always go through captures).
+// sizes and replay counts is printed to stderr.
 //
 // -trace-out writes the geometry sweep's capture in the portable
 // versioned wire format of internal/trace; -trace-in replays a
@@ -157,9 +152,7 @@ func main() {
 	priority := flag.String("priority", "", "with -service: admission priority, interactive or batch (default batch)")
 	authToken := flag.String("auth-token", "", "with -service: send Authorization: Bearer <token>")
 	parallel := flag.Int("parallel", 0, "farm worker count (0 = GOMAXPROCS)")
-	replayWorkers := flag.Int("replay-workers", 0, "goroutines one fused multi-config L2 replay splits its configs across (0 = GOMAXPROCS); single replays always run serially")
 	progress := flag.Bool("progress", false, "report job completions to stderr")
-	replay := flag.Bool("replay", true, "simulate machines by trace capture and replay (false = legacy live simulation)")
 	traceOut := flag.String("trace-out", "", "with -sweep geometry: write the encode capture to this file (portable wire format)")
 	traceIn := flag.String("trace-in", "", "with -sweep geometry: replay this capture file instead of encoding")
 	workers := flag.String("workers", "", "with -sweep geometry: comma-separated mp4worker base URLs; shards the sweep across the fleet")
@@ -177,17 +170,10 @@ func main() {
 		fatal(err)
 	}
 	obs.SetLogLevel(lvl)
-	trace.SetReplayWorkers(*replayWorkers)
-	replayFlagSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "replay" {
-			replayFlagSet = true
-		}
-	})
 
-	// One study scopes every mode's strategy, memo, usage report and
+	// One study scopes every mode's memo, usage report and
 	// measurements, so -all's figures read the runs its tables made.
-	study := harness.NewStudy(*replay)
+	study := harness.NewStudy(true)
 	if *noMemo && *memoDir != "" {
 		fatal(fmt.Errorf("-no-memo and -memo-dir are mutually exclusive"))
 	}
@@ -280,12 +266,12 @@ func main() {
 
 	switch {
 	case *serviceURL != "":
-		if err := runServiceStudy(ctx, *serviceURL, *manifest, *frames, *priority, *authToken, *follow, replayFlagSet, *replay); err != nil {
+		if err := runServiceStudy(ctx, *serviceURL, *manifest, *frames, *priority, *authToken, *follow); err != nil {
 			fatal(err)
 		}
 	case *manifest != "":
 		var err error
-		if pool, err = runManifest(ctx, *manifest, *frames, *parallel, *progress, replayFlagSet); err != nil {
+		if pool, err = runManifest(ctx, *manifest, *frames, *parallel, *progress); err != nil {
 			fatal(err)
 		}
 	case *all:
@@ -327,9 +313,7 @@ func main() {
 // reportTraceUsage summarises the capture/replay traffic of the run's
 // study: how many reference streams were recorded, their memory cost,
 // and how many machine/geometry simulations were served from them. It
-// reports whenever the counters are nonzero, whatever the -replay flag
-// said — the geometry sweep and the trace-file paths capture
-// regardless.
+// reports whenever the counters are nonzero.
 func reportTraceUsage(u harness.TraceUsage) {
 	if u.Zero() {
 		return
@@ -439,13 +423,9 @@ func runGeometryFleet(ctx context.Context, frames int, workers string, maxAttemp
 	if err != nil {
 		return err
 	}
-	shipped := "full trace"
-	if stats.L2Shipped {
-		shipped = "L1-filtered traces"
-	}
 	statusf(
-		"fleet: %d workers, %d uploads of %s (%.1f MB), %d replay calls, %d failovers, %d workers lost\n",
-		len(urls), stats.Uploads, shipped, float64(stats.UploadBytes)/(1<<20),
+		"fleet: %d workers, %d uploads of L1-filtered traces (%.1f MB), %d replay calls, %d failovers, %d workers lost\n",
+		len(urls), stats.Uploads, float64(stats.UploadBytes)/(1<<20),
 		stats.Replays, stats.Failovers, stats.DeadWorkers)
 	statusf(
 		"fleet: %d retries, %d breaker trips, %d health probes, %d readmissions\n",
@@ -524,7 +504,6 @@ func newPool(workers int, progress bool) *farm.Pool {
 type manifestFile struct {
 	Frames      int                      `json:"frames"`
 	Parallel    int                      `json:"parallel"`
-	Replay      *bool                    `json:"replay,omitempty"`
 	Experiments []harness.ExperimentSpec `json:"experiments"`
 	// Priority is the service admission priority (interactive|batch);
 	// local manifest mode ignores it.
@@ -533,9 +512,9 @@ type manifestFile struct {
 
 // runManifest executes a manifest and returns the pool it actually ran
 // on. Manifest settings apply only where the corresponding flag was
-// not given explicitly (frames/parallel: flag nonzero wins; replay:
-// detected via flag.Visit), per the "flags override manifest" rule.
-func runManifest(ctx context.Context, path string, frames, parallel int, progress, replayFlagSet bool) (*farm.Pool, error) {
+// not given explicitly (a nonzero -frames/-parallel wins), per the
+// "flags override manifest" rule.
+func runManifest(ctx context.Context, path string, frames, parallel int, progress bool) (*farm.Pool, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -553,9 +532,6 @@ func runManifest(ctx context.Context, path string, frames, parallel int, progres
 		if err := e.Validate(); err != nil {
 			return nil, fmt.Errorf("manifest %s: experiment %d: %w", path, i, err)
 		}
-	}
-	if mf.Replay != nil && !replayFlagSet {
-		harness.StudyFrom(ctx).SetReplayEnabled(*mf.Replay)
 	}
 	if frames == 0 {
 		frames = mf.Frames

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -52,5 +53,25 @@ func TestWriteMetricsSnapshot(t *testing.T) {
 	}
 	if snap.Counters["mp4study_test_marker_total"] == 0 {
 		t.Error("snapshot missing registry contents")
+	}
+}
+
+// TestManifestRejectsRemovedReplayField: a manifest that still names
+// the removed "replay" setting fails to decode, naming the field,
+// before any experiment runs.
+func TestManifestRejectsRemovedReplayField(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.json")
+	manifest := `{"frames": 1, "replay": false, "experiments": [` +
+		`{"sweep": "geometry", "l1": [{"size": 32768, "line": 32, "ways": 2}], "l2_kb": [512]}]}`
+	if err := os.WriteFile(path, []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	study := harness.NewStudy(true)
+	_, err := runManifest(harness.WithStudy(context.Background(), study), path, 0, 0, false)
+	if err == nil || !strings.Contains(err.Error(), `unknown field "replay"`) {
+		t.Fatalf("manifest naming replay: err = %v, want an unknown-field error", err)
+	}
+	if u := study.Usage(); !u.Zero() {
+		t.Fatalf("a rejected manifest still simulated: %+v", u)
 	}
 }

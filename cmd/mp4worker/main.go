@@ -1,7 +1,6 @@
 // Command mp4worker is a distributed-sweep worker: it accepts
-// serialized reference traces (the portable wire format of
-// internal/trace — full M4TR captures or the ~40× smaller L1-filtered
-// M4L2 traces, selected by upload Content-Type) and replays (L1, L2)
+// L1-filtered M4L2 traces (the portable wire format of internal/trace,
+// uploaded as Content-Type application/x-m4l2) and replays (L1, L2)
 // cache-configuration shards against them on a local experiment farm.
 // A dist.Coordinator (see internal/dist, examples/distributed, and
 // `mp4study -sweep geometry|policy -workers ...`) encodes a workload
@@ -10,8 +9,8 @@
 // fails. Shards may name a replacement policy inside their L1 config
 // (cache.Config.Policy — the L2 inherits it); unknown policy names,
 // like any invalid geometry, are rejected with a 400, and shards whose
-// L1 (policy included) mismatches an uploaded M4L2 trace's embedded L1
-// are refused rather than silently mis-simulated.
+// L1 (policy included) mismatches the uploaded trace's embedded L1 are
+// refused rather than silently mis-simulated.
 //
 // Usage:
 //
@@ -45,7 +44,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -53,10 +51,8 @@ func main() {
 	workers := flag.Int("workers", 0, "farm worker count (0 = GOMAXPROCS)")
 	maxTraces := flag.Int("max-traces", 8, "resident uploaded traces")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "bound the trace store's total wire bytes; crossing it evicts least-recently-used traces (0 = unbounded)")
-	replayWorkers := flag.Int("replay-workers", 0, "goroutines one fused multi-config L2 replay splits its configs across (0 = GOMAXPROCS); single replays always run serially")
 	srvFlags := obs.RegisterServerFlags(flag.CommandLine)
 	flag.Parse()
-	trace.SetReplayWorkers(*replayWorkers)
 
 	if err := srvFlags.Apply(); err != nil {
 		fmt.Fprintln(os.Stderr, "mp4worker:", err)

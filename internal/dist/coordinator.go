@@ -61,13 +61,6 @@ type Coordinator struct {
 	// overall request timeout — per-attempt deadlines bound each
 	// upload and replay instead, see UploadTimeout/ReplayTimeout).
 	Client *http.Client
-	// ShipFullTrace uploads the full M4TR capture to the workers
-	// instead of the per-L1 filtered M4L2 traces. The filtered path is
-	// the default — every shard of an L1 row shares that L1, so the
-	// row only ever needs the ~40× smaller L2-bound stream. The full
-	// path remains as the baseline (and the benchmark's comparison
-	// point).
-	ShipFullTrace bool
 	// UploadTimeout bounds one trace-upload attempt. <= 0 means 2m.
 	UploadTimeout time.Duration
 	// ReplayTimeout bounds one shard-batch replay attempt. <= 0 means
@@ -97,10 +90,6 @@ type Coordinator struct {
 	// re-admits recovered workers mid-sweep. <= 0 means 250ms / 2s.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// DisableReadmission turns the health prober off: a dropped worker
-	// stays dropped for the sweep's lifetime (the pre-self-healing
-	// behavior, and the baseline of BenchmarkFailoverOverhead).
-	DisableReadmission bool
 	// FallbackLocal replays whatever shards the fleet could not
 	// deliver through the local harness path instead of failing the
 	// sweep — byte-identical output, degraded wall-clock. Caller
@@ -182,9 +171,6 @@ func (c *Coordinator) maxAttempts() int {
 // SweepStats reports what one distributed sweep actually shipped and
 // survived — the observability half of the failover scheduler.
 type SweepStats struct {
-	// L2Shipped reports whether per-L1 filtered M4L2 traces were
-	// uploaded instead of the full capture.
-	L2Shipped bool
 	// Uploads and UploadBytes count every trace upload that succeeded,
 	// including re-uploads forced by failover.
 	Uploads     int
@@ -320,18 +306,15 @@ func (c *Coordinator) GeometrySweepSeries(ctx context.Context, wl harness.Worklo
 	return merged, nil
 }
 
-// payload is one serialized trace the sweep ships: the full capture
-// (fullKey) or one L1 row's filtered stream. key is a human label for
-// logs and per-sweep batch grouping; hash is the trace's content hash
-// — its identity on every worker, this sweep or any other.
+// payload is one serialized trace the sweep ships: one L1 row's
+// filtered M4L2 stream. key is a human label for logs and per-sweep
+// batch grouping; hash is the trace's content hash — its identity on
+// every worker, this sweep or any other.
 type payload struct {
-	key         string
-	hash        string
-	contentType string
-	wire        []byte
+	key  string
+	hash string
+	wire []byte
 }
-
-const fullKey = "full-trace"
 
 // batch is one dispatchable unit of work: a set of shards that replay
 // against the same payload, plus its failover accounting.
@@ -379,8 +362,8 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 	}
 
 	// Capture once. The capture precedes planning because a memoized
-	// plan is keyed by the capture's content hash; in the default
-	// (filtered) mode each L1 row then ships only its L2-bound stream.
+	// plan is keyed by the capture's content hash; each L1 row then
+	// ships only its L2-bound stream.
 	capture, err := harness.RecordEncodeCtx(ctx, simmem.NewSpace(0), wl)
 	if err != nil {
 		return nil, stats, fmt.Errorf("dist: capture: %w", err)
@@ -414,7 +397,6 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.L2Shipped = !c.ShipFullTrace
 
 	// Initial assignment: shards round-robin across workers (as the
 	// pre-failover coordinator did), then each worker's shards group
@@ -457,7 +439,7 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 	distLog.Info("sweep started",
 		"workers", len(c.Workers), "shards", len(shards),
 		"memo_shards", len(shards)-len(dispatch),
-		"batches", s.pendingN, "l2_shipped", !c.ShipFullTrace)
+		"batches", s.pendingN)
 	// Stream the memo-served prefix before any worker runs: emission is
 	// strict shard-index order, and a fully memoized sweep must deliver
 	// every event even though no worker goroutine ever completes a batch.
@@ -472,11 +454,7 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 	for wi := range c.Workers {
 		go s.runWorker(sctx, wi)
 	}
-	if c.DisableReadmission {
-		close(s.proberDone)
-	} else {
-		go s.runProber(sctx)
-	}
+	go s.runProber(sctx)
 	// Join on the goroutine counter, not a WaitGroup: re-admission
 	// spawns fresh runWorker goroutines mid-sweep, which a WaitGroup
 	// whose Wait already began cannot absorb.
@@ -512,7 +490,6 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 		c.deleteAll(s.uploaded)
 		return nil, s.stats, err
 	}
-	s.stats.L2Shipped = stats.L2Shipped
 	if s.fatal != nil {
 		// Graceful degradation: with FallbackLocal, a fleet-fatal sweep
 		// replays its undelivered shards through the local harness path —
@@ -542,9 +519,9 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 // memoize records every fleet-replayed cell of a successful sweep in
 // the coordinator's memo, so the next sweep over the same capture can
 // serve them without dispatching anything. Prefilled shards are
-// already in the memo; shards without stats (full-trace workers,
-// pre-stats workers, local-fallback shards) are simply skipped — the
-// memo is an optimization, never required for completeness.
+// already in the memo; shards without stats (pre-stats workers,
+// local-fallback shards) are simply skipped — the memo is an
+// optimization, never required for completeness.
 func (s *sweepState) memoize(captureHash trace.Hash, prefill map[int][]harness.GeometryPoint) {
 	if s.c.Memo == nil {
 		return
@@ -621,31 +598,13 @@ func (c *Coordinator) planMemoShards(captureHash trace.Hash, l1s []cache.Config,
 	return shards, prefill, hits, misses
 }
 
-// buildPayloads serializes what the sweep will ship: either the full
-// capture as one payload, or — the default — one M4L2 payload per L1
-// row, produced by replaying the capture through each row's L1 filter
-// exactly once (the same FilterGeometryL1 seam the local sweep uses,
-// so a worker replaying the payload cannot diverge from a local run).
-// payloadOf maps each shard index to its payload.
+// buildPayloads serializes what the sweep will ship: one M4L2 payload
+// per L1 row, produced by replaying the capture through each row's L1
+// filter exactly once (the same FilterGeometryL1 seam the local sweep
+// uses, so a worker replaying the payload cannot diverge from a local
+// run). payloadOf maps each shard index to its payload.
 func (c *Coordinator) buildPayloads(ctx context.Context, capture *harness.Capture, l1s []cache.Config, shards []Shard) (map[int]*payload, error) {
 	payloadOf := make(map[int]*payload, len(shards))
-	if c.ShipFullTrace {
-		var wire bytes.Buffer
-		if _, err := capture.Enc.WriteTo(&wire); err != nil {
-			return nil, fmt.Errorf("dist: serialize: %w", err)
-		}
-		p := &payload{
-			key:         fullKey,
-			hash:        capture.Enc.Hash().String(), // cached by WriteTo above
-			contentType: ContentTypeTrace,
-			wire:        wire.Bytes(),
-		}
-		for _, sh := range shards {
-			payloadOf[sh.Index] = p
-		}
-		return payloadOf, nil
-	}
-
 	// One filter replay per L1 row, concurrently — this is the work
 	// the workers would otherwise each repeat per shard. Only rows some
 	// shard actually dispatches are filtered: a memoized plan can cover
@@ -681,10 +640,9 @@ func (c *Coordinator) buildPayloads(ctx context.Context, capture *harness.Captur
 				key += "-" + string(l1.Policy)
 			}
 			payloads[li] = &payload{
-				key:         fmt.Sprintf("%s#%d", key, li),
-				hash:        lt.Hash().String(), // cached by WriteTo above
-				contentType: ContentTypeL2Trace,
-				wire:        wire.Bytes(),
+				key:  fmt.Sprintf("%s#%d", key, li),
+				hash: lt.Hash().String(), // cached by WriteTo above
+				wire: wire.Bytes(),
 			}
 		}(li, l1)
 	}
@@ -714,9 +672,9 @@ type sweepState struct {
 	// ctx is the sweep context, kept so the prober can hand it to the
 	// runWorker goroutines it spawns on re-admission.
 	ctx context.Context
-	// proberDone closes when the prober loop exits (immediately if
-	// re-admission is disabled); the sweep joins on it after the worker
-	// goroutines so nothing touches shared state during cleanup.
+	// proberDone closes when the prober loop exits; the sweep joins on
+	// it after the worker goroutines so nothing touches shared state
+	// during cleanup.
 	proberDone chan struct{}
 
 	mu       sync.Mutex
@@ -1207,7 +1165,7 @@ func (c *Coordinator) upload(ctx context.Context, base string, p *payload) (*Tra
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", p.contentType)
+	req.Header.Set("Content-Type", ContentTypeL2Trace)
 	var info TraceInfo
 	if err := c.do(req, http.StatusCreated, &info); err != nil {
 		return nil, err

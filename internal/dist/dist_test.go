@@ -184,7 +184,7 @@ func TestDistributedSweepMatchesLocalAcrossProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.L2Shipped || stats.Uploads == 0 || stats.UploadBytes == 0 {
+	if stats.Uploads == 0 || stats.UploadBytes == 0 {
 		t.Errorf("expected L2-filtered uploads, got stats %+v", stats)
 	}
 	if stats.DeadWorkers != 0 || stats.Failovers != 0 {
@@ -244,7 +244,7 @@ func TestDistributedPolicySweepMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.L2Shipped || stats.Uploads == 0 {
+	if stats.Uploads == 0 {
 		t.Errorf("expected per-policy L2-filtered uploads, got stats %+v", stats)
 	}
 	localPoints, err := harness.RunGeometrySweep(wl, l1s, l2Sizes)
@@ -511,20 +511,15 @@ func TestWorkerValidatesIngress(t *testing.T) {
 	}
 
 	// Corrupt trace bodies.
-	for _, body := range [][]byte{nil, []byte("garbage"), []byte("M4TR\x07")} {
-		if code, msg := post("/v1/traces", "application/octet-stream", body); code != http.StatusBadRequest {
+	for _, body := range [][]byte{nil, []byte("garbage"), []byte("M4L2\x07")} {
+		if code, msg := post("/v1/traces", ContentTypeL2Trace, body); code != http.StatusBadRequest {
 			t.Errorf("corrupt upload %q: status %d (%s), want 400", body, code, msg)
 		}
 	}
 
-	// A valid trace for the shard tests.
-	rec := trace.NewRecorder()
-	rec.Run(0, 4096, 1, 0)
-	var wire bytes.Buffer
-	if _, err := rec.Finish().WriteTo(&wire); err != nil {
-		t.Fatal(err)
-	}
-	code, body := post("/v1/traces", "application/octet-stream", wire.Bytes())
+	// A valid trace for the shard tests, filtered through their L1.
+	valid := cache.Config{Name: "L1D", SizeBytes: 32 << 10, LineBytes: 32, Ways: 2}
+	code, body := post("/v1/traces", ContentTypeL2Trace, l2Wire(t, 0, 4096, valid))
 	if code != http.StatusCreated {
 		t.Fatalf("upload: status %d: %s", code, body)
 	}
@@ -533,7 +528,6 @@ func TestWorkerValidatesIngress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	valid := cache.Config{Name: "L1D", SizeBytes: 32 << 10, LineBytes: 32, Ways: 2}
 	for name, req := range map[string]ReplayRequest{
 		"bad l1":       {TraceID: info.ID, Shards: []Shard{{L1: cache.Config{SizeBytes: 31, LineBytes: 7, Ways: 3}, L2Sizes: []int{1 << 20}}}},
 		"bad l2 size":  {TraceID: info.ID, Shards: []Shard{{L1: valid, L2Sizes: []int{12345}}}},
@@ -568,18 +562,10 @@ func TestWorkerTraceStoreBound(t *testing.T) {
 	srv := httptest.NewServer(NewWorker(WorkerConfig{Workers: 1, MaxTraces: 1}).Handler())
 	defer srv.Close()
 
-	encode := func(addr uint64) []byte {
-		rec := trace.NewRecorder()
-		rec.Run(addr, 64, 1, 0)
-		var wire bytes.Buffer
-		if _, err := rec.Finish().WriteTo(&wire); err != nil {
-			t.Fatal(err)
-		}
-		return wire.Bytes()
-	}
-	wireA, wireB := encode(0), encode(1)
+	l1 := harness.GeometryL1Configs()[0]
+	wireA, wireB := l2Wire(t, 0, 64, l1), l2Wire(t, 1, 64, l1)
 	upload := func(wire []byte) (int, TraceInfo) {
-		resp, err := http.Post(srv.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(wire))
+		resp, err := http.Post(srv.URL+"/v1/traces", ContentTypeL2Trace, bytes.NewReader(wire))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,6 +596,53 @@ func TestWorkerTraceStoreBound(t *testing.T) {
 	}
 	if code, _ := upload(wireB); code != http.StatusCreated {
 		t.Fatalf("upload after delete: %d", code)
+	}
+}
+
+// l2Wire returns the M4L2 wire bytes of one row access of rowBytes at
+// addr, filtered through l1.
+func l2Wire(t *testing.T, addr uint64, rowBytes int, l1 cache.Config) []byte {
+	t.Helper()
+	rec := trace.NewRecorder()
+	rec.Run(addr, rowBytes, 1, 0)
+	var wire bytes.Buffer
+	if _, err := harness.FilterGeometryL1(context.Background(), rec.Finish(), l1).WriteTo(&wire); err != nil {
+		t.Fatal(err)
+	}
+	return wire.Bytes()
+}
+
+// TestWorkerRejectsOversizeUpload: an upload longer than MaxTraceBytes
+// is a 413 wherever the limit cuts it — in the header, the events, a
+// mark or the hash trailer — and an upload of exactly the limit is
+// stored.
+func TestWorkerRejectsOversizeUpload(t *testing.T) {
+	capture, err := harness.RecordEncodeIn(simmem.NewSpace(0), harness.Workload{W: 96, H: 80, Frames: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if _, err := harness.FilterGeometryL1(context.Background(), capture.Enc, harness.GeometryL1Configs()[0]).WriteTo(&wire); err != nil {
+		t.Fatal(err)
+	}
+	size := int64(wire.Len())
+	upload := func(limit int64) (int, string) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/traces", bytes.NewReader(wire.Bytes()))
+		req.Header.Set("Content-Type", ContentTypeL2Trace)
+		rec := httptest.NewRecorder()
+		NewWorker(WorkerConfig{Workers: 1, MaxTraceBytes: limit}).Handler().ServeHTTP(rec, req)
+		return rec.Code, rec.Body.String()
+	}
+	// Every limit short of the upload, the half-size, 40-bytes-short and
+	// 1-byte-short cuts among them.
+	for limit := int64(1); limit < size; limit++ {
+		code, body := upload(limit)
+		if want := fmt.Sprintf("trace exceeds %d bytes", limit); code != http.StatusRequestEntityTooLarge || !strings.Contains(body, want) {
+			t.Fatalf("%d-byte upload, limit %d: status %d (%s), want 413 %q", size, limit, code, body, want)
+		}
+	}
+	if code, body := upload(size); code != http.StatusCreated {
+		t.Fatalf("%d-byte upload at a limit of its size: status %d (%s), want 201", size, code, body)
 	}
 }
 

@@ -348,47 +348,6 @@ func TestCancellationIsNotWorkerFailure(t *testing.T) {
 	}
 }
 
-// TestL2ShippingMatchesFullTraceShipping: the default per-L1 filtered
-// uploads and the ShipFullTrace baseline produce identical points, and
-// the filtered wire traffic is an order of magnitude smaller — the
-// algorithmic point of shipping M4L2.
-func TestL2ShippingMatchesFullTraceShipping(t *testing.T) {
-	good1, good2 := goodWorker(t), goodWorker(t)
-	urls := []string{good1.URL, good2.URL}
-	l1s, l2Sizes := faultAxes()
-
-	l2Coord := &Coordinator{Workers: urls}
-	l2Points, l2Stats, err := l2Coord.GeometrySweepWithStats(context.Background(), faultWorkload, l1s, l2Sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullCoord := &Coordinator{Workers: urls, ShipFullTrace: true}
-	fullPoints, fullStats, err := fullCoord.GeometrySweepWithStats(context.Background(), faultWorkload, l1s, l2Sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(l2Points, fullPoints) {
-		t.Fatal("L2-filtered shipping and full-trace shipping disagree")
-	}
-	localPoints, err := harness.RunGeometrySweep(faultWorkload, l1s, l2Sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(l2Points, localPoints) {
-		t.Fatal("distributed points differ from local sweep")
-	}
-	if !l2Stats.L2Shipped || fullStats.L2Shipped {
-		t.Fatalf("shipping modes mislabeled: l2=%+v full=%+v", l2Stats, fullStats)
-	}
-	if l2Stats.UploadBytes*5 >= fullStats.UploadBytes {
-		t.Errorf("L2 shipping saved too little: %d bytes vs %d full",
-			l2Stats.UploadBytes, fullStats.UploadBytes)
-	}
-	t.Logf("upload bytes: full=%d l2=%d (%.1fx smaller)",
-		fullStats.UploadBytes, l2Stats.UploadBytes,
-		float64(fullStats.UploadBytes)/float64(l2Stats.UploadBytes))
-}
-
 // TestWorkerL2TraceProtocol covers the worker side of the M4L2 path:
 // upload by content type, replay against the embedded L1, the
 // L1-mismatch rejection, and the unsupported-content-type rejection.
@@ -406,40 +365,28 @@ func TestWorkerL2TraceProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Any non-M4L2 content type (including what a plain curl sends)
-	// selects the full-trace decoder for compatibility — so M4L2 bytes
-	// under such a type must be a 400 (wrong magic), never a misfiled
-	// trace.
-	resp, err := http.Post(srv.URL+"/v1/traces", ContentTypeTrace, bytes.NewReader(wire.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("m4tr-typed M4L2 upload: status %d, want 400", resp.StatusCode)
-	}
-
-	// Back-compat: a full trace under the content type a plain curl
-	// sends is accepted as KindTrace.
+	// Any other content type — the full-trace type, what a plain curl
+	// sends, a generic binary type — is refused before decoding, for
+	// M4L2 and M4TR bytes alike.
 	var fullWire bytes.Buffer
 	if _, err := capture.Enc.WriteTo(&fullWire); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Post(srv.URL+"/v1/traces", "application/x-www-form-urlencoded", bytes.NewReader(fullWire.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fullInfo TraceInfo
-	if err := json.NewDecoder(resp.Body).Decode(&fullInfo); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated || fullInfo.Kind != KindTrace {
-		t.Fatalf("curl-style full upload: status %d info %+v, want 201 %s", resp.StatusCode, fullInfo, KindTrace)
+	for _, ct := range []string{"application/x-m4tr", "application/x-www-form-urlencoded", "application/octet-stream"} {
+		for _, body := range [][]byte{wire.Bytes(), fullWire.Bytes()} {
+			resp, err := http.Post(srv.URL+"/v1/traces", ct, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnsupportedMediaType {
+				t.Fatalf("%s upload of %.4s: status %d, want 415", ct, body, resp.StatusCode)
+			}
+		}
 	}
 
 	// Proper M4L2 upload.
-	resp, err = http.Post(srv.URL+"/v1/traces", ContentTypeL2Trace, bytes.NewReader(wire.Bytes()))
+	resp, err := http.Post(srv.URL+"/v1/traces", ContentTypeL2Trace, bytes.NewReader(wire.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,7 @@
 // Because every shard of one L1 row shares that L1, the coordinator
 // does not ship the full capture: it replays the capture through the
 // L1 filter once per L1 configuration and uploads the ~40× smaller
-// L2-bound M4L2 trace each row actually needs (the full M4TR capture
-// remains available via Coordinator.ShipFullTrace, as the baseline).
+// L2-bound M4L2 trace each row actually needs.
 // Workers execute shards through the same farm.Run engine and the same
 // harness seams local sweeps use, so a distributed sweep is the local
 // sweep with the replay loop stretched across processes; results merge
@@ -40,11 +39,10 @@
 //
 // Protocol (worker side, all JSON unless noted):
 //
-//	POST   /v1/traces        body = trace wire format → TraceInfo
-//	                         Content-Type selects the kind:
-//	                           application/x-m4l2: L1-filtered L2 trace
-//	                           anything else (x-m4tr, octet-stream, a
-//	                           plain curl): full trace, as before PR 4
+//	POST   /v1/traces        body = M4L2 wire format → TraceInfo
+//	                         Content-Type application/x-m4l2; any other
+//	                         type is a 415
+//	HEAD   /v1/traces/{id}
 //	DELETE /v1/traces/{id}
 //	POST   /v1/replay        ReplayRequest → ReplayResponse
 //	GET    /v1/healthz
@@ -54,10 +52,11 @@
 // 400 response, never a worker crash (unknown replacement-policy names
 // included — the policy axis is part of the shard's L1 config). Trace
 // uploads are decoded with the fuzz-hardened wire reader, so a corrupt
-// body is a 400 too. A shard replayed against an M4L2 trace must name
-// the trace's embedded L1 — any other L1 (or L1 policy: the L2-bound
-// stream is a pure function of the whole L1 configuration) would
-// silently simulate the wrong hierarchy, so the mismatch is a 400.
+// body is a 400 too, and one over WorkerConfig.MaxTraceBytes a 413. A
+// shard must name the L1 embedded in the trace it replays — any other
+// L1 (or L1 policy: the L2-bound stream is a pure function of the whole
+// L1 configuration) would silently simulate the wrong hierarchy, so the
+// mismatch is a 400.
 package dist
 
 import (
@@ -66,23 +65,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Content types selecting the upload kind on POST /v1/traces. Only
-// ContentTypeL2Trace switches decoders; every other type means a full
-// trace, so pre-L2 clients (which sent octet-stream or nothing) keep
-// working unchanged.
-const (
-	ContentTypeTrace   = "application/x-m4tr"
-	ContentTypeL2Trace = "application/x-m4l2"
-)
+// ContentTypeL2Trace is the one upload type POST /v1/traces accepts.
+const ContentTypeL2Trace = "application/x-m4l2"
 
-// Trace kinds reported in TraceInfo.Kind.
-const (
-	KindTrace   = "m4tr"
-	KindL2Trace = "m4l2"
-)
+// KindL2Trace is the TraceInfo.Kind of every stored trace.
+const KindL2Trace = "m4l2"
 
-// TraceInfo describes an uploaded trace. Records counts full-trace
-// records for KindTrace and L2-bound events for KindL2Trace.
+// TraceInfo describes an uploaded trace. Records counts its L2-bound
+// events.
 type TraceInfo struct {
 	ID      string `json:"id"`
 	Kind    string `json:"kind"`
@@ -113,8 +103,8 @@ type ReplayRequest struct {
 // ShardResult is one shard's sweep points, in (L1, L2 size) order.
 // Stats, when present, carries the whole-run simulation counters
 // behind each point (same order) so the coordinator can memoize the
-// cells; workers on the full-trace path may omit it, and a response
-// whose Stats length disagrees with Points is used for points only.
+// cells; a response whose Stats length disagrees with Points is used
+// for points only.
 type ShardResult struct {
 	Index  int                     `json:"index"`
 	Points []harness.GeometryPoint `json:"points"`

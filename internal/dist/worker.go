@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/farm"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -44,7 +43,8 @@ type WorkerConfig struct {
 	// count bound is a hard 507 — the coordinator owns eviction there
 	// (it knows which traces its sweep still needs).
 	MaxTraces int
-	// MaxTraceBytes bounds one upload's wire size. <= 0 means 1 GiB.
+	// MaxTraceBytes bounds one upload's wire size; a larger upload is
+	// a 413. <= 0 means 1 GiB.
 	MaxTraceBytes int64
 	// MaxStoreBytes bounds the resident store's total wire bytes.
 	// Unlike MaxTraces, this bound self-serves: crossing it evicts
@@ -56,20 +56,17 @@ type WorkerConfig struct {
 	MaxStoreBytes int64
 }
 
-// storedTrace is one resident trace of either kind: exactly one of
-// full/l2 is non-nil. The store is keyed by content hash, so a trace
-// has one identity everywhere and re-uploads dedupe for free.
+// storedTrace is one resident L1-filtered trace. The store is keyed by
+// content hash, so a trace has one identity everywhere and re-uploads
+// dedupe for free.
 type storedTrace struct {
-	full    *trace.Trace
 	l2      *trace.L2Trace
-	kind    string
-	records int
 	bytes   int64
 	lastUse uint64 // logical clock tick of the last touch, for LRU
 }
 
 func (st *storedTrace) info(id string) TraceInfo {
-	return TraceInfo{ID: id, Kind: st.kind, Records: st.records, Bytes: st.bytes}
+	return TraceInfo{ID: id, Kind: KindL2Trace, Records: st.l2.Events(), Bytes: st.bytes}
 }
 
 // Worker executes replay shards against uploaded traces. Mount its
@@ -176,59 +173,39 @@ func (w *Worker) writeError(rw http.ResponseWriter, code int, format string, arg
 	json.NewEncoder(rw).Encode(errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// uploadKind maps the request Content-Type to a trace kind: exactly
-// application/x-m4l2 selects the L1-filtered decoder, every other type
-// (x-m4tr, octet-stream, whatever a plain curl sends) means a full
-// trace — the pre-L2 protocol, so old clients keep working unchanged.
-// The wire magic still validates either way: M4L2 bytes under a
-// full-trace type are a 400 ("not a trace file"), never a misfiled
-// trace.
-func uploadKind(contentType string) string {
-	ct, _, _ := strings.Cut(contentType, ";")
-	if strings.EqualFold(strings.TrimSpace(ct), ContentTypeL2Trace) { // MIME types are case-insensitive
-		return KindL2Trace
-	}
-	return KindTrace
-}
-
-// handleUpload decodes a wire-format trace body — full M4TR or
-// L1-filtered M4L2, selected by Content-Type — and stores it for
-// replay under its content hash. The decoders validate everything
-// (including the hash trailer when present); corrupt input is a 400.
-// Uploading a hash that is already resident is not an error and not a
-// second copy: the existing trace's info is returned, whatever name
-// the bytes arrived under before. A full store is only decided after
-// decoding — the bytes may dedupe against a resident trace, which no
-// bound should refuse.
+// handleUpload decodes an M4L2 trace body and stores it for replay
+// under its content hash. Any Content-Type but application/x-m4l2
+// (MIME types are case-insensitive; parameters are ignored) is a 415,
+// answered before a byte is decoded. The decoder validates everything
+// (including the hash trailer when present): corrupt input is a 400, a
+// body over MaxTraceBytes a 413. Uploading a hash that is already
+// resident is not an error and not a second copy: the existing trace's
+// info is returned, whatever name the bytes arrived under before. A
+// full store is only decided after decoding — the bytes may dedupe
+// against a resident trace, which no bound should refuse.
 func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
-	kind := uploadKind(r.Header.Get("Content-Type"))
-	body := io.LimitReader(r.Body, w.cfg.MaxTraceBytes+1)
-	st := &storedTrace{kind: kind}
-	var err error
-	var id string
-	if kind == KindL2Trace {
-		lt := &trace.L2Trace{}
-		st.bytes, err = lt.ReadFrom(body)
-		st.l2, st.records = lt, lt.Events()
-		id = lt.Hash().String()
-	} else {
-		tr := &trace.Trace{}
-		st.bytes, err = tr.ReadFrom(body)
-		st.full, st.records = tr, tr.Records()
-		id = tr.Hash().String()
+	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
+	if !strings.EqualFold(strings.TrimSpace(ct), ContentTypeL2Trace) {
+		w.writeError(rw, http.StatusUnsupportedMediaType,
+			"trace upload: Content-Type %q, want %s", ct, ContentTypeL2Trace)
+		return
 	}
+	lt := &trace.L2Trace{}
+	n, err := lt.ReadFrom(http.MaxBytesReader(rw, r.Body, w.cfg.MaxTraceBytes))
 	if err != nil {
-		if errors.Is(err, trace.ErrBadFormat) {
+		var tooLarge *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooLarge):
+			w.writeError(rw, http.StatusRequestEntityTooLarge, "trace exceeds %d bytes", w.cfg.MaxTraceBytes)
+		case errors.Is(err, trace.ErrBadFormat):
 			w.writeError(rw, http.StatusBadRequest, "trace upload: %v", err)
-		} else {
+		default:
 			w.writeError(rw, http.StatusInternalServerError, "trace upload: %v", err)
 		}
 		return
 	}
-	if st.bytes > w.cfg.MaxTraceBytes {
-		w.writeError(rw, http.StatusRequestEntityTooLarge, "trace exceeds %d bytes", w.cfg.MaxTraceBytes)
-		return
-	}
+	st := &storedTrace{l2: lt, bytes: n}
+	id := lt.Hash().String()
 
 	w.mu.Lock()
 	if prev, ok := w.traces[id]; ok {
@@ -236,7 +213,7 @@ func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 		info := prev.info(id)
 		w.mu.Unlock()
 		mUploadsDeduped.Inc()
-		workerLog.Debug("trace upload deduped", "id", id, "kind", prev.kind)
+		workerLog.Debug("trace upload deduped", "id", id)
 		w.writeCreated(rw, info)
 		return
 	}
@@ -260,7 +237,7 @@ func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 	mStoreBytes.Add(st.bytes)
 	info := st.info(id)
 	w.mu.Unlock()
-	workerLog.Debug("trace stored", "id", id, "kind", kind, "records", st.records, "bytes", st.bytes)
+	workerLog.Debug("trace stored", "id", id, "events", lt.Events(), "bytes", st.bytes)
 	w.writeCreated(rw, info)
 }
 
@@ -334,19 +311,17 @@ func (w *Worker) handleReplay(rw http.ResponseWriter, r *http.Request) {
 		w.writeError(rw, http.StatusNotFound, "no trace %q", req.TraceID)
 		return
 	}
-	if st.l2 != nil {
-		// An M4L2 trace is the L2-bound stream behind ONE specific L1;
-		// replaying it under any other L1 (policy included) would
-		// silently simulate a hierarchy that never existed. Compare
-		// canonicalized configs so the two spellings of LRU ("" and
-		// "lru") — both legal on the wire — name the same cache.
-		for _, sh := range req.Shards {
-			if sh.L1.Canonical() != st.l2.L1.Canonical() {
-				w.writeError(rw, http.StatusBadRequest,
-					"shard %d: L1 %+v does not match the L1 %+v embedded in l2 trace %q",
-					sh.Index, sh.L1, st.l2.L1, req.TraceID)
-				return
-			}
+	// An M4L2 trace is the L2-bound stream behind ONE specific L1;
+	// replaying it under any other L1 (policy included) would silently
+	// simulate a hierarchy that never existed. Compare canonicalized
+	// configs so the two spellings of LRU ("" and "lru") — both legal
+	// on the wire — name the same cache.
+	for _, sh := range req.Shards {
+		if sh.L1.Canonical() != st.l2.L1.Canonical() {
+			w.writeError(rw, http.StatusBadRequest,
+				"shard %d: L1 %+v does not match the L1 %+v embedded in l2 trace %q",
+				sh.Index, sh.L1, st.l2.L1, req.TraceID)
+			return
 		}
 	}
 
@@ -361,22 +336,13 @@ func (w *Worker) handleReplay(rw http.ResponseWriter, r *http.Request) {
 			return fmt.Sprintf("shard%d/l1=%dK-%dw", sh.Index, sh.L1.SizeBytes>>10, sh.L1.Ways)
 		},
 		func(ctx context.Context, env farm.Env, sh Shard) (ShardResult, error) {
-			// The L2-trace path also returns the whole-run stats behind
-			// each point so the coordinator can memoize the cells; the
-			// full-trace path returns points only (Stats stays empty and
-			// the coordinator simply skips memoizing those shards).
-			if st.l2 != nil {
-				points, stats, err := harness.GeometryRowStatsFromL2Trace(ctx, st.l2, sh.L2Sizes)
-				if err != nil {
-					return ShardResult{}, err
-				}
-				return ShardResult{Index: sh.Index, Points: points, Stats: stats}, nil
-			}
-			points, err := harness.RunGeometrySweepFromTrace(ctx, farm.Serial(), st.full, []cache.Config{sh.L1}, sh.L2Sizes)
+			// The whole-run stats behind each point ride along so the
+			// coordinator can memoize the cells.
+			points, stats, err := harness.GeometryRowStatsFromL2Trace(ctx, st.l2, sh.L2Sizes)
 			if err != nil {
 				return ShardResult{}, err
 			}
-			return ShardResult{Index: sh.Index, Points: points}, nil
+			return ShardResult{Index: sh.Index, Points: points, Stats: stats}, nil
 		})
 	if err != nil {
 		w.writeError(rw, http.StatusInternalServerError, "replay: %v", err)

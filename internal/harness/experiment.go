@@ -332,24 +332,16 @@ func renderSweep(ctx context.Context, pool *farm.Pool, e ExperimentSpec, frames 
 	case "geometry", "policy":
 		// The geometry and policy sweeps are replay experiments by
 		// nature: their whole point is simulating every configuration
-		// (every replacement policy) from one capture. The live variant
-		// survives only as the re-encode baseline for a study that
-		// explicitly disables replay.
+		// (every replacement policy) from one capture.
 		l1s, l2Sizes, err := e.SweepAxes()
 		if err != nil {
 			return "", err
 		}
-		var points []GeometryPoint
-		replayed := StudyFrom(ctx).ReplayEnabled()
-		if replayed {
-			points, err = RunGeometrySweepPool(ctx, pool, wl, l1s, l2Sizes)
-		} else {
-			points, err = RunGeometrySweepLive(ctx, pool, wl, l1s, l2Sizes)
-		}
+		points, err := RunGeometrySweepPool(ctx, pool, wl, l1s, l2Sizes)
 		if err != nil {
 			return "", err
 		}
-		return GeometrySweepReport(SweepTitle(e.Sweep, replayed), points), nil
+		return GeometrySweepReport(SweepTitle(e.Sweep, true), points), nil
 	case "ratio":
 		points, err := RunRatioSweepPool(ctx, pool, wl, nil)
 		if err != nil {

@@ -357,8 +357,9 @@ func GeometryRowStatsFromL2Trace(ctx context.Context, lt *trace.L2Trace, l2Sizes
 
 // RunGeometrySweepLive is the re-encode baseline: every configuration
 // re-runs the instrumented codec with its hierarchy attached — the
-// O(configs × encode) shape the replay sweep collapses. Kept for the
-// replay speedup benchmark and for -replay=false runs.
+// O(configs × encode) shape the replay sweep collapses. Kept as the
+// oracle of the replay sweep in tests and as the reencode half of the
+// replay speedup benchmark.
 func RunGeometrySweepLive(ctx context.Context, p *farm.Pool, wl Workload, l1s []cache.Config, l2Sizes []int) ([]GeometryPoint, error) {
 	if len(l1s) == 0 {
 		l1s = GeometryL1Configs()

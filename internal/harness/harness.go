@@ -141,39 +141,33 @@ func RunEncode(machines []perf.Machine, wl Workload) ([]Result, *codec.SessionSt
 
 // RunEncodeIn is RunEncode in a caller-provided simulated address
 // space. The experiment farm passes each job's isolated Space here, so
-// concurrent runs can never share allocator state. Strategy and usage
-// accounting come from the process-default Study; use RunEncodeCtx to
-// scope them to a request.
+// concurrent runs can never share allocator state. It runs in a fresh
+// replay Study; use RunEncodeCtx to run in a request's Study.
 func RunEncodeIn(space *simmem.Space, machines []perf.Machine, wl Workload) ([]Result, *codec.SessionStream, error) {
 	return RunEncodeCtx(context.Background(), space, machines, wl)
 }
 
 // RunEncodeCtx is RunEncodeIn with the simulation strategy and usage
-// accounting taken from the context's Study (see WithStudy; a bare
-// context uses the process default, which the CLI flags configure).
+// accounting taken from the context's Study (see WithStudy).
 //
-// Multi-machine sets run in capture-and-replay mode (unless the study
-// disables it): machines sharing one L1 geometry — the paper's three
-// platforms — cost one codec run plus one L1 simulation, with each
-// machine served by a replay of the L2-bound stream; machine sets with
-// differing L1s replay a full recorded trace per machine. Either way
-// the Stats are counter-identical to the live path (see
-// replay_test.go).
+// In a replay study, a multi-machine set sharing one L1 — the paper's
+// three platforms — costs one codec run plus one L1 simulation, with
+// each machine served by a replay of the L2-bound stream. Every other
+// run (one machine, machines whose L1s differ, or a live study)
+// attaches each hierarchy to one codec run. Either way the Stats are
+// counter-identical (see replay_test.go).
 func RunEncodeCtx(ctx context.Context, space *simmem.Space, machines []perf.Machine, wl Workload) ([]Result, *codec.SessionStream, error) {
 	s := StudyFrom(ctx)
-	if len(machines) > 1 && s.ReplayEnabled() {
-		if sameL1(machines) {
-			return runEncodeFiltered(s, space, machines, wl)
-		}
-		return runEncodeRecorded(ctx, space, machines, wl)
+	if len(machines) > 1 && !s.live && sameL1(machines) {
+		return runEncodeFiltered(s, space, machines, wl)
 	}
 	return RunEncodeLiveIn(space, machines, wl)
 }
 
-// RunEncodeLiveIn is the legacy simulation strategy: every machine's
-// hierarchy is attached to the codec run and simulates inline. It is
-// the baseline the replay benchmarks compare against, and the fallback
-// when replay is disabled.
+// RunEncodeLiveIn is the live simulation strategy: every machine's
+// hierarchy is attached to the codec run and simulates inline. It runs
+// single-machine and mixed-L1 sets, live studies, and is the oracle
+// the replay equivalence tests and benchmarks compare against.
 func RunEncodeLiveIn(space *simmem.Space, machines []perf.Machine, wl Workload) ([]Result, *codec.SessionStream, error) {
 	wl = wl.normalize()
 	frames := wl.frames(space)
@@ -209,8 +203,7 @@ func RunDecode(machines []perf.Machine, wl Workload, ss *codec.SessionStream) ([
 }
 
 // RunDecodeIn is RunDecode in a caller-provided simulated address
-// space (see RunEncodeIn for the simulation strategies and study
-// scoping).
+// space (see RunEncodeIn for the study scoping).
 func RunDecodeIn(space *simmem.Space, machines []perf.Machine, wl Workload, ss *codec.SessionStream) ([]Result, error) {
 	return RunDecodeCtx(context.Background(), space, machines, wl, ss)
 }
@@ -219,17 +212,13 @@ func RunDecodeIn(space *simmem.Space, machines []perf.Machine, wl Workload, ss *
 // from the context's Study (see RunEncodeCtx).
 func RunDecodeCtx(ctx context.Context, space *simmem.Space, machines []perf.Machine, wl Workload, ss *codec.SessionStream) ([]Result, error) {
 	s := StudyFrom(ctx)
-	if len(machines) > 1 && s.ReplayEnabled() {
-		if sameL1(machines) {
-			return runDecodeFiltered(s, space, machines, ss)
-		}
-		return runDecodeRecorded(ctx, space, machines, wl.normalize(), ss)
+	if len(machines) > 1 && !s.live && sameL1(machines) {
+		return runDecodeFiltered(s, space, machines, ss)
 	}
 	return RunDecodeLiveIn(space, machines, wl, ss)
 }
 
-// RunDecodeLiveIn is the legacy inline-simulation decode path (see
-// RunEncodeLiveIn).
+// RunDecodeLiveIn is the live decode path (see RunEncodeLiveIn).
 func RunDecodeLiveIn(space *simmem.Space, machines []perf.Machine, wl Workload, ss *codec.SessionStream) ([]Result, error) {
 	hiers := make([]*cache.Hierarchy, len(machines))
 	trackers := make(multiPhases, len(machines))

@@ -37,13 +37,10 @@ type measurement struct {
 	ss *codec.SessionStream
 }
 
-// measurement returns wl's row in the study's table. The process-default
-// study shares nothing: every call gets a fresh row, so callers without
-// a WithStudy scope simulate every request.
+// measurement returns wl's row in the study's table. Callers without a
+// WithStudy scope get a fresh Study per call (see StudyFrom), so they
+// share no row and simulate every request.
 func (s *Study) measurement(wl Workload) *measurement {
-	if s == defaultStudy {
-		return &measurement{}
-	}
 	s.measured.mu.Lock()
 	defer s.measured.mu.Unlock()
 	if s.measured.entries == nil {

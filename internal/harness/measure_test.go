@@ -149,17 +149,31 @@ func TestStudyFailedRunStoresNothing(t *testing.T) {
 }
 
 // TestDefaultStudySimulatesEveryCall: without a WithStudy scope nothing
-// is shared — two requests for one workload simulate twice.
+// is shared — each bare context resolves to a fresh replay study, so two
+// requests for one workload read distinct measurement rows and both
+// simulate.
 func TestDefaultStudySimulatesEveryCall(t *testing.T) {
-	ResetTraceUsage()
-	defer ResetTraceUsage()
 	wl := Workload{W: 96, H: 80, Frames: 2}
-	for i := 0; i < 2; i++ {
-		if _, _, err := measure(context.Background(), simmem.NewSpace(0), wl, true, false); err != nil {
+	a, b := StudyFrom(context.Background()), StudyFrom(nil)
+	if a == b {
+		t.Fatal("bare contexts resolved to one shared study")
+	}
+	if a.live || b.live {
+		t.Fatal("a bare context's study does not replay")
+	}
+	if a.measurement(wl.normalize()) == b.measurement(wl.normalize()) {
+		t.Fatal("distinct studies share a measurement row")
+	}
+	var runs [2][]Result
+	for i := range runs {
+		enc, _, err := measure(context.Background(), simmem.NewSpace(0), wl, true, false)
+		if err != nil {
 			t.Fatal(err)
 		}
+		runs[i] = enc
 	}
-	if u := TraceUsageSnapshot(); u.L2Traces != 2 || u.Replays != 6 {
-		t.Fatalf("default study usage %+v, want 2 L1-filtered traces / 6 replays", u)
+	if &runs[0][0] == &runs[1][0] {
+		t.Fatal("two bare-context requests read one stored run")
 	}
+	requireIdentical(t, "bare-context runs", runs[0], runs[1])
 }

@@ -14,7 +14,7 @@ import (
 // TestParallelReplayEndToEndIdentical checks the fused pass's config
 // fan-out end to end: geometry and policy sweeps of one capture produce
 // byte-identical points whether each row's L2 configs replay on one
-// goroutine (-replay-workers 1) or split across four.
+// goroutine or split across four.
 func TestParallelReplayEndToEndIdentical(t *testing.T) {
 	defer trace.SetReplayWorkers(0)
 	capture, err := RecordEncodeIn(simmem.NewSpace(0), Workload{W: 176, H: 144, Frames: 2})

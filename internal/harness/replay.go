@@ -30,19 +30,20 @@ import (
 // capture/replay strategy, the TraceUsage counters and the table of
 // paper-machine measurements its tables and figures read (see
 // measure.go). Every run belongs to exactly one Study, carried through
-// the context (see WithStudy); runs without one share the
-// process-default Study, which keeps no measurements: every table or
-// figure rendered there simulates afresh.
+// the context (see WithStudy); a run without one gets a fresh Study
+// that nothing shares, so every table or figure rendered there
+// simulates afresh.
 //
-// The split exists because the service front-end runs many unrelated
-// studies concurrently in one process: with process-global state, one
-// request flipping the strategy would race every other request, and
-// usage accounting would interleave across clients. A Study isolates
-// both per request while staying safe for the farm's worker
-// concurrency inside one study (the counters are atomics, the
-// measurement table is locked per workload).
+// The strategy is fixed when the Study is built, and the zero Study
+// replays. Replay studies are what every CLI and service request runs;
+// a live study (NewStudy(false)) is the oracle the equivalence tests
+// compare replay against. Studies
+// stay safe for the farm's worker concurrency inside one study (the
+// counters are atomics, the measurement table is locked per workload)
+// and isolated from each other, so the service runs many unrelated
+// studies in one process.
 type Study struct {
-	replayDisabled atomic.Bool
+	live bool
 	// memoCache, when set, memoizes per-cell sweep stats by trace
 	// content hash (see RunGeometrySweepFromTrace). Nil disables
 	// memoization; output is byte-identical either way.
@@ -55,22 +56,13 @@ type Study struct {
 	}
 }
 
-// NewStudy returns a Study with the given capture/replay strategy and
-// zeroed usage counters.
+// NewStudy returns a Study with zeroed usage counters. replay selects
+// the multi-machine strategy for the Study's lifetime: capture and
+// replay, or (false) the live path that attaches every hierarchy to
+// the codec run — kept as the tests' oracle.
 func NewStudy(replay bool) *Study {
-	s := &Study{}
-	s.replayDisabled.Store(!replay)
-	return s
+	return &Study{live: !replay}
 }
-
-// SetReplayEnabled switches the study's multi-machine simulation
-// strategy: capture-and-replay (default) or the legacy live path that
-// attaches every hierarchy to the codec run. The live path remains for
-// baselines and for memory-constrained runs (mp4study -replay=false).
-func (s *Study) SetReplayEnabled(on bool) { s.replayDisabled.Store(!on) }
-
-// ReplayEnabled reports whether capture-and-replay is in use.
-func (s *Study) ReplayEnabled() bool { return !s.replayDisabled.Load() }
 
 // SetMemo attaches a result memo: geometry sweeps consult it per grid
 // cell and replay only the misses. Nil detaches. Several studies may
@@ -135,26 +127,6 @@ func (s *Study) CountMemo(hits, misses uint64) {
 	s.usage.memoMisses.Add(misses)
 }
 
-// defaultStudy backs the package-level strategy and usage functions.
-// Runs whose context carries no explicit Study land here; it keeps no
-// measurements, so every table or figure rendered there simulates —
-// which is what the farm's serial-vs-parallel determinism tests compare.
-var defaultStudy = NewStudy(true)
-
-// SetReplayEnabled switches the default study's strategy. Callers
-// that run experiments should configure their own Study via WithStudy
-// instead of mutating the process default.
-func SetReplayEnabled(on bool) { defaultStudy.SetReplayEnabled(on) }
-
-// ReplayEnabled reports the default study's strategy.
-func ReplayEnabled() bool { return defaultStudy.ReplayEnabled() }
-
-// TraceUsageSnapshot returns the default study's counters.
-func TraceUsageSnapshot() TraceUsage { return defaultStudy.Usage() }
-
-// ResetTraceUsage zeroes the default study's counters.
-func ResetTraceUsage() { defaultStudy.ResetUsage() }
-
 // studyKey carries the Study through a context.
 type studyKey struct{}
 
@@ -167,19 +139,20 @@ func WithStudy(ctx context.Context, s *Study) context.Context {
 	return context.WithValue(ctx, studyKey{}, s)
 }
 
-// StudyFrom returns the context's Study, or the process default when
-// none (or a nil context) is present.
+// StudyFrom returns the context's Study. A context without one (or a
+// nil context) gets a fresh replay Study that nothing else shares: its
+// runs simulate every time and its counters are not reported.
 func StudyFrom(ctx context.Context) *Study {
 	if ctx != nil {
 		if s, ok := ctx.Value(studyKey{}).(*Study); ok {
 			return s
 		}
 	}
-	return defaultStudy
+	return NewStudy(true)
 }
 
 // TraceUsage aggregates capture/replay activity across all experiments
-// of one Study — the -replay trace report of cmd/mp4study.
+// of one Study — the trace report of cmd/mp4study.
 type TraceUsage struct {
 	Traces       uint64 // full traces recorded
 	TraceRecords uint64
@@ -207,8 +180,7 @@ type Capture struct {
 }
 
 // RecordEncodeIn encodes the workload once with only a trace recorder
-// attached — no cache simulation — and returns the capture, accounted
-// to the default study.
+// attached — no cache simulation — and returns the capture.
 func RecordEncodeIn(space *simmem.Space, wl Workload) (*Capture, error) {
 	return RecordEncodeCtx(context.Background(), space, wl)
 }
@@ -230,33 +202,20 @@ func RecordEncodeCtx(ctx context.Context, space *simmem.Space, wl Workload) (*Ca
 // RecordDecodeIn records the decode (playback) trace of the capture's
 // coded stream into c.Dec.
 func (c *Capture) RecordDecodeIn(space *simmem.Space) error {
-	return c.recordDecode(defaultStudy, space)
-}
-
-func (c *Capture) recordDecode(s *Study, space *simmem.Space) error {
 	rec := trace.NewRecorder()
 	if err := streamDecode(c.SS, space, rec, rec); err != nil {
 		return err
 	}
 	c.Dec = rec.Finish()
-	s.noteTrace(c.Dec)
 	return nil
 }
 
 // ReplayOn simulates a captured trace on machine m, reproducing the
-// Stats (and per-phase deltas) a live run on m would have counted. The
-// replay is accounted to the default study; use ReplayOnCtx inside a
-// service request.
+// Stats (and per-phase deltas) a live run on m would have counted.
 func ReplayOn(m perf.Machine, tr *trace.Trace, bytes int) Result {
-	return ReplayOnCtx(context.Background(), m, tr, bytes)
-}
-
-// ReplayOnCtx is ReplayOn accounted to the context's Study.
-func ReplayOnCtx(ctx context.Context, m perf.Machine, tr *trace.Trace, bytes int) Result {
 	h := m.NewHierarchy()
 	pt := newPhaseTracker(h)
 	tr.Replay(h, pt)
-	StudyFrom(ctx).noteReplay()
 	return makeResult(m, h, pt, bytes)
 }
 
@@ -264,7 +223,7 @@ func ReplayOnCtx(ctx context.Context, m perf.Machine, tr *trace.Trace, bytes int
 // making the L1-filtered replay path valid for the set. The
 // replacement policy (and its seed) is part of the configuration: the
 // L2-bound stream is a pure function of the whole L1, so machines
-// differing only in L1 policy must fall back to full-trace replay.
+// differing only in L1 policy must run live.
 // The display name is not: configs differing only in Name (or in the
 // "" vs "lru" spelling of the default policy) simulate identically
 // and keep the shared filter.
@@ -331,22 +290,8 @@ func runEncodeFiltered(s *Study, space *simmem.Space, machines []perf.Machine, w
 	return replayL2All(s, machines, lt, ss.TotalBytes()), ss, nil
 }
 
-// runEncodeRecorded captures the full trace once and replays it per
-// machine — the general path for machine sets with differing L1s.
-func runEncodeRecorded(ctx context.Context, space *simmem.Space, machines []perf.Machine, wl Workload) ([]Result, *codec.SessionStream, error) {
-	c, err := RecordEncodeCtx(ctx, space, wl)
-	if err != nil {
-		return nil, nil, err
-	}
-	results := make([]Result, len(machines))
-	for i, m := range machines {
-		results[i] = ReplayOnCtx(ctx, m, c.Enc, c.SS.TotalBytes())
-	}
-	return results, c.SS, nil
-}
-
-// runDecodeFiltered / runDecodeRecorded mirror the encode variants for
-// the playback pipeline.
+// runDecodeFiltered mirrors runEncodeFiltered for the playback
+// pipeline.
 func runDecodeFiltered(s *Study, space *simmem.Space, machines []perf.Machine, ss *codec.SessionStream) ([]Result, error) {
 	f := trace.NewL2Filter(machines[0].L1)
 	if err := streamDecode(ss, space, f, f); err != nil {
@@ -355,16 +300,4 @@ func runDecodeFiltered(s *Study, space *simmem.Space, machines []perf.Machine, s
 	lt := f.Trace()
 	s.noteL2Trace(lt)
 	return replayL2All(s, machines, lt, ss.TotalBytes()), nil
-}
-
-func runDecodeRecorded(ctx context.Context, space *simmem.Space, machines []perf.Machine, wl Workload, ss *codec.SessionStream) ([]Result, error) {
-	c := &Capture{Workload: wl, SS: ss}
-	if err := c.recordDecode(StudyFrom(ctx), space); err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(machines))
-	for i, m := range machines {
-		results[i] = ReplayOnCtx(ctx, m, c.Dec, ss.TotalBytes())
-	}
-	return results, nil
 }

@@ -110,10 +110,9 @@ func TestReplayGoldenEquivalence(t *testing.T) {
 		requireIdentical(t, "filtered decode", liveDec, decFilt)
 
 		// The multi-machine live path (simmem.Multi fan-out) must agree
-		// with per-machine live runs too — replay disabled explicitly.
-		SetReplayEnabled(false)
-		encLiveMulti, _, err := RunEncodeIn(simmem.NewSpace(0), machines, wl)
-		SetReplayEnabled(true)
+		// with per-machine live runs too — in a live study.
+		live := WithStudy(context.Background(), NewStudy(false))
+		encLiveMulti, _, err := RunEncodeCtx(live, simmem.NewSpace(0), machines, wl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,53 +180,50 @@ func TestGeometrySweepMatchesLive(t *testing.T) {
 }
 
 // TestTraceUsageAccounting: captures and replays are visible in the
-// usage counters that feed mp4study's trace report.
+// usage counters of the study they ran in, which feed mp4study's trace
+// report.
 func TestTraceUsageAccounting(t *testing.T) {
-	ResetTraceUsage()
+	s := NewStudy(true)
+	ctx := WithStudy(context.Background(), s)
 	wl := Workload{W: 96, H: 80, Frames: 2}
-	if _, _, err := RunEncode(perf.PaperMachines(), wl); err != nil {
+	if _, _, err := RunEncodeCtx(ctx, simmem.NewSpace(0), perf.PaperMachines(), wl); err != nil {
 		t.Fatal(err)
 	}
-	u := TraceUsageSnapshot()
+	u := s.Usage()
 	if u.L2Traces != 1 || u.Replays != 3 || u.L2Events == 0 || u.L2Bytes == 0 {
 		t.Fatalf("unexpected usage after filtered encode: %+v", u)
 	}
-	if _, err := RecordEncodeIn(simmem.NewSpace(0), wl); err != nil {
+	if _, err := RecordEncodeCtx(ctx, simmem.NewSpace(0), wl); err != nil {
 		t.Fatal(err)
 	}
-	u = TraceUsageSnapshot()
+	u = s.Usage()
 	if u.Traces != 1 || u.TraceRecords == 0 || u.TraceBytes == 0 {
 		t.Fatalf("unexpected usage after full record: %+v", u)
 	}
-	ResetTraceUsage()
-	if u := TraceUsageSnapshot(); !reflect.DeepEqual(u, TraceUsage{}) {
+	s.ResetUsage()
+	if u := s.Usage(); !reflect.DeepEqual(u, TraceUsage{}) {
 		t.Fatalf("reset left counters: %+v", u)
 	}
 }
 
-// TestReplayToggle: disabling replay routes multi-machine runs through
-// the live path (no captures recorded) and still produces identical
-// results.
+// TestReplayToggle: a live study runs multi-machine sets with every
+// hierarchy attached to the codec run — it records no capture — and
+// still produces results identical to a replay study's.
 func TestReplayToggle(t *testing.T) {
 	wl := Workload{W: 96, H: 80, Frames: 2}
-	on, _, err := RunEncode(perf.PaperMachines(), wl)
+	on, _, err := RunEncodeCtx(WithStudy(context.Background(), NewStudy(true)), simmem.NewSpace(0), perf.PaperMachines(), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetTraceUsage()
-	SetReplayEnabled(false)
-	defer SetReplayEnabled(true)
-	if ReplayEnabled() {
-		t.Fatal("toggle did not stick")
-	}
-	off, _, err := RunEncode(perf.PaperMachines(), wl)
+	live := NewStudy(false)
+	off, _, err := RunEncodeCtx(WithStudy(context.Background(), live), simmem.NewSpace(0), perf.PaperMachines(), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u := TraceUsageSnapshot(); u.L2Traces != 0 || u.Traces != 0 {
-		t.Fatalf("live mode recorded captures: %+v", u)
+	if u := live.Usage(); !u.Zero() {
+		t.Fatalf("live study recorded captures: %+v", u)
 	}
-	requireIdentical(t, "toggle", on, off)
+	requireIdentical(t, "live study", on, off)
 }
 
 // TestFilterGeometryL1Allocation bounds what the L1 filter pass

@@ -10,10 +10,8 @@ import (
 )
 
 // TestStudyContextPlumbing: a Study carried through the context scopes
-// both the strategy and the usage accounting, leaving the process
-// default untouched.
+// both the strategy and the usage accounting.
 func TestStudyContextPlumbing(t *testing.T) {
-	ResetTraceUsage()
 	wl := Workload{W: 96, H: 80, Frames: 2}
 	s := NewStudy(true)
 	ctx := WithStudy(context.Background(), s)
@@ -29,18 +27,13 @@ func TestStudyContextPlumbing(t *testing.T) {
 	if u := s.Usage(); u.L2Traces != 1 || u.Replays != 3 {
 		t.Fatalf("study usage after filtered encode: %+v", u)
 	}
-	if u := TraceUsageSnapshot(); !u.Zero() {
-		t.Fatalf("scoped run leaked into the default study: %+v", u)
-	}
 }
 
-// TestConcurrentStudiesDistinctStrategies is the regression test for
-// the process-global replay state: two studies running concurrently in
-// one process, one in capture-and-replay mode and one on the legacy
-// live path, must neither race (run under -race in CI) nor observe each
-// other's strategy or usage counters.
+// TestConcurrentStudiesDistinctStrategies: two studies running
+// concurrently in one process, one in capture-and-replay mode and one
+// on the live path, must neither race (run under -race in CI) nor
+// observe each other's strategy or usage counters.
 func TestConcurrentStudiesDistinctStrategies(t *testing.T) {
-	ResetTraceUsage()
 	wl := Workload{W: 96, H: 80, Frames: 2}
 	machines := perf.PaperMachines()
 
@@ -85,26 +78,7 @@ func TestConcurrentStudiesDistinctStrategies(t *testing.T) {
 	if u := runs[1].study.Usage(); !u.Zero() {
 		t.Fatalf("live study recorded captures: %+v", u)
 	}
-	if u := TraceUsageSnapshot(); !u.Zero() {
-		t.Fatalf("concurrent studies leaked into the default study: %+v", u)
-	}
 	// Both strategies must agree on the simulated counters regardless of
 	// what ran next to them.
 	requireIdentical(t, "concurrent strategies", runs[0].results, runs[1].results)
-}
-
-// TestStudyStrategyToggleIsScoped: flipping one study's strategy does
-// not affect another study or the package default.
-func TestStudyStrategyToggleIsScoped(t *testing.T) {
-	a, b := NewStudy(true), NewStudy(true)
-	a.SetReplayEnabled(false)
-	if a.ReplayEnabled() {
-		t.Fatal("study A toggle did not stick")
-	}
-	if !b.ReplayEnabled() {
-		t.Fatal("study A toggle leaked into study B")
-	}
-	if !ReplayEnabled() {
-		t.Fatal("study A toggle leaked into the process default")
-	}
 }

@@ -29,8 +29,8 @@ import (
 type EventSink func(StudyEvent)
 
 // Runner renders one experiment. Implementations must return the same
-// bytes for the same (spec, frames, study strategy) — the execution
-// backend is an operational choice, never an output one.
+// bytes for the same (spec, frames) — the execution backend is an
+// operational choice, never an output one.
 type Runner interface {
 	Render(ctx context.Context, pool *farm.Pool, e harness.ExperimentSpec, frames int, sink EventSink) (string, error)
 }
@@ -53,14 +53,12 @@ type FleetConfig struct {
 	// tests; custom timeouts).
 	Client *http.Client
 	// Coordinator tuning, forwarded verbatim (see dist.Coordinator).
-	ShipFullTrace                 bool
 	UploadTimeout, ReplayTimeout  time.Duration
 	MaxAttempts                   int
 	RetryBaseDelay, RetryMaxDelay time.Duration
 	BreakerThreshold              int
 	BreakerCooldown               time.Duration
 	ProbeInterval, ProbeTimeout   time.Duration
-	DisableReadmission            bool
 	// FallbackLocal rescues shards the fleet cannot deliver by
 	// replaying them in-process — a study then degrades to local speed
 	// instead of failing.
@@ -76,21 +74,19 @@ type FleetConfig struct {
 // per-sweep callback state (OnShard), so they are never shared.
 func (fc *FleetConfig) coordinator() *dist.Coordinator {
 	return &dist.Coordinator{
-		Workers:            append([]string(nil), fc.Workers...),
-		Client:             fc.Client,
-		ShipFullTrace:      fc.ShipFullTrace,
-		UploadTimeout:      fc.UploadTimeout,
-		ReplayTimeout:      fc.ReplayTimeout,
-		MaxAttempts:        fc.MaxAttempts,
-		RetryBaseDelay:     fc.RetryBaseDelay,
-		RetryMaxDelay:      fc.RetryMaxDelay,
-		BreakerThreshold:   fc.BreakerThreshold,
-		BreakerCooldown:    fc.BreakerCooldown,
-		ProbeInterval:      fc.ProbeInterval,
-		ProbeTimeout:       fc.ProbeTimeout,
-		DisableReadmission: fc.DisableReadmission,
-		FallbackLocal:      fc.FallbackLocal,
-		Seed:               fc.Seed,
+		Workers:          append([]string(nil), fc.Workers...),
+		Client:           fc.Client,
+		UploadTimeout:    fc.UploadTimeout,
+		ReplayTimeout:    fc.ReplayTimeout,
+		MaxAttempts:      fc.MaxAttempts,
+		RetryBaseDelay:   fc.RetryBaseDelay,
+		RetryMaxDelay:    fc.RetryMaxDelay,
+		BreakerThreshold: fc.BreakerThreshold,
+		BreakerCooldown:  fc.BreakerCooldown,
+		ProbeInterval:    fc.ProbeInterval,
+		ProbeTimeout:     fc.ProbeTimeout,
+		FallbackLocal:    fc.FallbackLocal,
+		Seed:             fc.Seed,
 	}
 }
 
@@ -101,9 +97,9 @@ func (fc *FleetConfig) healthInterval() time.Duration {
 	return 15 * time.Second
 }
 
-// fleetRunner fans replayed geometry/policy sweeps out to the worker
-// fleet; every other experiment shape (tables, figures, ablations,
-// live re-encode sweeps) delegates to the local path unchanged. The
+// fleetRunner fans geometry/policy sweeps out to the worker fleet;
+// every other experiment shape (tables, figures, ablations) delegates
+// to the local path unchanged. The
 // report is assembled with the same SweepTitle/GeometrySweepReport
 // seam renderSweep uses, over points merged in the same shard order,
 // so fleet output is byte-identical to local output.
@@ -115,11 +111,6 @@ type fleetRunner struct {
 
 func (f *fleetRunner) Render(ctx context.Context, pool *farm.Pool, e harness.ExperimentSpec, frames int, sink EventSink) (string, error) {
 	if e.Sweep != "geometry" && e.Sweep != "policy" {
-		return f.local.Render(ctx, pool, e, frames, sink)
-	}
-	if !harness.StudyFrom(ctx).ReplayEnabled() {
-		// A replay-disabled study asked for the live re-encode
-		// baseline; the fleet only replays.
 		return f.local.Render(ctx, pool, e, frames, sink)
 	}
 	l1s, l2Sizes, err := e.SweepAxes()

@@ -7,10 +7,10 @@
 // streaming, and a per-study SSE event stream to many concurrent
 // clients.
 //
-// Each submission becomes one job with its own harness.Study, so the
-// capture/replay strategy and the trace-usage accounting are scoped to
-// the request — concurrent clients can run different strategies in one
-// process without racing (the bug class the Study refactor removed).
+// Each submission becomes one job with its own replay harness.Study, so
+// the trace-usage accounting and the shared paper-machine measurements
+// are scoped to the request — concurrent clients never race or
+// interleave each other's accounting.
 //
 // API (see README "Study service" for the full contract):
 //
@@ -109,7 +109,6 @@ type StudySpec struct {
 	// Parallel is accepted for manifest compatibility but ignored: the
 	// server owns its farm sizing.
 	Parallel    int                      `json:"parallel,omitempty"`
-	Replay      *bool                    `json:"replay,omitempty"` // default true
 	Experiments []harness.ExperimentSpec `json:"experiments"`
 	// Priority places the study in the admission queue: "interactive"
 	// studies are always scheduled ahead of "batch" ones (the default
@@ -560,8 +559,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	level, _ := priorityLevel(spec.Priority) // Validate vetted it
-	replay := spec.Replay == nil || *spec.Replay
-	study := harness.NewStudy(replay)
+	study := harness.NewStudy(true)
 	study.SetMemo(s.memo) // shared server memo; nil when disabled
 	j := &job{
 		spec:      spec,

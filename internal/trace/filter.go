@@ -338,9 +338,13 @@ var replayWorkers atomic.Int32
 func init() { mReplayWorkers.Set(int64(runtime.GOMAXPROCS(0))) }
 
 // SetReplayWorkers configures how many goroutines one fused multi-config
-// pass (ReplayMany) splits its configs across — the -replay-workers
-// flag. n <= 0 restores the default, GOMAXPROCS. Every single-config
-// replay runs serially whatever the setting.
+// pass (ReplayMany) splits its configs across. n <= 0 restores the
+// default, GOMAXPROCS. Every single-config replay runs serially whatever
+// the setting. No command sets it: the fan-out tests pin 1 vs 4 workers
+// to check that results do not depend on it, and the benchmark ladder
+// (bench/ladder.go) still sets it around its replay_parallel_speedup
+// rung, a single serial replay that never reads it. It goes when that
+// rung does.
 func SetReplayWorkers(n int) {
 	if n < 0 {
 		n = 0

@@ -25,7 +25,7 @@
 //
 //	L2Trace file: "M4L2" version
 //	              L1 geometry: name length+bytes, size, line, ways,
-//	                [version >= 2: policy length+bytes, seed]
+//	                policy length+bytes, seed
 //	              base Stats (12 counters)
 //	              phase-name table (as above)
 //	              event count, then per event: zigzag delta of the
@@ -33,12 +33,12 @@
 //	              mark count, then per mark: position delta, name index,
 //	                begin byte, 12 counter deltas against the previous mark
 //
-// Versioning rule: readers accept exactly the versions they know;
-// anything else is an error (no silent best-effort decoding). Additive
-// changes bump the version and readers grow a case for the old one —
-// version 2 added the L1 replacement policy and random-victim seed to
-// the M4L2 header (a version-1 file decodes as LRU, which is what
-// every version-1 writer simulated).
+// Versioning rule: each reader accepts exactly the one version its
+// writer emits; anything else is an error (no silent best-effort
+// decoding). M4TR files are kept on disk (-trace-out), so M4TR stays
+// at version 1. M4L2 only travels between a coordinator and workers
+// built from one tree; its version 2 added the L1 replacement policy
+// and random-victim seed, and version-1 files are rejected.
 package trace
 
 import (
@@ -56,8 +56,7 @@ import (
 // The formats are versioned independently so a change to one does not
 // orphan readers of the other: version 2 touched only the M4L2 header
 // (L1 policy + seed), so M4TR files keep writing version 1 and stay
-// readable by every deployed pre-policy binary. M4L2 readers accept
-// version 1 too, decoded with the LRU defaults its writers simulated.
+// readable by every pre-policy binary.
 const (
 	TraceWireVersion = 1 // M4TR
 	L2WireVersion    = 2 // M4L2; v2 added the L1 policy and seed
@@ -366,22 +365,22 @@ func (r *wireReader) uint32Field(what string) (uint32, error) {
 	return uint32(v), nil
 }
 
-func (r *wireReader) header(magic [4]byte, kind string, maxVersion uint64) (int, error) {
+func (r *wireReader) header(magic [4]byte, kind string, version uint64) error {
 	var got [4]byte
 	if err := r.full(got[:]); err != nil {
-		return 0, err
+		return err
 	}
 	if got != magic {
-		return 0, badf("not a %s file (magic %q)", kind, got)
+		return badf("not a %s file (magic %q)", kind, got)
 	}
 	v, err := r.uvarint("version")
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if v < 1 || v > maxVersion {
-		return 0, badf("unsupported %s version %d (reader speaks 1..%d)", kind, v, maxVersion)
+	if v != version {
+		return badf("unsupported %s version %d (reader speaks %d)", kind, v, version)
 	}
-	return int(v), nil
+	return nil
 }
 
 func (r *wireReader) nameTable() ([]string, error) {
@@ -504,7 +503,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 }
 
 func readTrace(r *wireReader) (*Trace, error) {
-	if _, err := r.header(traceMagic, "trace", TraceWireVersion); err != nil {
+	if err := r.header(traceMagic, "trace", TraceWireVersion); err != nil {
 		return nil, err
 	}
 	names, err := r.nameTable()
@@ -522,8 +521,11 @@ func readTrace(r *wireReader) (*Trace, error) {
 	prevAddr := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		op, err := r.ReadByte()
-		if err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, badf("truncated at record %d", i)
+		}
+		if err != nil {
+			return nil, err
 		}
 		switch op {
 		case opAccessLoad, opAccessStore, opAccessPrefetch:
@@ -722,8 +724,7 @@ func ReadL2Trace(r io.Reader) (*L2Trace, error) {
 }
 
 func readL2Trace(r *wireReader) (*L2Trace, error) {
-	ver, err := r.header(l2Magic, "l2trace", L2WireVersion)
-	if err != nil {
+	if err := r.header(l2Magic, "l2trace", L2WireVersion); err != nil {
 		return nil, err
 	}
 	nameLen, err := r.uvarint("L1 name length")
@@ -755,25 +756,20 @@ func readL2Trace(r *wireReader) (*L2Trace, error) {
 		}
 		*f.dst = int(v)
 	}
-	if ver >= 2 {
-		// Version 2 header: replacement policy + random-victim seed. A
-		// version-1 file leaves both zero — the LRU default its writer
-		// simulated under.
-		polLen, err := r.uvarint("L1 policy length")
-		if err != nil {
-			return nil, err
-		}
-		if polLen > maxWireNameLen {
-			return nil, badf("L1 policy length %d exceeds limit", polLen)
-		}
-		polBuf := make([]byte, polLen)
-		if err := r.full(polBuf); err != nil {
-			return nil, err
-		}
-		t.L1.Policy = cache.Policy(polBuf)
-		if t.L1.Seed, err = r.uvarint("L1 seed"); err != nil {
-			return nil, err
-		}
+	polLen, err := r.uvarint("L1 policy length")
+	if err != nil {
+		return nil, err
+	}
+	if polLen > maxWireNameLen {
+		return nil, badf("L1 policy length %d exceeds limit", polLen)
+	}
+	polBuf := make([]byte, polLen)
+	if err := r.full(polBuf); err != nil {
+		return nil, err
+	}
+	t.L1.Policy = cache.Policy(polBuf)
+	if t.L1.Seed, err = r.uvarint("L1 seed"); err != nil {
+		return nil, err
 	}
 	if err := t.L1.Validate(); err != nil {
 		return nil, badf("L1 geometry: %v", err)
@@ -825,8 +821,11 @@ func readL2Trace(r *wireReader) (*L2Trace, error) {
 			return nil, badf("mark name index %d out of range (table has %d)", nameIdx, len(t.names))
 		}
 		beginByte, err := r.ReadByte()
-		if err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, badf("truncated at mark %d", i)
+		}
+		if err != nil {
+			return nil, err
 		}
 		if beginByte > 1 {
 			return nil, badf("mark begin flag %d invalid", beginByte)

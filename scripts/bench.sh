@@ -15,11 +15,10 @@
 # That 2% bound is tighter than single-iteration machine noise, so
 # ObsOverhead alone is recorded in a second pass at 10 iterations per
 # half; its 1x lines from the main pass are dropped from the record.
-# BENCH_pr7.json adds BenchmarkFailoverOverhead: the two-worker
-# distributed sweep with the self-healing scheduler (breakers +
-# background health prober) vs DisableReadmission — on a healthy fleet
-# the two halves must match BenchmarkDistributedSweep, the proof that
-# resilience costs nothing unless faults actually happen.
+# BENCH_pr7.json recorded BenchmarkFailoverOverhead, the two-worker
+# sweep with and without the background health prober. It is gone:
+# BenchmarkDistributedSweep/distributed-2workers runs with the prober
+# on and fails if a healthy fleet ever retries or loses a worker.
 # BENCH_pr9.json adds BenchmarkMemoizedSweep: the full geometry grid
 # replayed with no memo vs a cold memo vs a warm memo. no-memo and
 # cold must stay within noise of each other (the memo's write path is
