@@ -16,6 +16,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Config describes one cache level. The JSON tags are the wire shape
@@ -110,6 +111,16 @@ type Cache struct {
 	rng     uint64
 	victim  *victimBuf
 
+	// The repeat shortcut (see AccessRows). gen advances on every
+	// reference that takes the Access path and on Reset: the only
+	// changes to tag, order and policy state. recent holds the last
+	// recentBlocks load blocks whose every line resolved inline, each
+	// stamped with the gen it finished at; an entry is live while its
+	// gen is current. next is the slot the next entry takes.
+	gen    uint64
+	recent [recentBlocks]recentBlock
+	next   int
+
 	// Counters.
 	Accesses   uint64
 	Misses     uint64
@@ -119,6 +130,25 @@ type Cache struct {
 	// count as hits in Accesses/Misses terms: no next-level reference
 	// happens.
 	VictimHits uint64
+	// RepeatLines counts the line references AccessRows resolved by
+	// the repeat shortcut, without walking them; Accesses counts them
+	// too. It measures the simulator, not the simulated machine, so no
+	// Stats field carries it.
+	RepeatLines uint64
+}
+
+// recentBlocks is the size of the repeat shortcut's ring.
+const recentBlocks = 4
+
+// recentBlock is one load block whose every line was an inline hit
+// when its walk finished at generation gen.
+type recentBlock struct {
+	addr, rowBytes, stride uint64
+	rows                   int
+	gen                    uint64
+	// lo is the first byte of the first row's first line, and lo+hull
+	// the last byte of its last line.
+	lo, hull uint64
 }
 
 // New builds a cache from cfg. It panics on invalid geometry, which is
@@ -157,6 +187,7 @@ func TryNew(cfg Config) (*Cache, error) {
 		tags:      make([]uint64, lines),
 		valid:     make([]bool, lines),
 		dirty:     make([]bool, lines),
+		gen:       1, // the zero entries of recent are dead
 	}
 	for i := range c.tags {
 		c.tags[i] = noLine
@@ -234,18 +265,153 @@ type Result struct {
 // and miss receives the line-aligned address and Result of each one
 // that missed. The kernel allocates nothing, and miss does not escape,
 // so a method value made per call stays on the caller's stack.
+//
+// Load rows that repeat a recent block are not walked at all. An
+// inline load hit changes no cache state, so after a load block walks
+// entirely inline, every line it covers stays an inline hit until the
+// next Access-path reference or Reset. The kernel remembers the last
+// recentBlocks such blocks with the generation they finished at. A
+// later load block whose leading rows lie in a live entry adds their
+// line count to Accesses (and RepeatLines) and walks only the rest.
+// Stores, which dirty their lines, and blocks whose span wraps the
+// address space always walk.
 func (c *Cache) AccessRows(addr uint64, rowBytes, stride, rows int, write bool, miss func(addr uint64, r Result)) {
-	if rowBytes <= 0 {
+	if rowBytes <= 0 || rows <= 0 {
 		return
 	}
-	w := rowWalk{addr: addr, end: uint64(rowBytes) - 1, stride: uint64(stride), rows: rows}
+	done := 0
+	if !write {
+		if done = c.repeat(addr, uint64(rowBytes), uint64(stride), rows); done == rows {
+			return
+		}
+	}
+	gen := c.gen
+	w := rowWalk{addr: addr + uint64(done)*uint64(stride), end: uint64(rowBytes) - 1, stride: uint64(stride), rows: rows - done}
 	for {
 		ln, ok := c.walkHits(&w, write)
 		if !ok {
-			return
+			break
 		}
 		if r := c.Access(ln<<c.lineShift, write); !r.Hit {
 			miss(ln<<c.lineShift, r)
+		}
+	}
+	if !write && c.gen == gen {
+		c.remember(addr, rowBytes, stride, rows)
+	}
+}
+
+// repeat resolves the leading rows of a load block that lie in a live
+// recent block and returns how many it resolved. The block must have
+// the entry's stride, and its first row must lie in the lines of the
+// entry's first row; then up to the entry's row count, row r of the
+// block lies in the entry's row r. Both rows start the same distance
+// apart, so whether row r stays inside depends only on where the
+// entry's row r starts within a line. With equal strides that phase
+// repeats every lineBytes/gcd(stride mod lineBytes, lineBytes) rows:
+// every row for 352-byte rows over 32-byte lines, every other row for
+// 176- or 720-byte ones. Checking one row per phase therefore checks
+// them all, and counts their lines. An entry's span does not wrap the
+// address space (remember), so neither do the rows it holds.
+func (c *Cache) repeat(addr, rowBytes, stride uint64, rows int) int {
+	mask := uint64(1)<<c.lineShift - 1
+	// Newest first: entries are stamped in the order they were made, so
+	// behind the first dead one every entry is dead.
+	for k := 1; k <= recentBlocks; k++ {
+		e := &c.recent[(c.next-k)&(recentBlocks-1)]
+		if e.gen != c.gen {
+			return 0
+		}
+		// q is the block's first byte counted from the entry's first
+		// line; below that line it wraps past hull.
+		q := addr - e.lo
+		if e.stride != stride || q > e.hull || q+rowBytes-1 > e.hull {
+			continue
+		}
+		n := min(rows, e.rows)
+		lines := (q+rowBytes-1)>>c.lineShift - q>>c.lineShift + 1
+		if stride&mask == 0 || n == 1 {
+			lines *= uint64(n)
+		} else if lines = e.phases(addr, rowBytes, n, c.lineShift, lines); lines == 0 {
+			continue
+		}
+		c.Accesses += lines
+		c.RepeatLines += lines
+		return n
+	}
+	return 0
+}
+
+// phases counts the lines of a block whose first row, of lines0 lines,
+// lies in e's first row, and whose stride, e's, moves the row phase. It
+// checks the other rows of one phase period and returns 0 if one of
+// them reaches past the lines of e's row.
+func (e *recentBlock) phases(addr, rowBytes uint64, rows int, shift uint, lines0 uint64) uint64 {
+	mask := uint64(1)<<shift - 1
+	log := shift - uint(bits.TrailingZeros64(e.stride&mask)) // log2 of the period
+	n, full, rem := rows, uint64(1), 0
+	if period := 1 << log; period < rows {
+		n, full, rem = period, uint64(rows>>log), rows&(period-1)
+	}
+	lines, head := lines0, uint64(0)
+	if rem > 0 {
+		head = lines0
+	}
+	ph, off := e.addr&mask, addr-e.addr
+	for r := 1; r < n; r++ {
+		// Row r spans bytes q..q+rowBytes-1 counted from the line that
+		// starts e's row r, whose lines end at byte hull.
+		ph = (ph + e.stride) & mask
+		q, hull := ph+off, (ph+e.rowBytes-1)|mask
+		if q > hull || q+rowBytes-1 > hull {
+			return 0
+		}
+		k := (q+rowBytes-1)>>shift - q>>shift + 1
+		lines += k
+		if r < rem {
+			head += k
+		}
+	}
+	return full*lines + head
+}
+
+// remember records a load block whose every line resolved inline,
+// unless its stride is negative or its span — from its first row's
+// first byte to its last row's last byte — wraps the address space.
+func (c *Cache) remember(addr uint64, rowBytes, stride, rows int) {
+	if uint64(rowBytes)|uint64(stride)|uint64(rows) >= 1<<31 {
+		return // a negative stride, or a span too long to add up safely
+	}
+	if addr+uint64(rows-1)*uint64(stride)+uint64(rowBytes)-1 < addr {
+		return
+	}
+	mask := uint64(1)<<c.lineShift - 1
+	c.recent[c.next] = recentBlock{
+		addr: addr, rowBytes: uint64(rowBytes), stride: uint64(stride), rows: rows, gen: c.gen,
+		lo: addr &^ mask, hull: (addr&mask + uint64(rowBytes) - 1) | mask,
+	}
+	c.next = (c.next + 1) & (recentBlocks - 1)
+}
+
+// EachLine calls visit with the line-aligned address of every line
+// AccessRows would reference for the same block, in the same order: a
+// row whose end wraps the address space covers no line, and a row
+// ending on the last line stops there. It touches no cache state.
+func (c *Cache) EachLine(addr uint64, rowBytes, stride, rows int, visit func(addr uint64)) {
+	if rowBytes <= 0 {
+		return
+	}
+	for ; rows > 0; rows-- {
+		first, last := addr>>c.lineShift, (addr+uint64(rowBytes)-1)>>c.lineShift
+		addr += uint64(stride)
+		if last < first {
+			continue
+		}
+		for ln := first; ; ln++ {
+			visit(ln << c.lineShift)
+			if ln == last {
+				break
+			}
 		}
 	}
 }
@@ -310,6 +476,7 @@ func (c *Cache) walkHits(w *rowWalk, write bool) (uint64, bool) {
 // entirely (nil check) outside PolicyVictim. AccessRows resolves the
 // commonest hits before reaching here.
 func (c *Cache) Access(addr uint64, write bool) Result {
+	c.gen++
 	if c.pol != polLRU {
 		return c.accessIndexed(addr, write)
 	}
@@ -436,7 +603,8 @@ func (c *Cache) Reset() {
 	if c.victim != nil {
 		c.victim.reset()
 	}
-	c.Accesses, c.Misses, c.Writebacks, c.VictimHits = 0, 0, 0, 0
+	c.gen++
+	c.Accesses, c.Misses, c.Writebacks, c.VictimHits, c.RepeatLines = 0, 0, 0, 0, 0
 }
 
 // Occupancy returns the number of valid lines (for tests and diagnostics).

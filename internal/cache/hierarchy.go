@@ -123,19 +123,24 @@ func (h *Hierarchy) Access(addr uint64, size uint32, kind simmem.Kind) {
 		h.Stores++
 		h.StoreBytes += uint64(size)
 	case simmem.Prefetch:
-		h.Prefetches++
-		// A prefetch that hits L1 is a wasted instruction slot; the
-		// R12K counts these. It does not re-reference the hierarchy.
-		if h.L1.Lookup(addr) {
-			h.PrefetchL1Hits++
-			return
-		}
-		if r1 := h.L1.Access(addr, false); !r1.Hit {
-			h.l1Miss(addr, r1)
-		}
+		h.prefetch(addr)
 		return
 	}
 	h.L1.AccessRows(addr, int(size), 0, 1, kind == simmem.Store, h.l1Miss)
+}
+
+// prefetch probes L1 with one prefetch of addr.
+func (h *Hierarchy) prefetch(addr uint64) {
+	h.Prefetches++
+	// A prefetch that hits L1 is a wasted instruction slot; the R12K
+	// counts these. It does not re-reference the hierarchy.
+	if h.L1.Lookup(addr) {
+		h.PrefetchL1Hits++
+		return
+	}
+	if r1 := h.L1.Access(addr, false); !r1.Hit {
+		h.l1Miss(addr, r1)
+	}
 }
 
 // Run implements simmem.Tracer: a contiguous run of n bytes referenced
@@ -160,13 +165,7 @@ func (h *Hierarchy) RunStrided(addr uint64, rowBytes, stride, rows int, unit uin
 	}
 	if kind == simmem.Prefetch {
 		// Prefetch runs degenerate to per-line prefetch probes.
-		lineBytes := uint64(1) << h.L1.lineShift
-		for r := 0; r < rows; r++ {
-			for a := addr &^ (lineBytes - 1); a < addr+uint64(rowBytes); a += lineBytes {
-				h.Access(a, 0, simmem.Prefetch)
-			}
-			addr += uint64(stride)
-		}
+		h.L1.EachLine(addr, rowBytes, stride, rows, h.prefetch)
 		return
 	}
 	refs := uint64(rows) * simmem.RunRefs(rowBytes, unit)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/simmem"
 )
@@ -233,6 +234,38 @@ func TestPrefetchRunCountsPerLine(t *testing.T) {
 	c.Run(0x1000, 96, 1, simmem.Prefetch)
 	if c.Prefetches != h.Prefetches {
 		t.Fatalf("Count (%d) and Hierarchy (%d) disagree on prefetch run", c.Prefetches, h.Prefetches)
+	}
+}
+
+// TestPrefetchRunEndsAtTopOfAddressSpace: a prefetch run probes the
+// lines AccessRows would walk. A row ending in the last lines before
+// 2^64 stops at the last line instead of wrapping to address 0 and
+// running on, and a row whose end wraps covers no line.
+func TestPrefetchRunEndsAtTopOfAddressSpace(t *testing.T) {
+	for _, tc := range []struct {
+		addr             uint64
+		rowBytes, stride int
+		rows             int
+		want             uint64
+	}{
+		{^uint64(0) - 39, 30, 0, 1, 2},  // the last two lines
+		{^uint64(0) - 31, 32, 0, 1, 1},  // ends on the last byte
+		{^uint64(0) - 95, 40, 32, 3, 4}, // the third row wraps
+	} {
+		h := testHier()
+		done := make(chan struct{})
+		go func() {
+			h.RunStrided(tc.addr, tc.rowBytes, tc.stride, tc.rows, 1, simmem.Prefetch)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("prefetch run at %#x did not return", tc.addr)
+		}
+		if h.Prefetches != tc.want {
+			t.Errorf("prefetch run at %#x: %d prefetches, want %d", tc.addr, h.Prefetches, tc.want)
+		}
 	}
 }
 

@@ -187,7 +187,7 @@ func TestDistributedSweepMatchesLocalAcrossProcesses(t *testing.T) {
 	if stats.Uploads == 0 || stats.UploadBytes == 0 {
 		t.Errorf("expected L2-filtered uploads, got stats %+v", stats)
 	}
-	if stats.DeadWorkers != 0 || stats.Failovers != 0 {
+	if stats.DeadWorkers != 0 || stats.Failovers != 0 || stats.Retries != 0 {
 		t.Errorf("healthy fleet reported failures: %+v", stats)
 	}
 	localPoints, err := harness.RunGeometrySweep(wl, l1s, l2Sizes)

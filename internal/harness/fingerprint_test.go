@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/simmem"
 )
@@ -39,7 +40,8 @@ func writeStats(w io.Writer, label string, whole cache.Stats, phases map[string]
 // every replacement policy, 1 MB L2), hashes every whole-run and
 // per-phase cache.Stats, and asserts (CodeVersion, hash) equals the
 // committed pair. A replay-engine change that keeps the numbers passes;
-// one that moves them fails until CodeVersion is bumped.
+// one that moves them fails until CodeVersion is bumped. The L1 filter
+// passes must also take the repeat shortcut, so it stays covered.
 func TestSemanticsFingerprint(t *testing.T) {
 	c, err := RecordEncodeIn(simmem.NewSpace(0), Workload{W: 176, H: 144, Frames: 2, Seed: 3})
 	if err != nil {
@@ -54,11 +56,18 @@ func TestSemanticsFingerprint(t *testing.T) {
 		}
 		writeStats(h, m.Label(), r.Whole.Raw, phases)
 	}
+	// The filter passes below must exercise the L1's repeat shortcut
+	// (cache.Cache.RepeatLines), which no Stats field records.
+	repeats := obs.Default().Counter("trace_filter_repeat_lines_total")
+	before := repeats.Value()
 	for _, p := range []cache.Policy{cache.PolicyLRU, cache.PolicyPLRU, cache.PolicyFIFO, cache.PolicyRandom, cache.PolicyVictim} {
 		l1 := perf.O2R12K1MB().L1
 		l1.Policy = p
 		rr := FilterGeometryL1(context.Background(), c.Enc, l1).ReplayMany([]cache.Config{GeometryL2For(l1, 1<<20)}, 1)
 		writeStats(h, "policy "+string(p), rr[0].Whole, rr[0].Phases)
+	}
+	if repeats.Value() == before {
+		t.Error("the L1 filter passes never took the repeat shortcut")
 	}
 	if got := CodeVersion + " " + hex.EncodeToString(h.Sum(nil)); got != semanticsFingerprint {
 		t.Fatalf("simulator fingerprint changed:\n got %s\nwant %s\n"+

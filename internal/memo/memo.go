@@ -20,7 +20,8 @@
 // knob. An optional directory tier persists every entry as one JSON
 // file named by the key's hash, so warm starts survive process
 // restarts; disk entries carry their version inside the file and are
-// ignored (not deleted) on mismatch.
+// ignored (not deleted) on mismatch. Opening a directory removes the
+// temp files of puts a crash cut short.
 package memo
 
 import (
@@ -156,6 +157,7 @@ func New(cfg Config) (*Cache, error) {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("memo: %w", err)
 		}
+		removeOrphans(cfg.Dir)
 	}
 	return &Cache{
 		cfg:     cfg,
@@ -286,6 +288,25 @@ func (c *Cache) loadDisk(k Key) (cache.Stats, bool) {
 	return e.Stats, true
 }
 
+// removeOrphans deletes the temp files of puts that never reached
+// their rename, which a crash inside storeDisk leaves behind. Puts are
+// best effort, so a temp file removed from under a concurrent writer
+// only loses that put.
+func removeOrphans(dir string) {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, de := range des {
+		if ok, _ := filepath.Match(tempPattern, de.Name()); ok && de.Type().IsRegular() {
+			os.Remove(filepath.Join(dir, de.Name()))
+		}
+	}
+}
+
+// tempPattern names storeDisk's temp files.
+const tempPattern = "put-*.tmp"
+
 // storeDisk persists one entry atomically (temp file + rename), so a
 // concurrent reader never sees a torn entry and a crash never leaves
 // one behind as valid JSON.
@@ -294,7 +315,7 @@ func (c *Cache) storeDisk(k Key, st cache.Stats) {
 	if err != nil {
 		return
 	}
-	f, err := os.CreateTemp(c.cfg.Dir, "put-*.tmp")
+	f, err := os.CreateTemp(c.cfg.Dir, tempPattern)
 	if err != nil {
 		return
 	}

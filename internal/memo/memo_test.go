@@ -248,3 +248,69 @@ func TestMemoNilSafe(t *testing.T) {
 		t.Fatal("nil cache has state")
 	}
 }
+
+// TestMemoRemovesOrphanedTempFiles: a put cut short between its temp
+// file and its rename leaves a put-*.tmp file; opening the directory
+// removes it, and the complete entry beside it is still served.
+func TestMemoRemovesOrphanedTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	m1, err := New(Config{Version: "v1", Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1.Put(testKey(1), testStats(1))
+	orphan := filepath.Join(dir, "put-123456.tmp")
+	if err := os.WriteFile(orphan, []byte(`{"version":"v1","key":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := New(Config{Version: "v1", Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("orphaned temp file survived: %v", err)
+	}
+	if st, ok := m2.Get(testKey(1)); !ok || st != testStats(1) {
+		t.Fatalf("entry beside the orphan: %+v, %v", st, ok)
+	}
+}
+
+// FuzzMemoDiskEntry: whatever bytes sit at an entry's path, Get serves
+// them only if they decode to exactly the cache's version and the
+// entry's key, serves their stats unchanged, and never panics.
+func FuzzMemoDiskEntry(f *testing.F) {
+	entry := func(version string, k Key) []byte {
+		raw, err := json.Marshal(diskEntry{Version: version, Key: k, Stats: testStats(1)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	good := entry("v1", testKey(1))
+	f.Add(good)
+	f.Add(entry("v2", testKey(1)))
+	f.Add(entry("v1", testKey(2)))
+	f.Add(good[:len(good)/2])
+	f.Add(append(append([]byte{}, good...), "{}"...))
+	f.Add([]byte("null"))
+	f.Add([]byte(`{"version":"v1","key":{"trace_hash":1}}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, testKey(1).fileName()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(Config{Version: "v1", Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, ok := m.Get(testKey(1))
+		var e diskEntry
+		valid := json.Unmarshal(raw, &e) == nil && e.Version == "v1" && e.Key.normalize() == testKey(1).normalize()
+		if ok != valid {
+			t.Fatalf("served = %v, want %v for %q", ok, valid, raw)
+		}
+		if ok && st != e.Stats {
+			t.Fatalf("served %+v, the file holds %+v", st, e.Stats)
+		}
+	})
+}

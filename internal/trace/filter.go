@@ -94,17 +94,23 @@ func (f *L2Filter) Access(addr uint64, size uint32, kind simmem.Kind) {
 		f.base.Stores++
 		f.base.StoreBytes += uint64(size)
 	case simmem.Prefetch:
-		f.base.Prefetches++
-		if f.l1.Lookup(addr) {
-			f.base.PrefetchL1Hits++
-			return
-		}
-		if r1 := f.l1.Access(addr, false); !r1.Hit {
-			f.l1Miss(addr, r1)
-		}
+		f.prefetch(addr)
 		return
 	}
 	f.l1.AccessRows(addr, int(size), 0, 1, kind == simmem.Store, f.l1Miss)
+}
+
+// prefetch probes the L1 with one prefetch of addr (cf.
+// cache.Hierarchy's).
+func (f *L2Filter) prefetch(addr uint64) {
+	f.base.Prefetches++
+	if f.l1.Lookup(addr) {
+		f.base.PrefetchL1Hits++
+		return
+	}
+	if r1 := f.l1.Access(addr, false); !r1.Hit {
+		f.l1Miss(addr, r1)
+	}
 }
 
 // Run implements simmem.Tracer (cf. cache.Hierarchy.Run).
@@ -119,12 +125,7 @@ func (f *L2Filter) RunStrided(addr uint64, rowBytes, stride, rows int, unit uint
 		return
 	}
 	if kind == simmem.Prefetch {
-		for r := 0; r < rows; r++ {
-			for a := addr &^ (f.lineBytes - 1); a < addr+uint64(rowBytes); a += f.lineBytes {
-				f.Access(a, 0, simmem.Prefetch)
-			}
-			addr += uint64(stride)
-		}
+		f.l1.EachLine(addr, rowBytes, stride, rows, f.prefetch)
 		return
 	}
 	refs := uint64(rows) * simmem.RunRefs(rowBytes, unit)
@@ -163,9 +164,18 @@ func (f *L2Filter) PhaseEnd(name string) {
 	f.marks = append(f.marks, l2Mark{pos: len(f.events), name: f.phase(name), base: f.base})
 }
 
+// Filter-pass metrics: the L1's line references, and how many of them
+// its repeat shortcut resolved without a walk.
+var (
+	mFilterRepeatLines = obs.Default().Counter("trace_filter_repeat_lines_total")
+	mFilterLineRefs    = obs.Default().Counter("trace_filter_line_refs_total")
+)
+
 // Trace returns the captured L2-bound stream. The filter may not be
 // used afterwards.
 func (f *L2Filter) Trace() *L2Trace {
+	mFilterRepeatLines.Add(f.l1.RepeatLines)
+	mFilterLineRefs.Add(f.l1.Accesses)
 	return &L2Trace{
 		L1:     f.l1.Config(),
 		base:   f.base,

@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
+	"repro/internal/obs"
 	"repro/internal/simmem"
 )
 
@@ -210,4 +212,49 @@ func TestL2FilterSharedTraceConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestL2FilterPrefetchRunEndsAtTopOfAddressSpace: a prefetch run in the
+// last lines before 2^64 probes those lines and returns, as
+// cache.Hierarchy's does.
+func TestL2FilterPrefetchRunEndsAtTopOfAddressSpace(t *testing.T) {
+	f := NewL2Filter(cache.Config{SizeBytes: 32 << 10, LineBytes: 32, Ways: 2})
+	done := make(chan struct{})
+	go func() {
+		f.RunStrided(^uint64(0)-39, 30, 0, 1, 1, simmem.Prefetch)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("prefetch run near the top of the address space did not return")
+	}
+	if f.base.Prefetches != 2 {
+		t.Fatalf("%d prefetches, want 2 (the last two lines)", f.base.Prefetches)
+	}
+}
+
+// TestL2FilterRepeatMetrics: a filter pass publishes its L1's line
+// references and the share its repeat shortcut resolved.
+func TestL2FilterRepeatMetrics(t *testing.T) {
+	repeats := obs.Default().Counter("trace_filter_repeat_lines_total")
+	refs := obs.Default().Counter("trace_filter_line_refs_total")
+	r0, a0 := repeats.Value(), refs.Value()
+	r := NewRecorder()
+	for i := 0; i < 8; i++ { // one 16x16 block read eight times
+		r.RunStrided(0x10000, 16, 352, 16, 1, simmem.Load)
+	}
+	lt := filterTrace(r.Finish(), cache.Config{SizeBytes: 32 << 10, LineBytes: 32, Ways: 2})
+	if lt.Events() != 16 {
+		t.Fatalf("%d L2 events, want the block's 16 cold misses", lt.Events())
+	}
+	// The concurrent filter tests may add to the counters meanwhile.
+	if got := refs.Value() - a0; got < 8*16 {
+		t.Errorf("trace_filter_line_refs_total moved by %d, want at least %d", got, 8*16)
+	}
+	// The first read misses; the second walks all hits and is
+	// remembered, so the other six repeat it.
+	if got := repeats.Value() - r0; got < 6*16 {
+		t.Errorf("trace_filter_repeat_lines_total moved by %d, want at least %d", got, 6*16)
+	}
 }
