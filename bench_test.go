@@ -25,7 +25,6 @@ import (
 	"repro/internal/farm"
 	"repro/internal/harness"
 	"repro/internal/memo"
-	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/simmem"
 	"repro/internal/trace"
@@ -206,43 +205,6 @@ func BenchmarkReplaySweep(b *testing.B) {
 		}
 		b.ReportMetric(float64(nConfigs), "configs")
 		b.Log("\n" + harness.FormatGeometrySweep("cache geometry sweep", points))
-	})
-}
-
-// BenchmarkObsOverhead proves the obs instrumentation is free where it
-// matters: the same 18-configuration replay sweep as
-// BenchmarkReplaySweep/replay, run with instrumentation on (the
-// default) and off (obs.SetEnabled(false)). The replay-loop hooks are
-// per *call* — two time.Now reads and a handful of atomics per replay
-// of millions of records — so both variants must sit within noise of
-// each other and of BenchmarkReplaySweep/replay in BENCH_pr5.json
-// (the acceptance bound is 2%).
-func BenchmarkObsOverhead(b *testing.B) {
-	wl := harness.Workload{W: 352, H: 288, Frames: benchFrames}
-	nConfigs := len(harness.GeometryL1Configs()) * len(harness.GeometryL2Sizes())
-	sweep := func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			points, err := harness.RunGeometrySweepPool(context.Background(), benchPool, wl, nil, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(points) != nConfigs {
-				b.Fatalf("got %d points", len(points))
-			}
-		}
-		b.ReportMetric(float64(nConfigs), "configs")
-	}
-	b.Run("instrumented", func(b *testing.B) {
-		before := obs.Default().Counter("trace_replay_l2_total").Value()
-		sweep(b)
-		if obs.Default().Counter("trace_replay_l2_total").Value() == before {
-			b.Fatal("instrumented run recorded no replay metrics")
-		}
-	})
-	b.Run("uninstrumented", func(b *testing.B) {
-		obs.SetEnabled(false)
-		defer obs.SetEnabled(true)
-		sweep(b)
 	})
 }
 

@@ -27,7 +27,6 @@
 //	mp4served -session-max-active 4           # per-session active-study quota
 //	mp4served -session-rate 2                 # per-session submissions/second
 //	mp4served -log-level debug                # structured-log threshold (default info)
-//	mp4served -metrics=false                  # disable span/timer instrumentation
 //	mp4served -pprof                          # mount net/http/pprof at /debug/pprof/
 //
 // All studies share one server-wide result memo (unless -no-memo):

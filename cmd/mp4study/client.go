@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -137,18 +136,9 @@ func (c *serviceClient) result(ctx context.Context, id string) (string, error) {
 // from the manifest (flags override, same precedence as local
 // manifest mode), submit, then follow or poll.
 func runServiceStudy(ctx context.Context, base, manifestPath string, frames int, priority, authToken string, follow bool) error {
-	raw, err := os.ReadFile(manifestPath)
+	mf, err := readManifest(manifestPath)
 	if err != nil {
 		return err
-	}
-	var mf manifestFile
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&mf); err != nil {
-		return fmt.Errorf("manifest %s: %w", manifestPath, err)
-	}
-	if len(mf.Experiments) == 0 {
-		return fmt.Errorf("manifest %s: no experiments", manifestPath)
 	}
 	spec := service.StudySpec{
 		Frames:      mf.Frames,

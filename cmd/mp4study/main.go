@@ -102,9 +102,11 @@
 //	  ]
 //	}
 //
-// Flags override manifest settings when given explicitly. Every
-// experiment — including cache geometries named in the manifest — is
-// validated before anything runs.
+// The file holds exactly one JSON object: an unknown field, or anything
+// but whitespace after the object, is an error. Flags override
+// manifest settings when given explicitly. Every experiment — including
+// cache geometries named in the manifest — is validated before
+// anything runs.
 //
 // -service switches manifest mode from local simulation to the
 // mp4served study service: the manifest is POSTed as a study spec
@@ -124,6 +126,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -510,23 +513,38 @@ type manifestFile struct {
 	Priority string `json:"priority,omitempty"`
 }
 
-// runManifest executes a manifest and returns the pool it actually ran
-// on. Manifest settings apply only where the corresponding flag was
-// not given explicitly (a nonzero -frames/-parallel wins), per the
-// "flags override manifest" rule.
-func runManifest(ctx context.Context, path string, frames, parallel int, progress bool) (*farm.Pool, error) {
+// readManifest reads the manifest at path: exactly one JSON object,
+// naming no unknown field and at least one experiment, with nothing
+// but whitespace after it.
+func readManifest(path string) (manifestFile, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return manifestFile{}, err
 	}
 	var mf manifestFile
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&mf); err != nil {
-		return nil, fmt.Errorf("manifest %s: %w", path, err)
+		return manifestFile{}, fmt.Errorf("manifest %s: %w", path, err)
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		return manifestFile{}, fmt.Errorf("manifest %s: data after the JSON value", path)
 	}
 	if len(mf.Experiments) == 0 {
-		return nil, fmt.Errorf("manifest %s: no experiments", path)
+		return manifestFile{}, fmt.Errorf("manifest %s: no experiments", path)
+	}
+	return mf, nil
+}
+
+// runManifest executes a manifest and returns the pool it actually ran
+// on. Manifest settings apply only where the corresponding flag was
+// not given explicitly (a nonzero -frames/-parallel wins), per the
+// "flags override manifest" rule.
+func runManifest(ctx context.Context, path string, frames, parallel int, progress bool) (*farm.Pool, error) {
+	mf, err := readManifest(path)
+	if err != nil {
+		return nil, err
 	}
 	for i, e := range mf.Experiments {
 		if err := e.Validate(); err != nil {

@@ -20,7 +20,6 @@
 //	mp4worker -max-traces 4       # resident uploaded traces
 //	mp4worker -store-max-bytes 256000000   # bound the store's wire bytes (LRU)
 //	mp4worker -log-level debug    # structured-log threshold (default info)
-//	mp4worker -metrics=false      # disable span/timer instrumentation
 //	mp4worker -pprof              # mount net/http/pprof at /debug/pprof/
 //
 // Observability: GET /v1/metrics serves the process metrics registry

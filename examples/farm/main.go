@@ -8,9 +8,9 @@
 // of the same synthetic clip in an isolated simulated address space.
 // Job completions stream to stderr via the pool's progress callback;
 // the result table prints in sweep order (never completion order), and
-// a final "fleet" row per machine aggregates the raw counters of all
-// its runs with perf.MergeMetrics — the combined-workload view a
-// sharded sweep reports.
+// a final "fleet" row per machine sums the raw counters of all its runs
+// (cache.Stats.Add) and recomputes the metrics over the sum with
+// perf.Compute — the combined-workload view a sharded sweep reports.
 package main
 
 import (
@@ -21,6 +21,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/farm"
 	"repro/internal/harness"
 	"repro/internal/perf"
@@ -105,14 +106,16 @@ func main() {
 	// single combined-workload metric set.
 	fmt.Println("\nfleet aggregate per machine (all QPs and sizes combined):")
 	for _, m := range machines {
-		var parts []perf.Metrics
+		var sum cache.Stats
+		runs := 0
 		for _, r := range results {
 			if r.cell.machine.Name == m.Name {
-				parts = append(parts, r.metrics)
+				sum = sum.Add(r.metrics.Raw)
+				runs++
 			}
 		}
-		agg := perf.MergeMetrics(m, parts...)
+		agg := perf.Compute(m, sum)
 		fmt.Printf("  %-9s %d runs: L1miss %.3f%%  L2miss %.2f%%  %s\n",
-			m.Label(), len(parts), agg.L1MissRate*100, agg.L2MissRate*100, agg.Breakdown())
+			m.Label(), runs, agg.L1MissRate*100, agg.L2MissRate*100, agg.Breakdown())
 	}
 }

@@ -81,25 +81,10 @@ type Hierarchy struct {
 }
 
 // NewHierarchy builds the two-level hierarchy. Like New, it panics on
-// invalid geometry and is reserved for static machine descriptions;
-// ingress paths use TryNewHierarchy.
+// invalid geometry; ingress paths validate each level with
+// Config.Validate or TryNew first.
 func NewHierarchy(l1, l2 Config) *Hierarchy {
 	return &Hierarchy{L1: New(l1), L2: New(l2)}
-}
-
-// TryNewHierarchy builds the two-level hierarchy, returning an error
-// on invalid geometry — the constructor for configurations that arrive
-// as data (service requests, manifests, distributed shards).
-func TryNewHierarchy(l1, l2 Config) (*Hierarchy, error) {
-	c1, err := TryNew(l1)
-	if err != nil {
-		return nil, err
-	}
-	c2, err := TryNew(l2)
-	if err != nil {
-		return nil, err
-	}
-	return &Hierarchy{L1: c1, L2: c2}, nil
 }
 
 var (

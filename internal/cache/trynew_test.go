@@ -23,12 +23,6 @@ func TestTryNewRejectsInvalidGeometry(t *testing.T) {
 		if _, err := TryNew(cfg); err == nil {
 			t.Errorf("TryNew(%+v) accepted invalid geometry", cfg)
 		}
-		if _, err := TryNewHierarchy(good, cfg); err == nil {
-			t.Errorf("TryNewHierarchy(good, %+v) accepted invalid geometry", cfg)
-		}
-		if _, err := TryNewHierarchy(cfg, good); err == nil {
-			t.Errorf("TryNewHierarchy(%+v, good) accepted invalid geometry", cfg)
-		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -41,9 +35,5 @@ func TestTryNewRejectsInvalidGeometry(t *testing.T) {
 	c, err := TryNew(good)
 	if err != nil || c == nil {
 		t.Fatalf("TryNew(good) = %v, %v", c, err)
-	}
-	h, err := TryNewHierarchy(good, Config{Name: "L2", SizeBytes: 1 << 20, LineBytes: 128, Ways: 2})
-	if err != nil || h == nil {
-		t.Fatalf("TryNewHierarchy(good) = %v, %v", h, err)
 	}
 }

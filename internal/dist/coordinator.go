@@ -16,7 +16,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/memo"
 	"repro/internal/obs"
-	"repro/internal/perf"
 	"repro/internal/simmem"
 	"repro/internal/trace"
 )
@@ -249,18 +248,12 @@ func planShards(l1s []cache.Config, l2Sizes []int, workers int) []Shard {
 	return shards
 }
 
-// GeometrySweep runs the distributed counterpart of
+// GeometrySweepWithStats runs the distributed counterpart of
 // harness.RunGeometrySweep: one local capture, every configuration
 // replayed on the worker fleet. Nil/empty axes use the harness
 // defaults. The returned points are identical — field for field — to
-// the local sweep of the same workload and axes.
-func (c *Coordinator) GeometrySweep(ctx context.Context, wl harness.Workload, l1s []cache.Config, l2Sizes []int) ([]harness.GeometryPoint, error) {
-	points, _, err := c.GeometrySweepWithStats(ctx, wl, l1s, l2Sizes)
-	return points, err
-}
-
-// GeometrySweepWithStats is GeometrySweep plus the sweep's transport
-// and failover accounting.
+// the local sweep of the same workload and axes; the stats are the
+// sweep's transport and failover accounting.
 func (c *Coordinator) GeometrySweepWithStats(ctx context.Context, wl harness.Workload, l1s []cache.Config, l2Sizes []int) ([]harness.GeometryPoint, SweepStats, error) {
 	shardPoints, stats, err := c.geometrySweepShards(ctx, wl, l1s, l2Sizes)
 	if err != nil {
@@ -271,39 +264,6 @@ func (c *Coordinator) GeometrySweepWithStats(ctx context.Context, wl harness.Wor
 		out = append(out, pts...)
 	}
 	return out, stats, nil
-}
-
-// GeometrySweepSeries runs the distributed sweep and renders it as the
-// usual per-L1 display series. Each shard contributes a series chunk;
-// chunks of the same L1 row are reassembled X-wise with
-// perf.MergeSeries in shard order — the same merge discipline the
-// figure sweeps use — so the output is byte-identical to
-// harness.GeometrySweepSeries over a local sweep.
-func (c *Coordinator) GeometrySweepSeries(ctx context.Context, wl harness.Workload, l1s []cache.Config, l2Sizes []int) ([]perf.Series, error) {
-	shardPoints, _, err := c.geometrySweepShards(ctx, wl, l1s, l2Sizes)
-	if err != nil {
-		return nil, err
-	}
-	var merged []perf.Series
-	for start := 0; start < len(shardPoints); {
-		// Shards of one L1 row are contiguous in plan order; merge the
-		// row's chunks, then move to the next row.
-		end := start + 1
-		for end < len(shardPoints) && shardPoints[end][0].L1 == shardPoints[start][0].L1 {
-			end++
-		}
-		chunks := make([][]perf.Series, 0, end-start)
-		for _, pts := range shardPoints[start:end] {
-			chunks = append(chunks, harness.GeometrySweepSeries(pts))
-		}
-		row, err := perf.MergeSeries(chunks...)
-		if err != nil {
-			return nil, fmt.Errorf("dist: merging shard series: %w", err)
-		}
-		merged = append(merged, row...)
-		start = end
-	}
-	return merged, nil
 }
 
 // payload is one serialized trace the sweep ships: one L1 row's

@@ -211,17 +211,6 @@ func TestDistributedSweepMatchesLocalAcrossProcesses(t *testing.T) {
 	if distText != localText {
 		t.Fatalf("rendered sweeps differ\n--- dist ---\n%s\n--- local ---\n%s", distText, localText)
 	}
-
-	// Series path: shard chunks merged via perf.MergeSeries must be
-	// byte-identical to the locally derived series.
-	distSeries, err := coord.GeometrySweepSeries(context.Background(), wl, l1s, l2Sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	localSeries := harness.GeometrySweepSeries(localPoints)
-	if !reflect.DeepEqual(distSeries, localSeries) {
-		t.Fatalf("series differ\ndist  %+v\nlocal %+v", distSeries, localSeries)
-	}
 }
 
 // TestDistributedPolicySweepMatchesLocal is the policy-axis
@@ -547,8 +536,31 @@ func TestWorkerValidatesIngress(t *testing.T) {
 		t.Errorf("unknown trace: status %d (%s), want 404", code, msg)
 	}
 
-	// The valid shard still works after all the rejected ones.
+	// A valid request followed by anything but whitespace is a 400.
 	raw, _ = json.Marshal(ReplayRequest{TraceID: info.ID, Shards: []Shard{{L1: valid, L2Sizes: []int{1 << 20}}}})
+	for _, tail := range []string{` {"junk":`, ` {}`} {
+		if code, msg := post("/v1/replay", "application/json", append(append([]byte(nil), raw...), tail...)); code != http.StatusBadRequest {
+			t.Errorf("trailing %q: status %d (%s), want 400", tail, code, msg)
+		}
+	}
+
+	// A request of exactly maxReplayRequestBytes decodes whole; one
+	// byte more is a 413, not a cut body. The padding sits inside the
+	// JSON object, so a reader that stopped early would see an
+	// unterminated value.
+	pad := func(size int) []byte {
+		body := append([]byte(nil), raw[:len(raw)-1]...)
+		body = append(body, bytes.Repeat([]byte{' '}, size-len(raw))...)
+		return append(body, '}')
+	}
+	if code, msg := post("/v1/replay", "application/json", pad(maxReplayRequestBytes)); code != http.StatusOK {
+		t.Errorf("request of exactly %d bytes: status %d (%s), want 200", maxReplayRequestBytes, code, msg)
+	}
+	if code, msg := post("/v1/replay", "application/json", pad(maxReplayRequestBytes+1)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("request of %d bytes: status %d (%s), want 413", maxReplayRequestBytes+1, code, msg)
+	}
+
+	// The valid shard still works after all the rejected ones.
 	if code, msg := post("/v1/replay", "application/json", raw); code != http.StatusOK {
 		t.Errorf("valid replay after rejects: status %d (%s)", code, msg)
 	}
@@ -693,7 +705,7 @@ func TestCoordinatorSurfacesWorkerErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 	coord := &Coordinator{Workers: []string{srv.URL}}
-	_, err := coord.GeometrySweep(context.Background(),
+	_, _, err := coord.GeometrySweepWithStats(context.Background(),
 		harness.Workload{W: 96, H: 80, Frames: 2}, nil, []int{1 << 20})
 	if err == nil || !strings.Contains(err.Error(), "worker exploded") {
 		t.Fatalf("worker error not surfaced: %v", err)

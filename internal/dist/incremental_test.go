@@ -90,7 +90,7 @@ func TestMemoizedSweepDispatchesNothing(t *testing.T) {
 	}
 
 	// Unmemoized reference: the memo must never change output.
-	plain, err := (&Coordinator{Workers: []string{srv.URL}}).GeometrySweep(context.Background(), wl, l1s, l2Sizes)
+	plain, _, err := (&Coordinator{Workers: []string{srv.URL}}).GeometrySweepWithStats(context.Background(), wl, l1s, l2Sizes)
 	if err != nil {
 		t.Fatal(err)
 	}

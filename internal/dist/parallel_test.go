@@ -30,7 +30,7 @@ func TestDistributedSweepParallelReplayIdentical(t *testing.T) {
 	srv2 := httptest.NewServer(NewWorker(WorkerConfig{Workers: 2}).Handler())
 	defer srv2.Close()
 	coord := &Coordinator{Workers: []string{srv1.URL, srv2.URL}}
-	distPoints, err := coord.GeometrySweep(context.Background(), wl, l1s, l2Sizes)
+	distPoints, _, err := coord.GeometrySweepWithStats(context.Background(), wl, l1s, l2Sizes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,9 @@
 //	                         type is a 415
 //	HEAD   /v1/traces/{id}
 //	DELETE /v1/traces/{id}
-//	POST   /v1/replay        ReplayRequest → ReplayResponse
+//	POST   /v1/replay        ReplayRequest → ReplayResponse; the body
+//	                         is exactly one JSON value (anything after
+//	                         it is a 400) of at most 1 MiB (else 413)
 //	GET    /v1/healthz
 //
 // Every geometry in a ReplayRequest arrives from the network and is
@@ -156,7 +158,7 @@ const MemoWorker = "memo"
 // Events arrive in strict shard-index order: a shard is emitted as
 // soon as it AND every lower-indexed shard have results, so a consumer
 // that appends Points as events arrive reconstructs exactly the merged
-// point order GeometrySweep returns. Failovers, retries and
+// point order GeometrySweepWithStats returns. Failovers, retries and
 // re-admissions reorder completion, never emission.
 type ShardEvent struct {
 	Shard  Shard

@@ -27,9 +27,9 @@ func collectShardEvents(t *testing.T, coord *Coordinator) ([]ShardEvent, []harne
 	}
 	wl := harness.Workload{W: 176, H: 144, Frames: 2}
 	l1s, l2Sizes := sweepAxes()
-	points, err := coord.GeometrySweep(context.Background(), wl, l1s, l2Sizes)
+	points, _, err := coord.GeometrySweepWithStats(context.Background(), wl, l1s, l2Sizes)
 	if err != nil {
-		t.Fatalf("GeometrySweep: %v", err)
+		t.Fatalf("GeometrySweepWithStats: %v", err)
 	}
 	return events, points
 }

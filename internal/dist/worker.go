@@ -279,15 +279,43 @@ func (w *Worker) handleDelete(rw http.ResponseWriter, r *http.Request) {
 	rw.WriteHeader(http.StatusNoContent)
 }
 
+// maxReplayRequestBytes caps a replay request body; a larger body is a
+// 413.
+const maxReplayRequestBytes = 1 << 20
+
+// decodeReplayRequest decodes the one ReplayRequest r holds. Unknown
+// fields and anything but whitespace after the value are errors; a
+// read error such as *http.MaxBytesError comes back wrapped.
+func decodeReplayRequest(r io.Reader) (ReplayRequest, error) {
+	var req ReplayRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return ReplayRequest{}, err
+	}
+	var extra json.RawMessage
+	switch err := dec.Decode(&extra); {
+	case err == io.EOF:
+		return req, nil
+	case err == nil:
+		return ReplayRequest{}, errors.New("data after the JSON value")
+	default:
+		return ReplayRequest{}, fmt.Errorf("data after the JSON value: %w", err)
+	}
+}
+
 // handleReplay runs the requested shards on the farm pool. Geometry is
 // network data: every shard axis is validated via cache.TryNew before
 // any simulation, and the whole request is rejected on the first
 // invalid shard.
 func (w *Worker) handleReplay(rw http.ResponseWriter, r *http.Request) {
-	var req ReplayRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeReplayRequest(http.MaxBytesReader(rw, r.Body, maxReplayRequestBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			w.writeError(rw, http.StatusRequestEntityTooLarge, "replay request exceeds %d bytes", maxReplayRequestBytes)
+			return
+		}
 		w.writeError(rw, http.StatusBadRequest, "invalid replay request: %v", err)
 		return
 	}

@@ -9,11 +9,8 @@
 //
 //   - a bounded job queue feeding a fixed set of workers (default
 //     GOMAXPROCS), so arbitrarily long sweeps run with constant memory;
-//   - per-job isolation: every job receives a fresh simmem.Space and a
-//     deterministic seed derived from (BaseSeed, job index), never from
-//     scheduling order;
-//   - cancellation on first error (fail-fast, the default) or
-//     collect-all mode that runs everything and reports every failure;
+//   - per-job isolation: every job receives a fresh simmem.Space;
+//   - cancellation on first error (fail-fast);
 //   - progress callbacks serialized on the caller's goroutine;
 //   - order-preserving aggregation: results come back indexed by job,
 //     so parallel output is byte-identical to serial output.
@@ -30,7 +27,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -51,12 +47,10 @@ var (
 	mJobSeconds = obs.Default().Histogram("farm_job_seconds", nil)
 )
 
-// Env is the deterministic per-job environment. Seeds and spaces are
-// functions of the job index alone, so results cannot depend on which
-// worker ran the job or when.
+// Env is the per-job environment. It is a function of the job index
+// alone, so results cannot depend on which worker ran the job or when.
 type Env struct {
 	Index int           // position of the job in the submitted slice
-	Seed  int64         // DeriveSeed(pool BaseSeed, Index)
 	Space *simmem.Space // fresh simulated address space, owned by the job
 }
 
@@ -87,11 +81,6 @@ type Config struct {
 	Workers int
 	// Queue bounds the dispatch queue depth. <= 0 means 2×Workers.
 	Queue int
-	// BaseSeed roots per-job seed derivation. 0 means 1.
-	BaseSeed int64
-	// CollectAll disables fail-fast: every job runs even after a
-	// failure, and Run reports all failures together in index order.
-	CollectAll bool
 	// Progress, if non-nil, observes every job completion.
 	Progress ProgressFunc
 }
@@ -100,11 +89,9 @@ type Config struct {
 // between Run calls (workers are spawned per call), so one Pool may be
 // shared, reused, and used from nested Run calls freely.
 type Pool struct {
-	workers    int
-	queue      int
-	baseSeed   int64
-	collectAll bool
-	progress   ProgressFunc
+	workers  int
+	queue    int
+	progress ProgressFunc
 }
 
 // New builds a Pool from cfg, applying defaults.
@@ -117,16 +104,10 @@ func New(cfg Config) *Pool {
 	if q <= 0 {
 		q = 2 * w
 	}
-	seed := cfg.BaseSeed
-	if seed == 0 {
-		seed = 1
-	}
 	return &Pool{
-		workers:    w,
-		queue:      q,
-		baseSeed:   seed,
-		collectAll: cfg.CollectAll,
-		progress:   cfg.Progress,
+		workers:  w,
+		queue:    q,
+		progress: cfg.Progress,
 	}
 }
 
@@ -140,21 +121,6 @@ func Serial() *Pool { return New(Config{Workers: 1}) }
 
 // Workers reports the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
-
-// DeriveSeed maps (base, index) to a well-mixed nonzero seed using the
-// splitmix64 finalizer. Deterministic: independent of scheduling.
-func DeriveSeed(base int64, index int) int64 {
-	z := uint64(base) + 0x9E3779B97F4A7C15*uint64(index+1)
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	if z == 0 {
-		z = 1
-	}
-	return int64(z)
-}
 
 // JobError attributes a failure to one job.
 type JobError struct {
@@ -172,33 +138,8 @@ func (e *JobError) Error() string {
 
 func (e *JobError) Unwrap() error { return e.Err }
 
-// RunError aggregates every failure of a collect-all Run, in job-index
-// order.
-type RunError struct {
-	Failures []*JobError
-}
-
-func (e *RunError) Error() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "farm: %d job(s) failed:", len(e.Failures))
-	for _, f := range e.Failures {
-		sb.WriteString("\n\t")
-		sb.WriteString(f.Error())
-	}
-	return sb.String()
-}
-
-// Unwrap exposes the individual failures to errors.Is / errors.As.
-func (e *RunError) Unwrap() []error {
-	out := make([]error, len(e.Failures))
-	for i, f := range e.Failures {
-		out[i] = f
-	}
-	return out
-}
-
 // errSkipped marks jobs that never ran because an earlier failure
-// cancelled the run (fail-fast mode).
+// cancelled the run.
 var errSkipped = errors.New("farm: job skipped after earlier failure")
 
 // outcome is one completion notice from a worker.
@@ -210,16 +151,13 @@ type outcome struct {
 // Run executes jobs on p's workers and returns the results in job
 // order. A nil pool means Default().
 //
-// In fail-fast mode (the default) the first failure cancels the run
-// context; jobs not yet started are skipped, and Run returns the
-// lowest-indexed failure among the jobs that actually ran, wrapped in
-// a *JobError. Which jobs ran depends on scheduling, so when several
-// jobs can fail the reported one may vary with worker count — with a
-// single worker it is always the first failure in job order. Use
-// collect-all mode for fully deterministic error reporting: every job
-// runs and all failures return together, in index order, as a
-// *RunError. If ctx itself is cancelled, Run drains its workers and
-// returns ctx's error.
+// The first failure cancels the run context; jobs not yet started are
+// skipped, and Run returns the lowest-indexed failure among the jobs
+// that actually ran, wrapped in a *JobError. Which jobs ran depends on
+// scheduling, so when several jobs can fail the reported one may vary
+// with worker count — with a single worker it is always the first
+// failure in job order. If ctx itself is cancelled, Run drains its
+// workers and returns ctx's error.
 func Run[T any](ctx context.Context, p *Pool, jobs []Job[T]) ([]T, error) {
 	if p == nil {
 		p = Default()
@@ -252,11 +190,7 @@ func Run[T any](ctx context.Context, p *Pool, jobs []Job[T]) ([]T, error) {
 				if runCtx.Err() != nil {
 					err = errSkipped
 				} else {
-					env := Env{
-						Index: idx,
-						Seed:  DeriveSeed(p.baseSeed, idx),
-						Space: simmem.NewSpace(0),
-					}
+					env := Env{Index: idx, Space: simmem.NewSpace(0)}
 					mInflight.Inc()
 					start := time.Now()
 					results[idx], err = runJob(runCtx, jobs[idx], env)
@@ -292,7 +226,7 @@ func Run[T any](ctx context.Context, p *Pool, jobs []Job[T]) ([]T, error) {
 		default:
 			mFailed.Inc()
 		}
-		if oc.err != nil && !failed && !p.collectAll {
+		if oc.err != nil && !failed {
 			failed = true
 			cancel()
 		}
@@ -310,27 +244,15 @@ func Run[T any](ctx context.Context, p *Pool, jobs []Job[T]) ([]T, error) {
 	if err := ctx.Err(); err != nil {
 		return results, err
 	}
-	return results, selectError(p, jobs, errs)
+	return results, selectError(jobs, errs)
 }
 
 // selectError reduces per-job errors to Run's return error,
-// deterministically: index order, never completion order.
-func selectError[T any](p *Pool, jobs []Job[T], errs []error) error {
-	if p.collectAll {
-		var re RunError
-		for i, err := range errs {
-			if err != nil {
-				re.Failures = append(re.Failures, &JobError{Index: i, Label: jobs[i].Label, Err: err})
-			}
-		}
-		if len(re.Failures) == 0 {
-			return nil
-		}
-		return &re
-	}
-	// Fail-fast: prefer the lowest-indexed failure that is neither our
-	// own skip marker nor cancellation fallout; fall back to the lowest
-	// cancellation-shaped failure if nothing else exists.
+// deterministically: index order, never completion order. It prefers
+// the lowest-indexed failure that is neither our own skip marker nor
+// cancellation fallout, and falls back to the lowest
+// cancellation-shaped failure if nothing else exists.
+func selectError[T any](jobs []Job[T], errs []error) error {
 	var fallback error
 	var fallbackIdx int
 	for i, err := range errs {

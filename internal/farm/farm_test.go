@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/simmem"
 )
 
 // TestRunPreservesOrder: results land at their job index no matter how
@@ -37,36 +39,30 @@ func TestRunPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestEnvDeterminism: seeds and spaces depend on the index only.
+// TestEnvDeterminism: every job gets its own non-nil Space, at any
+// worker count.
 func TestEnvDeterminism(t *testing.T) {
-	collect := func(workers int) []int64 {
-		seeds := make([]int64, 16)
-		jobs := make([]Job[struct{}], 16)
+	for _, workers := range []int{1, 8} {
+		spaces := make([]*simmem.Space, 16)
+		jobs := make([]Job[struct{}], len(spaces))
 		for i := range jobs {
 			jobs[i] = Job[struct{}]{Run: func(ctx context.Context, env Env) (struct{}, error) {
-				if env.Space == nil {
-					t.Error("nil Space in Env")
-				}
-				if env.Seed == 0 {
-					t.Error("zero seed in Env")
-				}
-				seeds[env.Index] = env.Seed
+				spaces[env.Index] = env.Space
 				return struct{}{}, nil
 			}}
 		}
-		if _, err := Run(context.Background(), New(Config{Workers: workers, BaseSeed: 42}), jobs); err != nil {
+		if _, err := Run(context.Background(), New(Config{Workers: workers}), jobs); err != nil {
 			t.Fatal(err)
 		}
-		return seeds
-	}
-	serial := collect(1)
-	parallel := collect(8)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("seed %d differs: serial %d parallel %d", i, serial[i], parallel[i])
-		}
-		if serial[i] != DeriveSeed(42, i) {
-			t.Fatalf("seed %d is not DeriveSeed(42, %d)", i, i)
+		seen := map[*simmem.Space]int{}
+		for i, sp := range spaces {
+			if sp == nil {
+				t.Fatalf("workers=%d: job %d got a nil Space", workers, i)
+			}
+			if j, dup := seen[sp]; dup {
+				t.Fatalf("workers=%d: jobs %d and %d share a Space", workers, j, i)
+			}
+			seen[sp] = i
 		}
 	}
 }
@@ -113,38 +109,6 @@ func TestFailFastErrorAttribution(t *testing.T) {
 	}
 }
 
-// TestCollectAllErrorDeterminism: collect-all mode reports the exact
-// same failure set, in index order, at every worker count.
-func TestCollectAllErrorDeterminism(t *testing.T) {
-	boom := func(i int) error { return fmt.Errorf("boom %d", i) }
-	render := func(workers int) string {
-		jobs := make([]Job[int], 10)
-		for i := range jobs {
-			i := i
-			jobs[i] = Job[int]{
-				Label: fmt.Sprintf("j%d", i),
-				Run: func(ctx context.Context, env Env) (int, error) {
-					if i == 3 || i == 7 {
-						return 0, boom(i)
-					}
-					return i, nil
-				},
-			}
-		}
-		_, err := Run(context.Background(), New(Config{Workers: workers, CollectAll: true}), jobs)
-		if err == nil {
-			t.Fatalf("workers=%d: want error", workers)
-		}
-		return err.Error()
-	}
-	serial := render(1)
-	for _, workers := range []int{4, 8} {
-		if got := render(workers); got != serial {
-			t.Fatalf("collect-all error differs at workers=%d:\nserial   %s\nparallel %s", workers, serial, got)
-		}
-	}
-}
-
 // TestFailFastCancelsRemainingJobs: after the first failure, a running
 // job observes cancellation and queued jobs are skipped.
 func TestFailFastCancelsRemainingJobs(t *testing.T) {
@@ -180,48 +144,6 @@ func TestFailFastCancelsRemainingJobs(t *testing.T) {
 	}
 	if got := ran.Load(); got >= int32(len(jobs)) {
 		t.Fatalf("all %d jobs ran despite fail-fast (ran=%d)", len(jobs), got)
-	}
-}
-
-// TestCollectAllRunsEverythingAndReportsAllFailures.
-func TestCollectAllRunsEverythingAndReportsAllFailures(t *testing.T) {
-	var ran atomic.Int32
-	jobs := make([]Job[int], 12)
-	for i := range jobs {
-		i := i
-		jobs[i] = Job[int]{
-			Label: fmt.Sprintf("j%d", i),
-			Run: func(ctx context.Context, env Env) (int, error) {
-				ran.Add(1)
-				if i%4 == 1 {
-					return 0, fmt.Errorf("fail %d", i)
-				}
-				return i, nil
-			},
-		}
-	}
-	got, err := Run(context.Background(), New(Config{Workers: 4, CollectAll: true}), jobs)
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if ran.Load() != int32(len(jobs)) {
-		t.Fatalf("collect-all ran %d of %d jobs", ran.Load(), len(jobs))
-	}
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("want *RunError, got %T: %v", err, err)
-	}
-	if len(re.Failures) != 3 {
-		t.Fatalf("want 3 failures, got %d: %v", len(re.Failures), err)
-	}
-	for i, f := range re.Failures {
-		if want := 4*i + 1; f.Index != want {
-			t.Fatalf("failure %d has index %d, want %d (index order)", i, f.Index, want)
-		}
-	}
-	// Successful jobs still delivered their results.
-	if got[0] != 0 || got[2] != 2 || got[11] != 11 {
-		t.Fatalf("successful results corrupted: %v", got)
 	}
 }
 
@@ -354,26 +276,5 @@ func TestStress(t *testing.T) {
 		if v != i {
 			t.Fatalf("index %d got %d", i, v)
 		}
-	}
-}
-
-// TestDeriveSeedProperties: nonzero, stable, and spread.
-func TestDeriveSeedProperties(t *testing.T) {
-	seen := map[int64]bool{}
-	for i := 0; i < 1000; i++ {
-		s := DeriveSeed(1, i)
-		if s == 0 {
-			t.Fatalf("zero seed at %d", i)
-		}
-		if s != DeriveSeed(1, i) {
-			t.Fatalf("unstable seed at %d", i)
-		}
-		if seen[s] {
-			t.Fatalf("seed collision at %d", i)
-		}
-		seen[s] = true
-	}
-	if DeriveSeed(1, 0) == DeriveSeed(2, 0) {
-		t.Fatal("base seed ignored")
 	}
 }

@@ -26,7 +26,7 @@ func TestMetricsConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			p := New(Config{Workers: 3, BaseSeed: int64(r + 1)})
+			p := New(Config{Workers: 3})
 			_, err := Map(context.Background(), p, make([]struct{}, jobsPerRun),
 				func(ctx context.Context, env Env, _ struct{}) (int, error) {
 					return env.Index, nil

@@ -15,9 +15,9 @@ var Figure2Sizes = [][2]int{{512, 384}, {720, 576}, {1024, 768}, {1440, 960}, {2
 // Figure2Pool regenerates "Memory Statistics for Growing Image Size
 // (Decoding, 1MB L2C)": L2 miss rate, L2–DRAM bandwidth and DRAM stall
 // time as functions of frame size, all of which the paper shows flat or
-// falling. Every size is one pool job producing a single-point series
-// chunk; perf.MergeSeries reassembles the chunks in size order, so the
-// result is byte-identical to a serial sweep.
+// falling. Every size is one pool job measuring its decode; the pool
+// returns the points in size order, so the result is byte-identical to
+// a serial sweep.
 func Figure2Pool(ctx context.Context, p *farm.Pool, frames int) ([]perf.Series, error) {
 	return Figure2Sweep(ctx, p, frames, Figure2Sizes)
 }
@@ -30,28 +30,28 @@ func Figure2Pool(ctx context.Context, p *farm.Pool, frames int) ([]perf.Series, 
 // only the other sizes simulate.
 func Figure2Sweep(ctx context.Context, p *farm.Pool, frames int, sizes [][2]int) ([]perf.Series, error) {
 	col := paperColumn(perf.O2R12K1MB())
-	chunks, err := farm.MapLabeled(ctx, p, sizes,
+	points, err := farm.MapLabeled(ctx, p, sizes,
 		func(i int, sz [2]int) string { return fmt.Sprintf("figure2/%dx%d", sz[0], sz[1]) },
-		func(ctx context.Context, env farm.Env, sz [2]int) ([]perf.Series, error) {
-			wl := Workload{W: sz[0], H: sz[1], Frames: frames}
-			_, dec, err := measure(ctx, env.Space, wl, false, true)
+		func(ctx context.Context, env farm.Env, sz [2]int) (perf.Metrics, error) {
+			_, dec, err := measure(ctx, env.Space, Workload{W: sz[0], H: sz[1], Frames: frames}, false, true)
 			if err != nil {
-				return nil, err
+				return perf.Metrics{}, err
 			}
-			whole := dec[col].Whole
-			missRate := perf.Series{Label: "Figure 2a: L2C miss rate (decode, 1MB L2C)", YUnit: "%"}
-			bw := perf.Series{Label: "Figure 2b: L2-DRAM bandwidth (decode, 1MB L2C)", YUnit: "MB/s"}
-			stall := perf.Series{Label: "Figure 2c: DRAM stall time (decode, 1MB L2C)", YUnit: "%"}
-			x := wl.Label()
-			missRate.Append(x, whole.L2MissRate*100)
-			bw.Append(x, whole.L2DRAMMBps)
-			stall.Append(x, whole.DRAMTimeFrac*100)
-			return []perf.Series{missRate, bw, stall}, nil
+			return dec[col].Whole, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	return perf.MergeSeries(chunks...)
+	missRate := perf.Series{Label: "Figure 2a: L2C miss rate (decode, 1MB L2C)", YUnit: "%"}
+	bw := perf.Series{Label: "Figure 2b: L2-DRAM bandwidth (decode, 1MB L2C)", YUnit: "MB/s"}
+	stall := perf.Series{Label: "Figure 2c: DRAM stall time (decode, 1MB L2C)", YUnit: "%"}
+	for i, whole := range points {
+		x := Workload{W: sizes[i][0], H: sizes[i][1]}.Label()
+		missRate.Append(x, whole.L2MissRate*100)
+		bw.Append(x, whole.L2DRAMMBps)
+		stall.Append(x, whole.DRAMTimeFrac*100)
+	}
+	return []perf.Series{missRate, bw, stall}, nil
 }
 
 // ObjectSweepPoint is one bar of Figures 3/4: a (VO count, layer count)

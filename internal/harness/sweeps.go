@@ -23,12 +23,6 @@ type RatioPoint struct {
 	DecodeSeconds float64
 }
 
-// RunRatioSweep performs the study the paper names as future work on
-// the default pool; see RunRatioSweepPool.
-func RunRatioSweep(wl Workload, factors []float64) ([]RatioPoint, error) {
-	return RunRatioSweepPool(context.Background(), nil, wl, factors)
-}
-
 // RunRatioSweepPool performs the study the paper names as future work:
 // "determine at what ratio of processor-to-memory speed ... the
 // performance of MPEG-4 does finally become memory limited". The
@@ -99,12 +93,6 @@ type AblationResult struct {
 	Scratch cache.Stats
 }
 
-// RunSearchAblation runs the motion-search ablation on the default
-// pool; see RunSearchAblationPool.
-func RunSearchAblation(wl Workload) ([]AblationResult, error) {
-	return RunSearchAblationPool(context.Background(), nil, wl)
-}
-
 // RunSearchAblationPool compares full search against diamond search on
 // the same workload and machine: the memory-behaviour cost of the
 // exhaustive search the paper's locality argument rests on. The two
@@ -120,12 +108,6 @@ func RunSearchAblationPool(ctx context.Context, p *farm.Pool, wl Workload) ([]Ab
 			}
 			return AblationResult{Name: "search=" + alg.String(), Encode: res, Bytes: ss.TotalBytes()}, nil
 		})
-}
-
-// RunPrefetchAblation runs the prefetch-cadence ablation on the default
-// pool; see RunPrefetchAblationPool.
-func RunPrefetchAblation(wl Workload, intervals []int) ([]AblationResult, error) {
-	return RunPrefetchAblationPool(context.Background(), nil, wl, intervals)
 }
 
 // RunPrefetchAblationPool sweeps the software-prefetch cadence,
@@ -144,12 +126,6 @@ func RunPrefetchAblationPool(ctx context.Context, p *farm.Pool, wl Workload, int
 			}
 			return AblationResult{Name: fmt.Sprintf("prefetch=%d", iv), Encode: res, Bytes: ss.TotalBytes()}, nil
 		})
-}
-
-// RunStagingAblation runs the staging ablation on the default pool; see
-// RunStagingAblationPool.
-func RunStagingAblation(wl Workload) ([]AblationResult, error) {
-	return RunStagingAblationPool(context.Background(), nil, wl)
 }
 
 // RunStagingAblationPool compares the full MoMuSys-style per-VOP
@@ -174,12 +150,6 @@ func RunStagingAblationPool(ctx context.Context, p *farm.Pool, wl Workload) ([]A
 			}
 			return AblationResult{Name: name, Encode: res, Bytes: ss.TotalBytes()}, nil
 		})
-}
-
-// RunColoringAblation runs the page-coloring ablation on the default
-// pool; see RunColoringAblationPool.
-func RunColoringAblation(wl Workload) ([]AblationResult, error) {
-	return RunColoringAblationPool(context.Background(), nil, wl)
 }
 
 // RunColoringAblationPool compares cache-coloured allocation against

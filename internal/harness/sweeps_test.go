@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ func TestRatioSweepMonotone(t *testing.T) {
 	// This reduced frame fits the 1MB L2 better than the paper-sized
 	// runs, so push the sweep further than the default factors to reach
 	// the crossover.
-	points, err := RunRatioSweep(wl, []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512})
+	points, err := RunRatioSweepPool(context.Background(), nil, wl, []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestRatioSweepMonotone(t *testing.T) {
 
 func TestSearchAblation(t *testing.T) {
 	wl := Workload{W: 160, H: 128, Frames: 4}
-	results, err := RunSearchAblation(wl)
+	results, err := RunSearchAblationPool(context.Background(), nil, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestSearchAblation(t *testing.T) {
 
 func TestPrefetchAblation(t *testing.T) {
 	wl := Workload{W: 160, H: 128, Frames: 4}
-	results, err := RunPrefetchAblation(wl, []int{0, 32})
+	results, err := RunPrefetchAblationPool(context.Background(), nil, wl, []int{0, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestPrefetchAblation(t *testing.T) {
 
 func TestStagingAblation(t *testing.T) {
 	wl := Workload{W: 160, H: 128, Frames: 4}
-	results, err := RunStagingAblation(wl)
+	results, err := RunStagingAblationPool(context.Background(), nil, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestStagingAblation(t *testing.T) {
 
 func TestColoringAblation(t *testing.T) {
 	wl := Workload{W: 160, H: 128, Frames: 4, Objects: 2}
-	results, err := RunColoringAblation(wl)
+	results, err := RunColoringAblationPool(context.Background(), nil, wl)
 	if err != nil {
 		t.Fatal(err)
 	}

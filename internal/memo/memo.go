@@ -13,15 +13,13 @@
 // is byte-identical to simulating it. Correctness therefore never
 // depends on the memo — it only removes work.
 //
-// The in-memory tier is bounded, with eviction delegated to a
-// fully-associative cache.Cache (one line per entry): the same
-// replacement policies the simulator sweeps — lru, plru, fifo, random
-// — govern which memoized cells survive, and the policy is a Config
-// knob. An optional directory tier persists every entry as one JSON
-// file named by the key's hash, so warm starts survive process
-// restarts; disk entries carry their version inside the file and are
-// ignored (not deleted) on mismatch. Opening a directory removes the
-// temp files of puts a crash cut short.
+// The in-memory tier is bounded and evicts the least recently used
+// entry; the order is kept by a fully-associative LRU cache.Cache with
+// one line per entry. An optional directory tier persists every entry
+// as one JSON file named by the key's hash, so warm starts survive
+// process restarts; disk entries carry their version inside the file
+// and are ignored (not deleted) on mismatch. Opening a directory
+// removes the temp files of puts a crash cut short.
 package memo
 
 import (
@@ -89,11 +87,6 @@ type Config struct {
 	Version string
 	// MaxEntries bounds the in-memory tier. <= 0 means 4096.
 	MaxEntries int
-	// Policy selects the in-memory eviction policy (the same
-	// replacement policies the simulator studies). "" means LRU.
-	Policy cache.Policy
-	// Seed parameterizes PolicyRandom's victim stream.
-	Seed uint64
 	// Dir, when non-empty, persists every entry as one JSON file and
 	// serves in-memory misses from disk. Created if missing.
 	Dir string
@@ -134,10 +127,8 @@ type Cache struct {
 	c       Counters
 }
 
-// New builds a memo cache. The eviction engine is a real cache.Cache
-// (fully associative, one 64-byte line per entry), so Config.Policy is
-// validated by the same rules as any simulated cache — e.g. plru needs
-// a power-of-two MaxEntries of at most 64.
+// New builds a memo cache. The eviction engine is a fully-associative
+// LRU cache.Cache with one 64-byte line per entry.
 func New(cfg Config) (*Cache, error) {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 4096
@@ -147,8 +138,6 @@ func New(cfg Config) (*Cache, error) {
 		SizeBytes: cfg.MaxEntries << entryShift,
 		LineBytes: 1 << entryShift,
 		Ways:      cfg.MaxEntries,
-		Policy:    cfg.Policy,
-		Seed:      cfg.Seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("memo: eviction engine: %w", err)

@@ -142,30 +142,6 @@ func TestMemoEvictionLRU(t *testing.T) {
 	}
 }
 
-// TestMemoEvictionPolicyKnob: the eviction engine honors the
-// configured policy — under FIFO a hit does not rescue the oldest
-// entry — and rejects policies invalid for the geometry.
-func TestMemoEvictionPolicyKnob(t *testing.T) {
-	m, err := New(Config{Version: "v1", MaxEntries: 2, Policy: cache.PolicyFIFO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Put(testKey(1), testStats(1))
-	m.Put(testKey(2), testStats(2))
-	m.Get(testKey(1)) // would promote under LRU; FIFO ignores it
-	m.Put(testKey(3), testStats(3))
-	if _, ok := m.Get(testKey(1)); ok {
-		t.Fatal("FIFO kept the oldest entry across a hit")
-	}
-	if _, ok := m.Get(testKey(2)); !ok {
-		t.Fatal("FIFO evicted the wrong entry")
-	}
-
-	if _, err := New(Config{Version: "v1", MaxEntries: 100, Policy: cache.PolicyPLRU}); err == nil {
-		t.Fatal("plru over non-power-of-two entries must be rejected")
-	}
-}
-
 // TestMemoDiskPersistence: entries survive into a fresh cache over the
 // same directory — the warm-start contract of mp4study -memo-dir.
 func TestMemoDiskPersistence(t *testing.T) {

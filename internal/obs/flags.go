@@ -6,13 +6,12 @@ import (
 )
 
 // ServerFlags is the observability flag surface every long-running
-// server binary shares (mp4served, mp4worker): -log-level, -pprof and
-// -metrics behave identically everywhere because they are registered
-// and applied here, not re-implemented per command.
+// server binary shares (mp4served, mp4worker): -log-level and -pprof
+// behave identically everywhere because they are registered and
+// applied here, not re-implemented per command.
 type ServerFlags struct {
 	LogLevel string
 	Pprof    bool
-	Metrics  bool
 }
 
 // RegisterServerFlags registers the shared flags on fs (the default
@@ -22,20 +21,18 @@ func RegisterServerFlags(fs *flag.FlagSet) *ServerFlags {
 	f := &ServerFlags{}
 	fs.StringVar(&f.LogLevel, "log-level", "info", "structured-log threshold: debug, info, warn, error")
 	fs.BoolVar(&f.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
-	fs.BoolVar(&f.Metrics, "metrics", true, "collect span/timer instrumentation (false disables recording; /v1/metrics stays mounted)")
 	return f
 }
 
-// Apply installs the parsed flags into process-wide observability
-// state: log threshold and instrumentation on/off. Returns the
-// ParseLevel error verbatim so commands can prefix their own name.
+// Apply installs the parsed log threshold into process-wide
+// observability state. Returns the ParseLevel error verbatim so
+// commands can prefix their own name.
 func (f *ServerFlags) Apply() error {
 	lvl, err := ParseLevel(f.LogLevel)
 	if err != nil {
 		return err
 	}
 	SetLogLevel(lvl)
-	SetEnabled(f.Metrics)
 	return nil
 }
 

@@ -194,16 +194,3 @@ func TestSpan(t *testing.T) {
 		t.Errorf("span histogram count = %d, want 1", got)
 	}
 }
-
-func TestSpanDisabled(t *testing.T) {
-	defer SetEnabled(true)
-	SetEnabled(false)
-	if Enabled() {
-		t.Fatal("SetEnabled(false) did not take")
-	}
-	r := NewRegistry()
-	r.Span("off.span")()
-	if n := r.Counter("off_span_total").Value(); n != 0 {
-		t.Errorf("disabled span still counted: %d", n)
-	}
-}

@@ -29,34 +29,10 @@
 // Instrumentation cost: counters and gauges are single atomic
 // operations; a histogram observation is a binary search over its
 // bounds plus two atomic adds. Hot-loop instrumentation (the trace
-// replay loops) measures per *call*, never per record, and is gated on
-// Enabled() so BenchmarkObsOverhead can prove the disabled path free.
+// replay loops) measures per *call*, never per record.
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
-
-// enabled gates the instrumentation helpers (Span, Timer) and the
-// replay-loop hooks. Metrics written directly through a Counter/Gauge/
-// Histogram handle are always live — they are single atomics, cheaper
-// than a branch-plus-load dance would make them look.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// Enabled reports whether span/timer instrumentation is on. Hot paths
-// check it once per operation, not per record.
-func Enabled() bool { return enabled.Load() }
-
-// SetEnabled switches span/timer instrumentation. The uninstrumented
-// half of BenchmarkObsOverhead runs under SetEnabled(false).
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// noopEnd is the shared return of disabled spans, so Span allocates
-// nothing when instrumentation is off.
-var noopEnd = func() {}
+import "time"
 
 // Span starts a named timing span against the default registry and
 // returns the function that ends it:
@@ -66,17 +42,13 @@ var noopEnd = func() {}
 // Ending the span observes the elapsed seconds into the histogram
 // "<name>_seconds" and increments the counter "<name>_total". Dots in
 // the span name are exported as underscores (metric names are
-// snake_case). When instrumentation is disabled the returned func is a
-// shared no-op.
+// snake_case).
 func Span(name string) func() {
 	return Default().Span(name)
 }
 
 // Span is the registry-scoped form of the package-level Span.
 func (r *Registry) Span(name string) func() {
-	if !enabled.Load() {
-		return noopEnd
-	}
 	base := metricName(name)
 	h := r.Histogram(base+"_seconds", nil)
 	c := r.Counter(base + "_total")

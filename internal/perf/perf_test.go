@@ -2,6 +2,7 @@ package perf
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -216,5 +217,14 @@ func TestBreakdownSumsToOne(t *testing.T) {
 	}
 	if !strings.Contains(mt.Breakdown(), "issue") {
 		t.Fatal("Breakdown string malformed")
+	}
+}
+
+func TestSeriesAppend(t *testing.T) {
+	var s Series
+	s.Append("a", 1)
+	s.Append("b", 2)
+	if !reflect.DeepEqual(s.X, []string{"a", "b"}) || !reflect.DeepEqual(s.Y, []float64{1, 2}) {
+		t.Fatalf("append: %+v", s)
 	}
 }

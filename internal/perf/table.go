@@ -137,6 +137,12 @@ type Series struct {
 	YUnit  string
 }
 
+// Append adds one (x, y) point to the series.
+func (s *Series) Append(x string, y float64) {
+	s.X = append(s.X, x)
+	s.Y = append(s.Y, y)
+}
+
 // Write renders the series as aligned "x y" text plus a crude ASCII bar
 // chart, which is how the harness "draws" the paper's figures.
 func (s Series) Write(w io.Writer) {

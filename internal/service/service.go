@@ -15,6 +15,8 @@
 // API (see README "Study service" for the full contract):
 //
 //	POST   /v1/studies           submit a StudySpec        → 202 StudyStatus
+//	                             (400 unless the body is exactly one
+//	                             valid spec, 413 over 1 MiB)
 //	GET    /v1/studies           list all jobs             → 200 []StudyStatus
 //	GET    /v1/studies/{id}      poll one job              → 200 StudyStatus
 //	GET    /v1/studies/{id}/result  stream outputs in order as they
@@ -545,11 +547,38 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// maxSpecBytes caps a submission body; a larger body is a 413.
+const maxSpecBytes = 1 << 20
+
+// decodeStudySpec decodes the one StudySpec r holds. Unknown fields and
+// anything but whitespace after the value are errors; a read error
+// such as *http.MaxBytesError comes back wrapped.
+func decodeStudySpec(r io.Reader) (StudySpec, error) {
 	var spec StudySpec
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		return StudySpec{}, err
+	}
+	var extra json.RawMessage
+	switch err := dec.Decode(&extra); {
+	case err == io.EOF:
+		return spec, nil
+	case err == nil:
+		return StudySpec{}, errors.New("data after the JSON value")
+	default:
+		return StudySpec{}, fmt.Errorf("data after the JSON value: %w", err)
+	}
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeStudySpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "study spec exceeds %d bytes", maxSpecBytes)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "invalid study spec: %v", err)
 		return
 	}

@@ -167,45 +167,52 @@ func TestServiceTerminalStudyDropsItsStudy(t *testing.T) {
 	}
 }
 
+// rejectedSubmissions are submission bodies the service must answer
+// with 400 before any simulation; they also seed FuzzStudySpec.
+var rejectedSubmissions = []struct{ name, body string }{
+	{"empty", `{}`},
+	{"no kind", `{"experiments": [{}]}`},
+	{"two kinds", `{"experiments": [{"table": 2, "figure": 3}]}`},
+	{"bad table", `{"experiments": [{"table": 99}]}`},
+	{"bad figure", `{"experiments": [{"figure": 9}]}`},
+	{"bad sweep", `{"experiments": [{"sweep": "nope"}]}`},
+	{"bad json", `{"experiments": [`},
+	{"unknown field", `{"experiments": [{"table": 2}], "bogus": 1}`},
+	{"removed replay", `{"replay": false, "experiments": [{"table": 1}]}`},
+	{"axes on non-sweep", `{"experiments": [{"table": 2, "l2_kb": [512]}]}`},
+	{"bad l1 geometry", `{"experiments": [{"sweep": "geometry", "l1": [{"size": 48111, "line": 48, "ways": 3}]}]}`},
+	{"bad l2 size", `{"experiments": [{"sweep": "geometry", "l2_kb": [-3]}]}`},
+	{"huge l2 size", `{"experiments": [{"sweep": "geometry", "l2_kb": [34359738368]}]}`},
+	{"huge l1 geometry", `{"experiments": [{"sweep": "geometry", "l1": [{"size": 35184372088832, "line": 128, "ways": 2}]}]}`},
+	{"zero ways geometry", `{"experiments": [{"sweep": "geometry", "l1": [{"size": 32768, "line": 32, "ways": 0}]}]}`},
+	// Replacement-policy ingress: unknown names and impossible
+	// policy/geometry combinations must be 400s, mirroring the
+	// cache.TryNew geometry-bounds treatment — never a panic.
+	{"unknown policy sweep", `{"experiments": [{"sweep": "policy", "policies": ["mru"]}]}`},
+	{"unknown policy axis", `{"experiments": [{"sweep": "geometry", "policies": ["lru", "bogus"]}]}`},
+	{"unknown policy in l1", `{"experiments": [{"sweep": "geometry", "l1": [{"size": 32768, "line": 32, "ways": 2, "policy": "mru"}]}]}`},
+	{"policy on non-sweep", `{"experiments": [{"table": 2, "policies": ["lru"]}]}`},
+	{"plru non-pow2 l1 axis", `{"experiments": [{"sweep": "geometry", "policies": ["plru"], "l1": [{"size": 98304, "line": 32, "ways": 3}]}]}`},
+	// Exactly one JSON value per body: nothing may follow it.
+	{"trailing data", `{"experiments":[{"table":1}]} {"junk":`},
+	{"trailing value", `{"experiments":[{"table":1}]} {"experiments":[{"table":2}]}`},
+}
+
 // TestServiceValidatesSubmissions: malformed specs and invalid
 // geometries are rejected with 400 before any simulation starts — in
 // particular a bad cache geometry must be an error response, not a
 // panicking handler.
 func TestServiceValidatesSubmissions(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for name, body := range map[string]string{
-		"empty":              `{}`,
-		"no kind":            `{"experiments": [{}]}`,
-		"two kinds":          `{"experiments": [{"table": 2, "figure": 3}]}`,
-		"bad table":          `{"experiments": [{"table": 99}]}`,
-		"bad figure":         `{"experiments": [{"figure": 9}]}`,
-		"bad sweep":          `{"experiments": [{"sweep": "nope"}]}`,
-		"bad json":           `{"experiments": [`,
-		"unknown field":      `{"experiments": [{"table": 2}], "bogus": 1}`,
-		"removed replay":     `{"replay": false, "experiments": [{"table": 1}]}`,
-		"axes on non-sweep":  `{"experiments": [{"table": 2, "l2_kb": [512]}]}`,
-		"bad l1 geometry":    `{"experiments": [{"sweep": "geometry", "l1": [{"size": 48111, "line": 48, "ways": 3}]}]}`,
-		"bad l2 size":        `{"experiments": [{"sweep": "geometry", "l2_kb": [-3]}]}`,
-		"huge l2 size":       `{"experiments": [{"sweep": "geometry", "l2_kb": [34359738368]}]}`,
-		"huge l1 geometry":   `{"experiments": [{"sweep": "geometry", "l1": [{"size": 35184372088832, "line": 128, "ways": 2}]}]}`,
-		"zero ways geometry": `{"experiments": [{"sweep": "geometry", "l1": [{"size": 32768, "line": 32, "ways": 0}]}]}`,
-		// Replacement-policy ingress: unknown names and impossible
-		// policy/geometry combinations must be 400s, mirroring the
-		// cache.TryNew geometry-bounds treatment — never a panic.
-		"unknown policy sweep":  `{"experiments": [{"sweep": "policy", "policies": ["mru"]}]}`,
-		"unknown policy axis":   `{"experiments": [{"sweep": "geometry", "policies": ["lru", "bogus"]}]}`,
-		"unknown policy in l1":  `{"experiments": [{"sweep": "geometry", "l1": [{"size": 32768, "line": 32, "ways": 2, "policy": "mru"}]}]}`,
-		"policy on non-sweep":   `{"experiments": [{"table": 2, "policies": ["lru"]}]}`,
-		"plru non-pow2 l1 axis": `{"experiments": [{"sweep": "geometry", "policies": ["plru"], "l1": [{"size": 98304, "line": 32, "ways": 3}]}]}`,
-	} {
-		resp, err := http.Post(ts.URL+"/v1/studies", "application/json", strings.NewReader(body))
+	for _, tc := range rejectedSubmissions {
+		resp, err := http.Post(ts.URL+"/v1/studies", "application/json", strings.NewReader(tc.body))
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d (want 400): %s", name, resp.StatusCode, raw)
+			t.Errorf("%s: status %d (want 400): %s", tc.name, resp.StatusCode, raw)
 		}
 	}
 	if resp, err := http.Get(ts.URL + "/v1/studies/nope"); err != nil {
@@ -216,6 +223,39 @@ func TestServiceValidatesSubmissions(t *testing.T) {
 			t.Errorf("unknown id: status %d (want 404)", resp.StatusCode)
 		}
 	}
+}
+
+// TestServiceSubmitBodyCap: a spec of exactly maxSpecBytes decodes
+// whole, and one byte more is a 413 rather than a cut body that fails
+// to parse. The padding sits inside the JSON object, so a reader that
+// stopped early would see an unterminated value.
+func TestServiceSubmitBodyCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	post := func(size int) (int, string) {
+		t.Helper()
+		body := padJSON(`{"experiments":[{"table":1}]}`, size)
+		resp, err := http.Post(ts.URL+"/v1/studies", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw)
+	}
+	if code, msg := post(maxSpecBytes); code != http.StatusAccepted {
+		t.Errorf("spec of exactly %d bytes: status %d (want 202): %s", maxSpecBytes, code, msg)
+	}
+	if code, msg := post(maxSpecBytes + 1); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("spec of %d bytes: status %d (want 413): %s", maxSpecBytes+1, code, msg)
+	}
+}
+
+// padJSON widens a JSON object to exactly size bytes with whitespace
+// before its closing brace.
+func padJSON(obj string, size int) []byte {
+	body := []byte(obj[:len(obj)-1])
+	body = append(body, bytes.Repeat([]byte{' '}, size-len(obj))...)
+	return append(body, '}')
 }
 
 // TestServicePolicySweep: a policy-sweep study submitted over HTTP —

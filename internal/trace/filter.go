@@ -217,9 +217,7 @@ func (t *L2Trace) String() string {
 // counter-identical to running the full workload live against a
 // cache.Hierarchy{L1: t.L1, L2: l2}.
 func (t *L2Trace) Replay(l2 cache.Config) (cache.Stats, map[string]cache.Stats) {
-	if obs.Enabled() {
-		defer noteL2Replay(time.Now(), len(t.events))
-	}
+	defer noteL2Replay(time.Now(), len(t.events))
 	var rp l2Replay
 	rp.reset(t, l2)
 	rp.run(0, len(t.events))
@@ -393,12 +391,7 @@ func (t *L2Trace) ReplayMany(cfgs []cache.Config, workers int) []L2ReplayResult 
 	if len(cfgs) == 0 {
 		return out
 	}
-	if obs.Enabled() {
-		start := time.Now()
-		defer func() {
-			mL2ReplaySeconds.Observe(time.Since(start).Seconds())
-		}()
-	}
+	defer mL2ReplaySeconds.ObserveSince(time.Now())
 	mFusedReplays.Inc()
 	mFusedReplayConfigs.Add(uint64(len(cfgs)))
 	mL2Replays.Add(uint64(len(cfgs)))

@@ -38,11 +38,10 @@ import (
 // Replay-throughput metrics. The replay loops are the hottest code in
 // the repository, so instrumentation is strictly per *call*: two
 // time.Now reads and a handful of atomics per replay of millions of
-// records, and nothing at all when obs is disabled (BenchmarkObsOverhead
-// proves both halves). The *_per_sec gauges hold the last completed
-// replay's throughput — the live number a dashboard wants mid-sweep;
-// the counter/histogram pairs give the cumulative rate
-// (records_total / seconds sum).
+// records. The *_per_sec gauges hold the last completed replay's
+// throughput — the live number a dashboard wants mid-sweep; the
+// counter/histogram pairs give the cumulative rate (records_total /
+// seconds sum).
 var (
 	mReplays         = obs.Default().Counter("trace_replay_total")
 	mReplayRecords   = obs.Default().Counter("trace_replay_records_total")
@@ -216,9 +215,7 @@ type PhaseSink interface {
 // cache.Hierarchy ends in a state and Stats identical to live tracing —
 // for any geometry, not just the one the trace was recorded against.
 func (t *Trace) Replay(tr simmem.Tracer, ph PhaseSink) {
-	if obs.Enabled() {
-		defer noteReplay(time.Now(), t.records)
-	}
+	defer noteReplay(time.Now(), t.records)
 	st, strided := tr.(simmem.StridedTracer)
 	for _, ch := range t.chunks {
 		for i := range ch {
