@@ -10,7 +10,7 @@ import (
 
 // encodeDecode runs a full roundtrip for cfg over n synthetic frames and
 // returns originals, decoded frames and the bitstream.
-func encodeDecode(t *testing.T, cfg Config, n int) ([]*video.Frame, []*video.Frame, []byte) {
+func encodeDecode(t testing.TB, cfg Config, n int) ([]*video.Frame, []*video.Frame, []byte) {
 	t.Helper()
 	sp := simmem.NewSpace(0)
 	synth := video.NewSynth(cfg.W, cfg.H, 11)

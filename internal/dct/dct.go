@@ -34,54 +34,104 @@ func init() {
 	}
 }
 
+// The transforms convert each sample once, unroll the eight-term sums
+// and skip zero inputs of the inverse, but every output is the same
+// float64 expression, evaluated in the same order, as the textbook
+// loop s += x[i]·c[i] for i = 0..7 with s starting at +0: the results
+// are bit-identical to it. Skipping a zero input is exact: its product
+// is ±0, and a sum that starts at +0 is never −0, so adding ±0 leaves
+// it unchanged.
+
 // Forward transforms spatial block b in place to frequency coefficients.
 func Forward(b *Block) {
-	var tmp [BlockSize][BlockSize]float64
+	var tmp [BlockSize][BlockSize]float64 // tmp[u][y]: row y's coefficient u
 	// Rows.
 	for y := 0; y < BlockSize; y++ {
-		for u := 0; u < BlockSize; u++ {
-			var s float64
-			for x := 0; x < BlockSize; x++ {
-				s += float64(b[y*BlockSize+x]) * cosTable[u][x]
-			}
-			tmp[y][u] = s
+		r := (*[BlockSize]int32)(b[y*BlockSize:])
+		x0, x1, x2, x3 := float64(r[0]), float64(r[1]), float64(r[2]), float64(r[3])
+		x4, x5, x6, x7 := float64(r[4]), float64(r[5]), float64(r[6]), float64(r[7])
+		for u := range cosTable {
+			tmp[u][y] = dot8(x0, x1, x2, x3, x4, x5, x6, x7, &cosTable[u])
 		}
 	}
 	// Columns.
-	for u := 0; u < BlockSize; u++ {
-		for v := 0; v < BlockSize; v++ {
-			var s float64
-			for y := 0; y < BlockSize; y++ {
-				s += tmp[y][u] * cosTable[v][y]
-			}
-			b[v*BlockSize+u] = int32(math.RoundToEven(s))
+	for u, t := range &tmp {
+		t0, t1, t2, t3, t4, t5, t6, t7 := t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7]
+		for v := range cosTable {
+			b[v*BlockSize+u] = int32(math.RoundToEven(dot8(t0, t1, t2, t3, t4, t5, t6, t7, &cosTable[v])))
 		}
 	}
 }
 
+// dot8 is Σ x[i]·c[i], summed from +0 in index order.
+func dot8(x0, x1, x2, x3, x4, x5, x6, x7 float64, c *[BlockSize]float64) float64 {
+	var s float64
+	s += x0 * c[0]
+	s += x1 * c[1]
+	s += x2 * c[2]
+	s += x3 * c[3]
+	s += x4 * c[4]
+	s += x5 * c[5]
+	s += x6 * c[6]
+	s += x7 * c[7]
+	return s
+}
+
 // Inverse transforms frequency coefficients b in place back to spatial
-// samples.
+// samples. Both passes accumulate all eight outputs of a column or row
+// at once, one input at a time, so each output still sums its terms in
+// input order; zero coefficients, and the columns they leave all zero,
+// are skipped. A dequantized block is mostly zeros.
 func Inverse(b *Block) {
-	var tmp [BlockSize][BlockSize]float64
+	var tmp [BlockSize][BlockSize]float64 // tmp[u][y]: column u's sample y
+	var live [BlockSize]bool              // live[u]: column u has a nonzero coefficient
 	// Columns (inverse of the second forward pass).
 	for u := 0; u < BlockSize; u++ {
-		for y := 0; y < BlockSize; y++ {
-			var s float64
-			for v := 0; v < BlockSize; v++ {
-				s += float64(b[v*BlockSize+u]) * cosTable[v][y]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for v := 0; v < BlockSize; v++ {
+			c := b[v*BlockSize+u]
+			if c == 0 {
+				continue
 			}
-			tmp[y][u] = s
+			x, k := float64(c), &cosTable[v]
+			s0 += x * k[0]
+			s1 += x * k[1]
+			s2 += x * k[2]
+			s3 += x * k[3]
+			s4 += x * k[4]
+			s5 += x * k[5]
+			s6 += x * k[6]
+			s7 += x * k[7]
+			live[u] = true
 		}
+		tmp[u] = [BlockSize]float64{s0, s1, s2, s3, s4, s5, s6, s7}
 	}
 	// Rows.
 	for y := 0; y < BlockSize; y++ {
-		for x := 0; x < BlockSize; x++ {
-			var s float64
-			for u := 0; u < BlockSize; u++ {
-				s += tmp[y][u] * cosTable[u][x]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for u := 0; u < BlockSize; u++ {
+			if !live[u] {
+				continue
 			}
-			b[y*BlockSize+x] = int32(math.RoundToEven(s))
+			x, k := tmp[u][y], &cosTable[u]
+			s0 += x * k[0]
+			s1 += x * k[1]
+			s2 += x * k[2]
+			s3 += x * k[3]
+			s4 += x * k[4]
+			s5 += x * k[5]
+			s6 += x * k[6]
+			s7 += x * k[7]
 		}
+		r := (*[BlockSize]int32)(b[y*BlockSize:])
+		r[0] = int32(math.RoundToEven(s0))
+		r[1] = int32(math.RoundToEven(s1))
+		r[2] = int32(math.RoundToEven(s2))
+		r[3] = int32(math.RoundToEven(s3))
+		r[4] = int32(math.RoundToEven(s4))
+		r[5] = int32(math.RoundToEven(s5))
+		r[6] = int32(math.RoundToEven(s6))
+		r[7] = int32(math.RoundToEven(s7))
 	}
 }
 

@@ -225,28 +225,3 @@ func TestScanPosInverse(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkForward(b *testing.B) {
-	var blk Block
-	for i := range blk {
-		blk[i] = int32(i * 3 % 255)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := blk
-		Forward(&c)
-	}
-}
-
-func BenchmarkInverse(b *testing.B) {
-	var blk Block
-	for i := range blk {
-		blk[i] = int32(i * 3 % 255)
-	}
-	Forward(&blk)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := blk
-		Inverse(&c)
-	}
-}

@@ -46,6 +46,7 @@ func (s *Searcher) SearchDiamond(t simmem.Tracer, cur, ref, alpha *video.Plane, 
 	if r <= 0 {
 		r = 8
 	}
+	b := block{cur: cur, alpha: alpha, x: mbx, y: mby}
 	sadAt := func(dx, dy, limit int) (int, bool) {
 		if dx < -r || dx > r || dy < -r || dy > r {
 			return 0, false
@@ -54,10 +55,7 @@ func (s *Searcher) SearchDiamond(t simmem.Tracer, cur, ref, alpha *video.Plane, 
 		if rx < 0 || ry < 0 || rx+MBSize > ref.W || ry+MBSize > ref.H {
 			return 0, false
 		}
-		if alpha != nil {
-			return SAD16Masked(t, cur, ref, alpha, mbx, mby, rx, ry, limit), true
-		}
-		return SAD16(t, cur, ref, mbx, mby, rx, ry, limit), true
+		return b.sad(t, ref, rx, ry, limit), true
 	}
 	best, _ := sadAt(0, 0, 1<<30)
 	cx, cy := 0, 0
