@@ -24,7 +24,7 @@
 //	mp4served -memo-dir /var/mp4memo          # persist the shared result memo
 //	mp4served -no-memo                        # disable result memoization
 //	mp4served -max-studies 4                  # concurrent studies (default 2)
-//	mp4served -session-max-active 4           # per-session active-study quota
+//	mp4served -session-max-active 4           # per-session active-study quota (<= 0: default 16)
 //	mp4served -session-rate 2                 # per-session submissions/second
 //	mp4served -log-level debug                # structured-log threshold (default info)
 //	mp4served -pprof                          # mount net/http/pprof at /debug/pprof/
@@ -112,7 +112,7 @@ func main() {
 	maxQueued := flag.Int("max-queued", 64, "accepted-but-unfinished studies before 429")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for running studies")
 	authToken := flag.String("auth-token", "", "require Authorization: Bearer <token> (healthz/metrics/version stay open)")
-	sessionMax := flag.Int("session-max-active", 16, "per-session active-study quota (0 = unlimited)")
+	sessionMax := flag.Int("session-max-active", 16, "per-session active-study quota (<= 0 means the default, 16)")
 	sessionRate := flag.Float64("session-rate", 0, "per-session study submissions per second (0 = unlimited)")
 	sessionBurst := flag.Int("session-burst", 0, "per-session submission burst (0 = derived from -session-rate)")
 	heartbeat := flag.Duration("heartbeat", 15*time.Second, "SSE heartbeat interval on /v1/studies/{id}/events")

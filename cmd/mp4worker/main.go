@@ -17,7 +17,7 @@
 //	mp4worker                     # listen on :8375
 //	mp4worker -addr 127.0.0.1:0   # ephemeral port (printed on stdout)
 //	mp4worker -workers 8          # farm worker count (default GOMAXPROCS)
-//	mp4worker -max-traces 4       # resident uploaded traces
+//	mp4worker -max-traces 4       # bound resident uploaded traces (LRU)
 //	mp4worker -store-max-bytes 256000000   # bound the store's wire bytes (LRU)
 //	mp4worker -log-level debug    # structured-log threshold (default info)
 //	mp4worker -pprof              # mount net/http/pprof at /debug/pprof/
@@ -48,7 +48,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8375", "listen address")
 	workers := flag.Int("workers", 0, "farm worker count (0 = GOMAXPROCS)")
-	maxTraces := flag.Int("max-traces", 8, "resident uploaded traces")
+	maxTraces := flag.Int("max-traces", 8, "bound resident uploaded traces; an upload beyond it evicts least-recently-used traces")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "bound the trace store's total wire bytes; crossing it evicts least-recently-used traces (0 = unbounded)")
 	srvFlags := obs.RegisterServerFlags(flag.CommandLine)
 	flag.Parse()

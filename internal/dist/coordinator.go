@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -220,34 +219,6 @@ type SweepStats struct {
 	ShardsByWorker map[string]int
 }
 
-// planShards cuts the (L1 × L2 size) grid into shards: per L1, the L2
-// axis splits into at most `workers` contiguous chunks. Flattening
-// shard results by Index therefore reproduces the (L1 outer, L2
-// inner) point order of the local sweep exactly, independent of which
-// worker ran what or when it finished.
-func planShards(l1s []cache.Config, l2Sizes []int, workers int) []Shard {
-	var shards []Shard
-	for _, l1 := range l1s {
-		chunks := workers
-		if chunks > len(l2Sizes) {
-			chunks = len(l2Sizes)
-		}
-		for j := 0; j < chunks; j++ {
-			lo := j * len(l2Sizes) / chunks
-			hi := (j + 1) * len(l2Sizes) / chunks
-			if lo == hi {
-				continue
-			}
-			shards = append(shards, Shard{
-				Index:   len(shards),
-				L1:      l1,
-				L2Sizes: append([]int(nil), l2Sizes[lo:hi]...),
-			})
-		}
-	}
-	return shards
-}
-
 // GeometrySweepWithStats runs the distributed counterpart of
 // harness.RunGeometrySweep: one local capture, every configuration
 // replayed on the worker fleet. Nil/empty axes use the harness
@@ -267,9 +238,9 @@ func (c *Coordinator) GeometrySweepWithStats(ctx context.Context, wl harness.Wor
 }
 
 // payload is one serialized trace the sweep ships: one L1 row's
-// filtered M4L2 stream. key is a human label for logs and per-sweep
-// batch grouping; hash is the trace's content hash — its identity on
-// every worker, this sweep or any other.
+// filtered M4L2 stream. key is a human label for logs; hash is the
+// trace's content hash — its identity on every worker, this sweep or
+// any other.
 type payload struct {
 	key  string
 	hash string
@@ -329,23 +300,18 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 		return nil, stats, fmt.Errorf("dist: capture: %w", err)
 	}
 
-	// Plan the shards. Without a memo this is the plain grid cut; with
-	// one, memo-covered cells become prefilled shards that never reach
-	// a worker. Planning before payload serialization matters either
-	// way: small grids can leave workers without assignments, and fully
-	// memoized L1 rows never get filtered or uploaded at all.
-	var (
-		shards      []Shard
-		prefill     map[int][]harness.GeometryPoint
-		captureHash trace.Hash
-	)
+	// Plan the shards: memo-covered cells become prefilled shards that
+	// never reach a worker. Planning before payload serialization
+	// matters: small grids can leave workers without assignments, and
+	// fully memoized L1 rows never get filtered or uploaded at all. The
+	// capture hash costs a whole wire encode, so only a memo pays it.
+	var captureHash trace.Hash
 	if c.Memo != nil {
 		captureHash = capture.Enc.Hash()
-		var hits, misses int
-		shards, prefill, hits, misses = c.planMemoShards(captureHash, l1s, l2Sizes)
+	}
+	shards, prefill, hits, misses := c.planMemoShards(captureHash, l1s, l2Sizes)
+	if c.Memo != nil {
 		stats.MemoHits, stats.MemoMisses = hits, misses
-	} else {
-		shards = planShards(l1s, l2Sizes, len(c.Workers))
 	}
 	dispatch := make([]Shard, 0, len(shards))
 	for _, sh := range shards {
@@ -389,10 +355,6 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 		}
 	}
 
-	// Run the fleet. Cleanup is registered before the error check: a
-	// partially failed sweep must still release the traces that did
-	// land, or repeated failures would fill the surviving workers'
-	// stores.
 	mSweepsStarted.Inc()
 	mWorkersAlive.Add(int64(s.aliveN))
 	mBatchesPend.Add(int64(s.pendingN))
@@ -440,16 +402,11 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 		"retries", s.stats.Retries, "readmissions", s.stats.Readmissions,
 		"dead_workers", s.stats.DeadWorkers, "fatal", s.fatal != nil)
 
-	// Traces deliberately survive a successful sweep: the store is
-	// content-addressed, so the next sweep over the same capture dedupes
-	// its uploads against them with a HEAD probe instead of moving
-	// megabytes (workers bound their stores and evict by LRU). A FAILED
-	// sweep still releases what it landed — repeated failing sweeps must
-	// not squat the fleet's stores.
-	fail := func(err error) ([][]harness.GeometryPoint, SweepStats, error) {
-		c.deleteAll(s.uploaded)
-		return nil, s.stats, err
-	}
+	// Traces stay on the workers whether the sweep succeeds or fails:
+	// the store is content-addressed, so the next sweep over the same
+	// capture dedupes its uploads against them with a HEAD probe, and
+	// each worker's bounds evict least-recently-used traces, so repeated
+	// failing sweeps cannot fill a store.
 	if s.fatal != nil {
 		// Graceful degradation: with FallbackLocal, a fleet-fatal sweep
 		// replays its undelivered shards through the local harness path —
@@ -458,18 +415,18 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 		if c.FallbackLocal && ctx.Err() == nil {
 			n, ferr := s.fallbackLocal(ctx, capture, shards)
 			if ferr != nil {
-				return fail(fmt.Errorf("%w (local fallback failed after %d shards: %v)", s.fatal, n, ferr))
+				return nil, s.stats, fmt.Errorf("%w (local fallback failed after %d shards: %v)", s.fatal, n, ferr)
 			}
 			distLog.Warn("sweep completed via local fallback",
 				"shards", n, "fleet_error", s.fatal)
 			s.memoize(captureHash, prefill)
 			return s.results, s.stats, nil
 		}
-		return fail(s.fatal)
+		return nil, s.stats, s.fatal
 	}
 	for i, pts := range s.results {
 		if len(pts) == 0 {
-			return fail(fmt.Errorf("dist: shard %d missing from worker responses", i))
+			return nil, s.stats, fmt.Errorf("dist: shard %d missing from worker responses", i)
 		}
 	}
 	s.memoize(captureHash, prefill)
@@ -500,20 +457,23 @@ func (s *sweepState) memoize(captureHash trace.Hash, prefill map[int][]harness.G
 	}
 }
 
-// planMemoShards cuts the (L1 × L2 size) grid against the memo: per
-// L1 row, maximal runs of memo-hit cells become one prefilled shard
-// each (results reconstructed from memoized stats — byte-identical to
-// a replay because perf.Compute is deterministic), and runs of misses
-// split into at most `workers` contiguous chunks exactly as planShards
-// would. Flattening by shard index still reproduces the local sweep's
-// (L1 outer, L2 inner) point order.
+// planMemoShards cuts the (L1 × L2 size) grid into shards. Per L1
+// row, maximal runs of memo-hit cells become one prefilled shard each
+// (results reconstructed from memoized stats — byte-identical to a
+// replay because perf.Compute is deterministic), and runs of misses
+// split into at most len(c.Workers) contiguous chunks. Without a memo
+// every cell misses and no lookup runs. Flattening shard results by
+// Index reproduces the local sweep's (L1 outer, L2 inner) point order
+// exactly, independent of which worker ran what or when it finished.
 func (c *Coordinator) planMemoShards(captureHash trace.Hash, l1s []cache.Config, l2Sizes []int) (shards []Shard, prefill map[int][]harness.GeometryPoint, hits, misses int) {
 	prefill = map[int][]harness.GeometryPoint{}
 	for _, l1 := range l1s {
 		memoized := make([]cache.Stats, len(l2Sizes))
 		hit := make([]bool, len(l2Sizes))
 		for j, size := range l2Sizes {
-			memoized[j], hit[j] = c.Memo.Get(harness.GeometryMemoKey(captureHash, l1, size))
+			if c.Memo != nil {
+				memoized[j], hit[j] = c.Memo.Get(harness.GeometryMemoKey(captureHash, l1, size))
+			}
 		}
 		for lo := 0; lo < len(l2Sizes); {
 			hi := lo + 1
@@ -672,10 +632,6 @@ type sweepState struct {
 	cellStats [][]cache.Stats
 	shards    []Shard
 	emitted   int
-	// uploaded maps payload key → trace ID per worker. Each worker's
-	// map is touched only by its own goroutine while the sweep runs;
-	// deleteAll reads them all after the goroutines join.
-	uploaded []map[string]string
 }
 
 func newSweepState(c *Coordinator, shards []Shard) *sweepState {
@@ -698,13 +654,11 @@ func newSweepState(c *Coordinator, shards []Shard) *sweepState {
 		servedBy:   make([]string, len(shards)),
 		cellStats:  make([][]cache.Stats, len(shards)),
 		shards:     shards,
-		uploaded:   make([]map[string]string, len(c.Workers)),
 	}
 	s.stats.ShardsByWorker = map[string]int{}
 	s.cond = sync.NewCond(&s.mu)
 	for i := range s.alive {
 		s.alive[i] = true
-		s.uploaded[i] = map[string]string{}
 	}
 	return s
 }
@@ -808,12 +762,8 @@ func (s *sweepState) runWorker(ctx context.Context, wi int) {
 			s.cond.Broadcast()
 			return
 		}
-		// Transient. A replay 404 means the worker restarted and lost
-		// its store — every upload ID cached for it is stale, so forget
-		// them all and let the retry re-upload.
-		if isStatus(err, http.StatusNotFound) {
-			s.uploaded[wi] = map[string]string{}
-		}
+		// Transient. A replay 404 means the worker restarted or evicted
+		// the trace; the retry probes again and re-uploads.
 		if b.attempts >= s.c.maxAttempts() {
 			s.setFatal(fmt.Errorf("dist: %s failed after %d attempts (attempt budget %d): %w",
 				b.label(), b.attempts, s.c.maxAttempts(), b.lastErr))
@@ -922,55 +872,35 @@ func (s *sweepState) setFatal(err error) {
 	}
 }
 
-// runBatch executes one batch on worker wi: upload the batch's payload
-// if this worker does not hold it yet (failover re-plans land here
-// with the trace absent), then replay the shards — each step under its
-// own deadline — and store the returned points by shard index.
+// runBatch executes one batch on worker wi: probe whether the worker
+// holds the batch's payload and upload it on a miss (failover re-plans
+// and restarted workers land here with the trace absent), then replay
+// the shards — each step under its own deadline — and store the
+// returned points by shard index.
 func (s *sweepState) runBatch(ctx context.Context, wi int, b *batch) error {
 	base := s.c.Workers[wi]
-	id, ok := s.uploaded[wi][b.payload.key]
-	if !ok && s.c.headTrace(ctx, base, b.payload.hash) {
+	id := b.payload.hash
+	if s.c.headTrace(ctx, base, id) {
 		// Content-hash dedup: the worker already holds these exact bytes
-		// — left by an earlier sweep, another coordinator, or a failover
-		// — so no upload moves. Any probe failure (404, error, a worker
-		// that predates HEAD) just falls through to the normal upload.
-		id, ok = b.payload.hash, true
-		s.uploaded[wi][b.payload.key] = id
+		// — left by an earlier batch or sweep, or another coordinator —
+		// so no upload moves. Any probe failure (404, error, a worker
+		// that predates HEAD) just falls through to the upload.
 		s.mu.Lock()
 		s.stats.UploadsDeduped++
 		s.mu.Unlock()
 		mUploadDedup.Inc()
 		distLog.Debug("upload deduped by content hash",
 			"worker", base, "key", b.payload.key, "id", id)
-	}
-	if !ok {
-		upload := func() (*TraceInfo, error) {
-			uctx, cancel := context.WithTimeout(ctx, s.c.uploadTimeout())
-			defer cancel()
-			start := time.Now()
-			info, err := s.c.upload(uctx, base, b.payload)
-			if err == nil {
-				mUploadSecs.ObserveSince(start)
-			}
-			return info, err
-		}
-		info, err := upload()
-		var he *httpError
-		if errors.As(err, &he) && he.status == http.StatusInsufficientStorage {
-			// The worker's trace store is full of OUR earlier uploads
-			// (one payload per L1 row served, more after failovers) —
-			// that is this sweep's footprint, not a worker fault. Evict
-			// the payloads no queued batch here still needs and retry
-			// once before treating it as a failure.
-			if s.evictUnneeded(ctx, wi, b) > 0 {
-				info, err = upload()
-			}
-		}
+	} else {
+		uctx, cancel := context.WithTimeout(ctx, s.c.uploadTimeout())
+		start := time.Now()
+		info, err := s.c.upload(uctx, base, b.payload)
+		cancel()
 		if err != nil {
 			return fmt.Errorf("upload %s: %w", b.payload.key, err)
 		}
+		mUploadSecs.ObserveSince(start)
 		id = info.ID
-		s.uploaded[wi][b.payload.key] = id
 		s.mu.Lock()
 		s.stats.Uploads++
 		s.stats.UploadBytes += int64(len(b.payload.wire))
@@ -1030,78 +960,6 @@ func (s *sweepState) runBatch(ctx context.Context, wi int, b *batch) error {
 	return nil
 }
 
-// evictUnneeded frees store room on worker wi for the upload cur
-// needs: every resident trace that neither cur nor any batch still
-// queued to wi references is deleted. Residency comes from the
-// worker's own healthz — the store is shared across sweeps now, so
-// leftovers from earlier sweeps are eviction candidates exactly like
-// this sweep's stale uploads. Returns how many traces were released.
-// Only wi's own goroutine calls this, so the uploads map needs no
-// extra locking; the queue snapshot does.
-func (s *sweepState) evictUnneeded(ctx context.Context, wi int, cur *batch) int {
-	base := s.c.Workers[wi]
-	// A resident trace is needed if cur or any batch still queued to wi
-	// replays it — identified by content hash, or by whatever ID this
-	// sweep's upload was given (a fake or legacy worker may not name
-	// traces by hash). Only wi's goroutine touches s.uploaded[wi].
-	needed := map[string]bool{}
-	keep := func(p *payload) {
-		needed[p.hash] = true
-		if id, ok := s.uploaded[wi][p.key]; ok {
-			needed[id] = true
-		}
-	}
-	keep(cur.payload)
-	s.mu.Lock()
-	for _, b := range s.queues[wi] {
-		keep(b.payload)
-	}
-	s.mu.Unlock()
-
-	resident := func() []string {
-		hctx, cancel := context.WithTimeout(ctx, s.c.uploadTimeout())
-		defer cancel()
-		req, err := http.NewRequestWithContext(hctx, http.MethodGet, base+"/v1/healthz", nil)
-		if err != nil {
-			return nil
-		}
-		var hs HealthStatus
-		if s.c.do(req, http.StatusOK, &hs) != nil {
-			return nil
-		}
-		return hs.TraceIDs
-	}()
-	// Without a healthz answer, fall back to what this sweep uploaded.
-	if resident == nil {
-		for _, id := range s.uploaded[wi] {
-			resident = append(resident, id)
-		}
-	}
-
-	evicted := 0
-	for _, id := range resident {
-		if needed[id] {
-			continue
-		}
-		dctx, cancel := context.WithTimeout(ctx, s.c.uploadTimeout())
-		req, err := http.NewRequestWithContext(dctx, http.MethodDelete, base+"/v1/traces/"+id, nil)
-		if err == nil {
-			err = s.c.do(req, http.StatusNoContent, nil)
-		}
-		cancel()
-		if err != nil {
-			continue
-		}
-		evicted++
-		for key, uid := range s.uploaded[wi] {
-			if uid == id {
-				delete(s.uploaded[wi], key)
-			}
-		}
-	}
-	return evicted
-}
-
 // headTrace reports whether base already holds the content hash —
 // the cheap exists probe that replaces moving bytes. Strictly an
 // optimization: every failure mode returns false and the caller
@@ -1154,37 +1012,8 @@ func (c *Coordinator) replay(ctx context.Context, base string, rr ReplayRequest)
 	return &resp, nil
 }
 
-// deleteAll releases the uploaded traces (best effort; workers also
-// bound their stores). Deletes run concurrently, each under its own
-// short timeout — the call runs deferred, possibly after the sweep's
-// context is already cancelled, and the dead worker that triggered a
-// failover must not add its timeout to everyone else's cleanup.
-func (c *Coordinator) deleteAll(uploaded []map[string]string) {
-	var wg sync.WaitGroup
-	for wi, ids := range uploaded {
-		for _, id := range ids {
-			wg.Add(1)
-			go func(base, id string) {
-				defer wg.Done()
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				req, err := http.NewRequestWithContext(ctx, http.MethodDelete, base+"/v1/traces/"+id, nil)
-				if err != nil {
-					return
-				}
-				if resp, err := c.client().Do(req); err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-			}(c.Workers[wi], id)
-		}
-	}
-	wg.Wait()
-}
-
 // httpError is a non-expected-status response, keeping the code
-// inspectable (the scheduler treats a full trace store differently
-// from a dead worker).
+// inspectable for failure classification.
 type httpError struct {
 	status int
 	msg    string
@@ -1196,7 +1025,7 @@ func (e *httpError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.status,
 // expected status, and turns everything else into an *httpError
 // carrying the server's diagnostic. The body is always drained before
 // close so the transport can reuse the connection — a sweep makes many
-// upload/replay/delete calls per worker and must not pay a new
+// probe/upload/replay calls per worker and must not pay a new
 // connection for each.
 func (c *Coordinator) do(req *http.Request, wantStatus int, out any) error {
 	resp, err := c.client().Do(req)
@@ -1215,7 +1044,7 @@ func (c *Coordinator) do(req *http.Request, wantStatus int, out any) error {
 		}
 		return &httpError{status: resp.StatusCode, msg: string(bytes.TrimSpace(raw))}
 	}
-	if out == nil { // status-only call (e.g. DELETE → 204, no body)
+	if out == nil { // status-only call (e.g. HEAD → 200, no body)
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/simmem"
 	"repro/internal/trace"
@@ -412,6 +413,8 @@ func TestDistributedSweepReadmitsRestartedWorkerProcess(t *testing.T) {
 		stats  SweepStats
 		err    error
 	}
+	failures := func() uint64 { return obs.Default().Snapshot().Counters["dist_worker_failures_total"] }
+	failuresBefore := failures()
 	done := make(chan sweepResult, 1)
 	go func() {
 		points, stats, err := coord.GeometrySweepWithStats(context.Background(), wl, l1s, l2Sizes)
@@ -419,9 +422,17 @@ func TestDistributedSweepReadmitsRestartedWorkerProcess(t *testing.T) {
 	}()
 
 	// The victim os.Exit(1)s on its first replay; restart it at the
-	// same address the moment it dies, while the slowed survivors keep
-	// the sweep in flight.
+	// same address once the coordinator has dropped it, while the slowed
+	// survivors keep the sweep in flight. Every batch probes for its
+	// trace first, so a restart that beat the drop would let the retry
+	// succeed on the victim and re-admission would never run.
 	victim.cmd.Wait()
+	for deadline := time.Now().Add(30 * time.Second); failures() <= failuresBefore; {
+		if time.Now().After(deadline) {
+			t.Fatal("the coordinator never dropped the killed worker")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	addr := strings.TrimPrefix(victim.url, "http://")
 	restarted := spawnWorkerProc(t, "DIST_TEST_ADDR="+addr)
 	if restarted.url != victim.url {
@@ -568,8 +579,8 @@ func TestWorkerValidatesIngress(t *testing.T) {
 
 // TestWorkerTraceStoreBound: the store is content-addressed, so
 // re-uploading resident bytes dedupes instead of consuming a slot; a
-// genuinely new trace beyond MaxTraces is refused, and DELETE frees
-// slots.
+// genuinely new trace beyond MaxTraces evicts the least recently used
+// one.
 func TestWorkerTraceStoreBound(t *testing.T) {
 	srv := httptest.NewServer(NewWorker(WorkerConfig{Workers: 1, MaxTraces: 1}).Handler())
 	defer srv.Close()
@@ -594,20 +605,27 @@ func TestWorkerTraceStoreBound(t *testing.T) {
 	if code, dup := upload(wireA); code != http.StatusCreated || dup.ID != info.ID {
 		t.Fatalf("re-upload of resident bytes: %d id=%q, want dedup 201 with id %q", code, dup.ID, info.ID)
 	}
-	if code, _ := upload(wireB); code != http.StatusInsufficientStorage {
-		t.Fatalf("distinct trace beyond MaxTraces: %d, want 507", code)
+	code, infoB := upload(wireB)
+	if code != http.StatusCreated {
+		t.Fatalf("distinct trace beyond MaxTraces: %d, want 201", code)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/traces/"+info.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	head := func(id string) int {
+		req, _ := http.NewRequest(http.MethodHead, srv.URL+"/v1/traces/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("delete: %d", resp.StatusCode)
+	if code := head(info.ID); code != http.StatusNotFound {
+		t.Errorf("HEAD of the evicted trace: %d, want 404", code)
 	}
-	if code, _ := upload(wireB); code != http.StatusCreated {
-		t.Fatalf("upload after delete: %d", code)
+	if code := head(infoB.ID); code != http.StatusOK {
+		t.Errorf("HEAD of the new trace: %d, want 200", code)
+	}
+	if code, dup := upload(wireB); code != http.StatusCreated || dup.ID != infoB.ID {
+		t.Fatalf("re-upload of resident bytes: %d id=%q, want dedup 201 with id %q", code, dup.ID, infoB.ID)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // indices they were never assigned, or die mid-replay. In every case
 // the sweep must either complete through the surviving workers with
 // results identical to the local sweep, or fail cleanly inside the
-// retry budget with the uploaded traces released.
+// retry budget.
 
 // faultAxes is the compact grid the fault tests sweep: two L1s by two
 // L2 sizes so multi-payload failover paths are exercised while the
@@ -175,17 +175,17 @@ func TestFailoverWorkerDiesMidReplay(t *testing.T) {
 	}
 }
 
-// TestSweepFailsWithinBudgetAndReleasesTraces: when every worker
-// rejects every replay, the sweep must fail (bounded, with the retry
-// budget in the diagnostic) — and cleanup must release the traces that
-// DID land, so repeated failing sweeps cannot fill the stores.
-func TestSweepFailsWithinBudgetAndReleasesTraces(t *testing.T) {
+// TestSweepFailsWithinBudgetLeavesStoresBounded: when every worker
+// rejects every replay, the sweep must fail (bounded, with the worker's
+// diagnostic). The traces that landed stay on the workers, and each
+// store's own bound keeps repeated failing sweeps from filling it.
+func TestSweepFailsWithinBudgetLeavesStoresBounded(t *testing.T) {
 	// Both workers are real (uploads land in a real bounded store)
 	// wrapped so that every replay fails.
 	var workers []*Worker
 	var urls []string
 	for i := 0; i < 2; i++ {
-		w := NewWorker(WorkerConfig{Workers: 1})
+		w := NewWorker(WorkerConfig{Workers: 1, MaxTraces: 1})
 		inner := w.Handler()
 		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodPost && r.URL.Path == "/v1/replay" {
@@ -202,20 +202,24 @@ func TestSweepFailsWithinBudgetAndReleasesTraces(t *testing.T) {
 	}
 
 	coord := faultCoordinator(urls...)
-	l1s, l2Sizes := faultAxes()
-	_, _, err := coord.GeometrySweepWithStats(context.Background(), faultWorkload, l1s, l2Sizes)
-	if err == nil {
-		t.Fatal("sweep succeeded against workers that refuse every replay")
-	}
-	if !strings.Contains(err.Error(), "replay refused") {
-		t.Errorf("worker diagnostic lost: %v", err)
-	}
-	for i, w := range workers {
-		w.mu.Lock()
-		n := len(w.traces)
-		w.mu.Unlock()
-		if n != 0 {
-			t.Errorf("worker %d still holds %d traces after the failed sweep's cleanup", i, n)
+	_, l2Sizes := faultAxes()
+	// One failing sweep per L1 row: three distinct traces per worker
+	// against a store that holds one.
+	for _, l1 := range harness.GeometryL1Configs() {
+		_, _, err := coord.GeometrySweepWithStats(context.Background(), faultWorkload, []cache.Config{l1}, l2Sizes)
+		if err == nil {
+			t.Fatal("sweep succeeded against workers that refuse every replay")
+		}
+		if !strings.Contains(err.Error(), "replay refused") {
+			t.Errorf("worker diagnostic lost: %v", err)
+		}
+		for i, w := range workers {
+			w.mu.Lock()
+			n := len(w.traces)
+			w.mu.Unlock()
+			if n > 1 {
+				t.Errorf("worker %d holds %d traces after a failed sweep, bound 1", i, n)
+			}
 		}
 	}
 }

@@ -15,35 +15,36 @@
 // harness.RunGeometrySweep (asserted end-to-end by the tests, across
 // real worker subprocesses).
 //
-// The coordinator is failover-aware and self-healing: uploads happen
-// lazily per (worker, trace) when the first shard batch needing the
-// trace is dispatched, and every upload and replay attempt runs under
-// its own deadline. Failures are classified — transient (timeouts,
-// connection refused/reset, 5xx) vs. permanent (4xx validation) vs.
-// protocol violation (well-formed responses that lie about shard
-// indices or trace IDs). Transients retry on the same worker under
-// exponential backoff with seeded jitter, inside the bounded
-// per-batch attempt budget; a worker accruing consecutive transient
-// failures trips its circuit breaker and is dropped, its batches
-// re-planned onto the survivors (re-uploading the needed trace where
-// absent). Dropped workers are not gone for good: a background prober
-// health-checks them after an escalating cooldown and re-admits the
-// ones that recover — reconciling the upload cache against the trace
-// IDs the worker still holds (a restarted process lost its store) and
-// rebalancing queued work onto the returnee. Permanent failures abort
-// the sweep fast, and protocol violators are barred from re-admission.
-// Only when every worker is lost, or one batch exhausts its budget,
-// does the sweep fail — and with Coordinator.FallbackLocal even that
-// degrades gracefully: the undelivered shards replay through the local
-// harness path, byte-identical to a local sweep.
+// The coordinator is failover-aware and self-healing: each shard batch
+// first probes its worker for the trace's content hash (HEAD) and
+// uploads only on a miss, and every probe, upload and replay attempt
+// runs under its own deadline. Each worker owns its trace store: it
+// evicts least-recently-used traces to stay within its bounds, and the
+// traces of a finished or failed sweep stay there for the next one.
+// Failures are classified — transient (timeouts, connection
+// refused/reset, 5xx) vs. permanent (4xx validation) vs. protocol
+// violation (well-formed responses that lie about shard indices or
+// trace IDs). Transients retry on the same worker under exponential
+// backoff with seeded jitter, inside the bounded per-batch attempt
+// budget; a worker accruing consecutive transient failures trips its
+// circuit breaker and is dropped, its batches re-planned onto the
+// survivors (re-uploading the needed trace where absent). Dropped
+// workers are not gone for good: a background prober health-checks
+// them after an escalating cooldown and re-admits the ones that
+// recover, rebalancing queued work onto the returnee (whose batches
+// probe and re-upload whatever a restart lost). Permanent failures
+// abort the sweep fast, and protocol violators are barred from
+// re-admission. Only when every worker is lost, or one batch exhausts
+// its budget, does the sweep fail — and with Coordinator.FallbackLocal
+// even that degrades gracefully: the undelivered shards replay through
+// the local harness path, byte-identical to a local sweep.
 //
 // Protocol (worker side, all JSON unless noted):
 //
 //	POST   /v1/traces        body = M4L2 wire format → TraceInfo
 //	                         Content-Type application/x-m4l2; any other
 //	                         type is a 415
-//	HEAD   /v1/traces/{id}
-//	DELETE /v1/traces/{id}
+//	HEAD   /v1/traces/{id}   200 if the content hash is resident, else 404
 //	POST   /v1/replay        ReplayRequest → ReplayResponse; the body
 //	                         is exactly one JSON value (anything after
 //	                         it is a 400) of at most 1 MiB (else 413)
@@ -88,7 +89,7 @@ type TraceInfo struct {
 // see harness.geometryMachine) — no extra protocol field or trace kind
 // is needed, and pre-policy shards decode with the LRU default. Index
 // is the shard's position in the coordinator's deterministic plan (see
-// planShards); results are merged by it, never by arrival order.
+// planMemoShards); results are merged by it, never by arrival order.
 type Shard struct {
 	Index   int          `json:"index"`
 	L1      cache.Config `json:"l1"`
@@ -122,11 +123,9 @@ type ReplayResponse struct {
 }
 
 // HealthStatus is the GET /v1/healthz response. Beyond liveness it
-// carries what the coordinator's re-admission prober needs to decide
-// re-upload work in the same round-trip: the IDs of the traces still
-// resident (a restarted worker reports an empty list, telling the
-// prober every cached upload ID is stale) and how many shards are
-// replaying right now.
+// reports, in the re-admission prober's one round-trip, the traces
+// resident in the worker's store (a restarted worker reports an empty
+// list) and how many shards are replaying right now.
 type HealthStatus struct {
 	OK bool `json:"ok"`
 	// Traces and TraceIDs describe the resident trace store; TraceIDs

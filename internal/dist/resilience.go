@@ -90,9 +90,8 @@ func classify(err error) errClass {
 	if errors.As(err, &he) && he.status >= 400 && he.status < 500 {
 		switch he.status {
 		case http.StatusNotFound:
-			// A replay 404 means the worker lost the trace (restarted
-			// store) — re-uploading fixes it, so it retries as transient;
-			// see the uploaded-map invalidation in runWorker.
+			// A replay 404 means the worker lost the trace (restarted or
+			// evicted) — the retry's probe and re-upload fix it.
 			return classTransient
 		case http.StatusTooManyRequests, http.StatusRequestTimeout:
 			return classTransient
@@ -100,12 +99,6 @@ func classify(err error) errClass {
 		return classPermanent
 	}
 	return classTransient
-}
-
-// isStatus reports whether err carries the given HTTP status.
-func isStatus(err error, code int) bool {
-	var he *httpError
-	return errors.As(err, &he) && he.status == code
 }
 
 // breaker is one worker's consecutive-failure circuit breaker.
@@ -302,29 +295,17 @@ func (s *sweepState) probeWorker(ctx context.Context, wi int) (*HealthStatus, er
 	return &hs, nil
 }
 
-// readmit brings a probed-healthy worker back into the sweep:
-// reconcile the upload cache against what the worker actually still
-// holds (a restarted process lost its store; stale IDs would 404 and
-// burn retries), move it to half-open, steal it a fair share of queued
-// work, and restart its goroutine. No-ops if the sweep meanwhile
-// finished, failed, or the worker is somehow alive.
+// readmit brings a probed-healthy worker back into the sweep: move it
+// to half-open, steal it a fair share of queued work, and restart its
+// goroutine. Its batches probe for their traces as every batch does, so
+// a restarted process that lost its store gets them re-uploaded. No-ops
+// if the sweep meanwhile finished, failed, or the worker is somehow
+// alive.
 func (s *sweepState) readmit(wi int, hs *HealthStatus) {
 	s.mu.Lock()
 	if s.fatal != nil || s.pendingN == 0 || s.alive[wi] {
 		s.mu.Unlock()
 		return
-	}
-	resident := make(map[string]bool, len(hs.TraceIDs))
-	for _, id := range hs.TraceIDs {
-		resident[id] = true
-	}
-	kept := 0
-	for key, id := range s.uploaded[wi] {
-		if resident[id] {
-			kept++
-			continue
-		}
-		delete(s.uploaded[wi], key) // lost in the restart — re-upload lazily
 	}
 	s.alive[wi] = true
 	s.aliveN++
@@ -341,7 +322,7 @@ func (s *sweepState) readmit(wi int, hs *HealthStatus) {
 	ctx := s.ctx
 	s.mu.Unlock()
 	distLog.Info("worker re-admitted",
-		"worker", s.c.Workers[wi], "traces_kept", kept,
+		"worker", s.c.Workers[wi], "traces", hs.Traces,
 		"batches_stolen", stolen, "in_flight_shards", hs.InFlightShards)
 	go s.runWorker(ctx, wi)
 	s.cond.Broadcast()

@@ -39,20 +39,20 @@ type WorkerConfig struct {
 	// Workers sizes the farm pool shards execute on. <= 0 means
 	// GOMAXPROCS.
 	Workers int
-	// MaxTraces bounds resident uploaded traces. <= 0 means 8. The
-	// count bound is a hard 507 — the coordinator owns eviction there
-	// (it knows which traces its sweep still needs).
+	// MaxTraces bounds resident uploaded traces. <= 0 means 8.
 	MaxTraces int
 	// MaxTraceBytes bounds one upload's wire size; a larger upload is
 	// a 413. <= 0 means 1 GiB.
 	MaxTraceBytes int64
-	// MaxStoreBytes bounds the resident store's total wire bytes.
-	// Unlike MaxTraces, this bound self-serves: crossing it evicts
-	// least-recently-used traces (uploads, HEAD probes, and replays all
-	// refresh recency) until the new upload fits. A coordinator that
-	// still needed an evicted trace sees a replay 404 and re-uploads —
-	// the same self-healing path a worker restart exercises. <= 0 means
-	// unbounded.
+	// MaxStoreBytes bounds the resident store's total wire bytes. <= 0
+	// means unbounded.
+	//
+	// The worker enforces both store bounds itself: an upload that would
+	// cross either evicts least-recently-used traces (uploads, HEAD
+	// probes and replays refresh recency) until it fits, and only a
+	// single trace larger than MaxStoreBytes is refused (507). A
+	// coordinator that still needed an evicted trace sees a replay 404;
+	// its retry probes and re-uploads, as after a worker restart.
 	MaxStoreBytes int64
 }
 
@@ -120,17 +120,16 @@ func (w *Worker) dropLocked(id string) {
 	mStoreBytes.Add(-st.bytes)
 }
 
-// evictForLocked frees LRU traces until n more bytes fit under
-// MaxStoreBytes. Reports whether the upload can proceed (a single
-// trace larger than the whole bound cannot). Callers hold w.mu.
+// evictForLocked frees LRU traces until one more trace of n bytes fits
+// under MaxTraces and MaxStoreBytes. Reports whether the upload can
+// proceed (a single trace larger than the whole byte bound cannot).
+// Callers hold w.mu.
 func (w *Worker) evictForLocked(n int64) bool {
-	if w.cfg.MaxStoreBytes <= 0 {
-		return true
-	}
-	if n > w.cfg.MaxStoreBytes {
+	byteBound := w.cfg.MaxStoreBytes > 0
+	if byteBound && n > w.cfg.MaxStoreBytes {
 		return false
 	}
-	for w.storeBytes+n > w.cfg.MaxStoreBytes {
+	for len(w.traces) >= w.cfg.MaxTraces || byteBound && w.storeBytes+n > w.cfg.MaxStoreBytes {
 		victim, oldest := "", uint64(0)
 		for id, st := range w.traces {
 			if victim == "" || st.lastUse < oldest {
@@ -140,7 +139,7 @@ func (w *Worker) evictForLocked(n int64) bool {
 		if victim == "" {
 			return false
 		}
-		workerLog.Debug("trace evicted (store byte bound)", "id", victim)
+		workerLog.Debug("trace evicted (store bound)", "id", victim)
 		w.dropLocked(victim)
 		mStoreEvictions.Inc()
 	}
@@ -156,7 +155,6 @@ func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/traces", w.handleUpload)
 	mux.HandleFunc("HEAD /v1/traces/{id}", w.handleExists)
-	mux.HandleFunc("DELETE /v1/traces/{id}", w.handleDelete)
 	mux.HandleFunc("POST /v1/replay", w.handleReplay)
 	mux.HandleFunc("GET /v1/healthz", w.handleHealth)
 	mux.Handle("GET /v1/metrics", obs.Default().Handler())
@@ -180,9 +178,9 @@ func (w *Worker) writeError(rw http.ResponseWriter, code int, format string, arg
 // (including the hash trailer when present): corrupt input is a 400, a
 // body over MaxTraceBytes a 413. Uploading a hash that is already
 // resident is not an error and not a second copy: the existing trace's
-// info is returned, whatever name the bytes arrived under before. A
-// full store is only decided after decoding — the bytes may dedupe
-// against a resident trace, which no bound should refuse.
+// info is returned, whatever name the bytes arrived under before.
+// Eviction waits until after decoding: bytes that dedupe against a
+// resident trace evict nothing.
 func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	if !strings.EqualFold(strings.TrimSpace(ct), ContentTypeL2Trace) {
@@ -217,15 +215,10 @@ func (w *Worker) handleUpload(rw http.ResponseWriter, r *http.Request) {
 		w.writeCreated(rw, info)
 		return
 	}
-	if len(w.traces) >= w.cfg.MaxTraces {
-		w.mu.Unlock()
-		w.writeError(rw, http.StatusInsufficientStorage, "trace store full (%d resident)", w.cfg.MaxTraces)
-		return
-	}
 	if !w.evictForLocked(st.bytes) {
 		w.mu.Unlock()
 		w.writeError(rw, http.StatusInsufficientStorage,
-			"trace store full (%d of %d bytes)", st.bytes, w.cfg.MaxStoreBytes)
+			"trace of %d bytes exceeds the %d-byte store", st.bytes, w.cfg.MaxStoreBytes)
 		return
 	}
 	w.touchLocked(st)
@@ -264,19 +257,6 @@ func (w *Worker) handleExists(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rw.WriteHeader(http.StatusOK)
-}
-
-func (w *Worker) handleDelete(rw http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	w.mu.Lock()
-	_, ok := w.traces[id]
-	w.dropLocked(id)
-	w.mu.Unlock()
-	if !ok {
-		w.writeError(rw, http.StatusNotFound, "no trace %q", id)
-		return
-	}
-	rw.WriteHeader(http.StatusNoContent)
 }
 
 // maxReplayRequestBytes caps a replay request body; a larger body is a
@@ -409,9 +389,8 @@ func validateShard(sh Shard) error {
 }
 
 // handleHealth reports liveness plus the state a re-admission prober
-// needs in one round-trip: which traces are still resident (a restart
-// empties the list, flagging every coordinator-cached upload ID as
-// stale) and the in-flight shard count.
+// reads in one round-trip: which traces are resident (a restart empties
+// the list) and the in-flight shard count.
 func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	ids := make([]string, 0, len(w.traces))

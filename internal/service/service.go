@@ -32,9 +32,11 @@
 // Admission control: submissions pass three gates, each rejecting with
 // 429 + Retry-After. The per-session token bucket (Config.SessionRate)
 // and active-study quota (Config.SessionMaxActive) bound one client;
-// the global MaxQueued bound backs the whole queue. Admitted studies
-// wait in a priority queue — "interactive" studies always pop before
-// "batch" (the default) — and at most MaxConcurrent simulate at once.
+// the global MaxQueued bound counts running plus queued studies. The
+// Server's lock owns scheduling: admitted studies wait in one FIFO lane
+// per priority — "interactive" studies always start before "batch" (the
+// default) — at most MaxConcurrent simulate at once, and cancelling a
+// queued study frees its place at once.
 // When Config.AuthToken is set, every study endpoint requires
 // `Authorization: Bearer <token>` (healthz/metrics/version stay open
 // for load balancers and scrapers).
@@ -62,9 +64,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/farm"
@@ -118,7 +120,7 @@ type StudySpec struct {
 	Priority string `json:"priority,omitempty"`
 }
 
-// Priority names, highest first. The admission scheduler pops
+// Priority names, highest first. The admission scheduler starts
 // interactive work before batch work whenever a slot frees.
 const (
 	PriorityInteractive = "interactive"
@@ -200,15 +202,6 @@ type StudyStatus struct {
 	TraceUsage  harness.TraceUsage `json:"trace_usage"`
 }
 
-// claim values: whoever CASes job.claimed from zero owns the queued
-// job's fate — the dispatcher grants it a slot, or its own run
-// goroutine abandons it on cancellation. Exactly one side wins, so a
-// cancelled-while-queued study neither runs nor leaks a slot.
-const (
-	claimGranted int32 = iota + 1
-	claimAbandoned
-)
-
 // job is the server-side state of one submission.
 type job struct {
 	id   string
@@ -219,11 +212,10 @@ type job struct {
 	// terminal jobs do not pin their measurement tables.
 	study    *harness.Study
 	usage    harness.TraceUsage
+	ctx      context.Context // the run's context, made at submission
 	cancel   context.CancelFunc
-	priority int           // queue level
-	session  *session      // owner, for quota release (nil without middleware)
-	grant    chan struct{} // closed by the dispatcher when a slot is granted
-	claimed  atomic.Int32
+	priority int      // queue level
+	session  *session // owner, for quota release (nil without middleware)
 
 	mu        sync.Mutex
 	updated   chan struct{} // closed and replaced on every state change
@@ -394,10 +386,8 @@ type Server struct {
 	cfg    Config
 	pool   *farm.Pool
 	runner Runner
-	slots  chan struct{}             // MaxConcurrent tokens, dispatcher-acquired
-	queue  *farm.PriorityQueue[*job] // admission queue, interactive over batch
-	fleet  *fleetMonitor             // nil without Config.Fleet
-	memo   *memo.Cache               // shared across studies; nil when disabled
+	fleet  *fleetMonitor // nil without Config.Fleet
+	memo   *memo.Cache   // shared across studies; nil when disabled
 	base   context.Context
 	cancel context.CancelFunc
 
@@ -406,15 +396,20 @@ type Server struct {
 	order  []string
 	nextID int
 	closed bool
-	wg     sync.WaitGroup
+	// lanes holds the queued studies, one FIFO per priority level
+	// (interactive first); running counts the studies started and not
+	// yet finished. Together they are the admission count.
+	lanes   [priorityLevels][]*job
+	running int
+	wg      sync.WaitGroup
 
 	sessMu        sync.Mutex
 	sessions      map[string]*session
 	lastSessPrune time.Time
 }
 
-// New builds a Server from cfg and starts its admission dispatcher
-// (and, with Config.Fleet, the fleet liveness monitor).
+// New builds a Server from cfg and, with Config.Fleet, starts the fleet
+// liveness monitor.
 func New(cfg Config) *Server {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2
@@ -441,8 +436,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		pool:     farm.New(farm.Config{Workers: cfg.Workers}),
-		slots:    make(chan struct{}, cfg.MaxConcurrent),
-		queue:    farm.NewPriorityQueue[*job](priorityLevels, cfg.MaxQueued),
 		base:     base,
 		cancel:   cancel,
 		jobs:     map[string]*job{},
@@ -464,7 +457,6 @@ func New(cfg Config) *Server {
 			s.memo = mc
 		}
 	}
-	go s.dispatch()
 	return s
 }
 
@@ -481,34 +473,56 @@ func (s *Server) retryAfterSecs() string {
 	return strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second))
 }
 
-// dispatch is the admission scheduler: acquire a concurrency slot
-// FIRST, then pop the highest-priority queued study — so an
-// interactive study submitted after a pile of batch work still takes
-// the very next free slot. Exits when the server's base context dies.
-func (s *Server) dispatch() {
-	for {
-		select {
-		case s.slots <- struct{}{}:
-		case <-s.base.Done():
-			return
-		}
-		j, level, err := s.queue.Pop(s.base)
-		if err != nil {
-			<-s.slots
-			return
-		}
-		queueGauge(level).Dec()
-		if !j.claim(claimGranted) {
-			// Cancelled while queued; its run goroutine already
-			// finished the job. The slot goes back for the next pop.
-			<-s.slots
+// scheduleLocked starts queued studies while fewer than MaxConcurrent
+// run: the interactive lane drains before the batch lane, each in
+// submission order. It runs after every submission and every finished
+// study. Caller holds s.mu.
+func (s *Server) scheduleLocked() {
+	for level := 0; level < priorityLevels && s.running < s.cfg.MaxConcurrent; {
+		if len(s.lanes[level]) == 0 {
+			level++
 			continue
 		}
-		close(j.grant)
+		j := s.lanes[level][0]
+		s.dequeueLocked(j)
+		s.running++
+		mStudiesRunning.Inc()
+		go s.run(j)
 	}
 }
 
-func (j *job) claim(who int32) bool { return j.claimed.CompareAndSwap(0, who) }
+// queuedLocked counts the queued studies. Caller holds s.mu.
+func (s *Server) queuedLocked() int {
+	n := 0
+	for _, lane := range s.lanes {
+		n += len(lane)
+	}
+	return n
+}
+
+// dequeueLocked takes j out of its lane, reporting whether it was
+// still queued. Caller holds s.mu.
+func (s *Server) dequeueLocked(j *job) bool {
+	i := slices.Index(s.lanes[j.priority], j)
+	if i < 0 {
+		return false
+	}
+	s.lanes[j.priority] = slices.Delete(s.lanes[j.priority], i, i+1)
+	queueGauge(j.priority).Dec()
+	mStudiesQueued.Dec()
+	return true
+}
+
+// abandonLocked finishes a study taken out of its lane before it ran.
+// Caller holds s.mu.
+func (s *Server) abandonLocked(j *job) {
+	mStudiesCancelled.Inc()
+	j.fail(errors.New("cancelled while queued")) // no-op after a client cancel
+	j.cancel()
+	s.releaseSession(j)
+	j.retireStudy()
+	s.wg.Done()
+}
 
 // Handler returns the HTTP handler for the service API, wrapped in
 // the composable middleware chain: request logging and per-route
@@ -598,7 +612,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		updated:   make(chan struct{}),
 		outputs:   make([]string, len(spec.Experiments)),
 		priority:  level,
-		grant:     make(chan struct{}),
 	}
 
 	// Per-session quota: the claim is atomic with the check, and every
@@ -623,19 +636,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.pruneLocked()
-	active := 0
-	for _, id := range s.order {
-		switch s.jobs[id].status().State {
-		case StateQueued, StateRunning:
-			active++
-		}
-	}
-	// Two bounds guard the queue: the admission count (active studies)
-	// and the priority queue's own capacity (which can fill first if
-	// cancelled-while-queued entries await reaping). Both reject the
-	// same way — part of the client backoff contract (see package
+	// The rejection is part of the client backoff contract (see package
 	// doc): tell the client when resubmitting is worth trying.
-	if active >= s.cfg.MaxQueued {
+	if active := s.running + s.queuedLocked(); active >= s.cfg.MaxQueued {
 		s.mu.Unlock()
 		s.releaseSession(j)
 		mRejectQueueFull.Inc()
@@ -643,30 +646,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, "queue full (%d studies pending)", active)
 		return
 	}
-	if err := s.queue.Push(level, j); err != nil {
-		s.mu.Unlock()
-		s.releaseSession(j)
-		mRejectQueueFull.Inc()
-		w.Header().Set("Retry-After", s.retryAfterSecs())
-		writeError(w, http.StatusTooManyRequests, "queue full: %v", err)
-		return
-	}
-	queueGauge(level).Inc()
 	s.nextID++
 	j.id = fmt.Sprintf("study-%04d", s.nextID)
-	jobCtx, jobCancel := context.WithCancel(s.base)
-	j.cancel = jobCancel
+	j.ctx, j.cancel = context.WithCancel(s.base)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.wg.Add(1)
-	s.mu.Unlock()
-
+	s.lanes[level] = append(s.lanes[level], j)
+	queueGauge(level).Inc()
 	mStudiesSubmitted.Inc()
 	mStudiesQueued.Inc()
 	serviceLog.Info("study submitted",
 		"id", j.id, "experiments", len(spec.Experiments), "frames", spec.Frames,
 		"priority", priorityName(level))
-	go s.run(jobCtx, j)
+	s.scheduleLocked()
+	s.mu.Unlock()
+
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
@@ -677,36 +672,27 @@ func (s *Server) releaseSession(j *job) {
 	}
 }
 
-// run executes one job: wait for the dispatcher to grant a slot, then
-// render the experiments in order through the Runner seam (local farm
-// or worker fleet), publishing outputs and events as they complete.
-func (s *Server) run(ctx context.Context, j *job) {
+// run executes one started job: render the experiments in order
+// through the Runner seam (local farm or worker fleet), publishing
+// outputs and events as they complete, then hand its place to the next
+// queued study.
+func (s *Server) run(j *job) {
 	defer s.wg.Done()
 	defer j.cancel()
 	defer s.releaseSession(j)
 	defer j.retireStudy()
-	select {
-	case <-j.grant:
-	case <-ctx.Done():
-		if j.claim(claimAbandoned) {
-			// The dispatcher never granted this job; it stays in the
-			// queue as a claimed husk the dispatcher skips later.
-			mStudiesQueued.Dec()
-			mStudiesCancelled.Inc()
-			j.fail(fmt.Errorf("cancelled while queued"))
-			return
-		}
-		<-j.grant // the dispatcher won the race: run (and fail fast) below
-	}
-	defer func() { <-s.slots }()
-	mStudiesQueued.Dec()
-	mStudiesRunning.Inc()
-	defer mStudiesRunning.Dec()
+	defer func() {
+		s.mu.Lock()
+		s.running--
+		mStudiesRunning.Dec()
+		s.scheduleLocked()
+		s.mu.Unlock()
+	}()
 	start := time.Now()
 	j.setState(StateRunning)
 	serviceLog.Info("study started", "id", j.id,
 		"experiments", len(j.spec.Experiments), "priority", priorityName(j.priority))
-	ctx = harness.WithStudy(ctx, j.study)
+	ctx := harness.WithStudy(j.ctx, j.study)
 	for i, e := range j.spec.Experiments {
 		out, err := s.runner.Render(ctx, s.pool, e, j.spec.Frames, j.sinkFor(i, e.Label()))
 		if err != nil {
@@ -833,6 +819,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
+	s.mu.Lock()
 	j.mu.Lock()
 	terminal := j.state == StateDone || j.state == StateFailed || j.state == StateCancelled
 	if !terminal {
@@ -844,6 +831,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		j.notifyLocked()
 	}
 	j.mu.Unlock()
+	if !terminal && s.dequeueLocked(j) {
+		s.abandonLocked(j)
+	}
+	s.mu.Unlock()
 	if !terminal {
 		j.cancel()
 	}
@@ -856,29 +847,21 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // alive/dead/barred.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	queued, running := 0, 0
-	for _, id := range s.order {
-		switch s.jobs[id].status().State {
-		case StateQueued:
-			queued++
-		case StateRunning:
-			running++
-		}
+	depth := map[string]int{}
+	for level, lane := range s.lanes {
+		depth[priorityName(level)] = len(lane)
 	}
-	closed := s.closed
+	queued, running, closed := s.queuedLocked(), s.running, s.closed
 	s.mu.Unlock()
 	body := map[string]any{
-		"ok":       !closed,
-		"queued":   queued,
-		"running":  running,
-		"workers":  s.pool.Workers(),
-		"shutdown": closed,
-		"version":  obs.Version(),
-		"queue_depth": map[string]int{
-			PriorityInteractive: s.queue.Len(0),
-			PriorityBatch:       s.queue.Len(1),
-		},
-		"sessions": s.sessionCount(),
+		"ok":          !closed,
+		"queued":      queued,
+		"running":     running,
+		"workers":     s.pool.Workers(),
+		"shutdown":    closed,
+		"version":     obs.Version(),
+		"queue_depth": depth,
+		"sessions":    s.sessionCount(),
 	}
 	if s.fleet != nil {
 		alive, dead, barred := s.fleet.snapshot()
@@ -911,7 +894,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	s.queue.Close()
 
 	drained := make(chan struct{})
 	go func() {
@@ -920,10 +902,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-drained:
-		s.cancel() // stop the dispatcher and fleet monitor
+		s.cancel() // stop the fleet monitor
 		return nil
 	case <-ctx.Done():
-		s.cancel() // cancel every job context
+		// Empty the lanes first, so no running study's exit starts a
+		// queued one only to cancel it.
+		s.mu.Lock()
+		for level := range s.lanes {
+			for len(s.lanes[level]) > 0 {
+				j := s.lanes[level][0]
+				s.dequeueLocked(j)
+				s.abandonLocked(j)
+			}
+		}
+		s.mu.Unlock()
+		s.cancel() // cancel every running study
 		<-drained
 		return ctx.Err()
 	}

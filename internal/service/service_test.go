@@ -452,20 +452,24 @@ func TestServiceHistoryBound(t *testing.T) {
 }
 
 // TestServiceGracefulShutdown: Shutdown rejects new work, lets running
-// studies finish within the budget, and reports clean drain.
+// studies and the studies queued behind them finish within the budget,
+// and reports clean drain.
 func TestServiceGracefulShutdown(t *testing.T) {
-	svc := New(Config{})
+	svc := New(Config{MaxConcurrent: 1})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
 	st := submit(t, ts, `{"frames": 2, "experiments": [{"sweep": "ratio"}]}`)
+	queued := submit(t, ts, tinyStudy) // waits for the only slot
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	if err := svc.Shutdown(ctx); err != nil {
 		t.Fatalf("graceful shutdown failed: %v", err)
 	}
-	if fin := getStatus(t, ts, st.ID); fin.State != StateDone {
-		t.Fatalf("study ended %s after graceful drain, want done (%s)", fin.State, fin.Error)
+	for _, id := range []string{st.ID, queued.ID} {
+		if fin := getStatus(t, ts, id); fin.State != StateDone {
+			t.Fatalf("study %s ended %s after graceful drain, want done (%s)", id, fin.State, fin.Error)
+		}
 	}
 	resp, err := http.Post(ts.URL+"/v1/studies", "application/json",
 		strings.NewReader(`{"experiments": [{"table": 1}]}`))
@@ -479,13 +483,15 @@ func TestServiceGracefulShutdown(t *testing.T) {
 }
 
 // TestServiceShutdownDeadlineCancels: a shutdown whose deadline
-// expires cancels in-flight studies instead of hanging.
+// expires cancels in-flight studies instead of hanging, and fails the
+// studies still queued.
 func TestServiceShutdownDeadlineCancels(t *testing.T) {
-	svc := New(Config{})
+	svc := New(Config{MaxConcurrent: 1})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
 	st := submit(t, ts, `{"frames": 8, "experiments": [{"sweep": "ratio"}, {"table": 2}, {"table": 4}]}`)
+	queued := submit(t, ts, tinyStudy) // waits for the only slot
 	for getStatus(t, ts, st.ID).State == StateQueued {
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -497,6 +503,13 @@ func TestServiceShutdownDeadlineCancels(t *testing.T) {
 	fin := getStatus(t, ts, st.ID)
 	if fin.State != StateFailed && fin.State != StateDone {
 		t.Fatalf("study state %s after forced shutdown", fin.State)
+	}
+	if fin.State == StateFailed {
+		// The only slot stayed busy past the deadline, so the queued
+		// study never ran.
+		if q := getStatus(t, ts, queued.ID); q.State != StateFailed || q.Error != "cancelled while queued" {
+			t.Fatalf("queued study after forced shutdown: %s (%q), want failed (cancelled while queued)", q.State, q.Error)
+		}
 	}
 }
 

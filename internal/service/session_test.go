@@ -2,13 +2,16 @@ package service
 
 // Tests of the admission-control stack: bearer auth, per-session
 // active-study quotas, submission rate limiting, the bounded session
-// table, priority scheduling, and the healthz admission report.
+// table, priority scheduling, queued cancellation, and the healthz
+// admission report.
 
 import (
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +19,7 @@ import (
 
 	"repro/internal/farm"
 	"repro/internal/harness"
+	"repro/internal/obs"
 )
 
 // doJSON sends a request with optional bearer token and session ID and
@@ -198,17 +202,14 @@ func (f runnerFunc) Render(ctx context.Context, _ *farm.Pool, e harness.Experime
 	return f(ctx, e)
 }
 
-// TestServicePrioritySchedulesInteractiveFirst: with one slot busy and
-// a queue of batch studies, an interactive study submitted last still
-// runs next. The first study's render blocks on a channel, so every
-// later submission is verifiably queued before the slot frees.
-func TestServicePrioritySchedulesInteractiveFirst(t *testing.T) {
-	svc, ts := newTestServer(t, Config{MaxConcurrent: 1})
-	release := make(chan struct{})
-	var blockFirst sync.Once
-	svc.runner = runnerFunc(func(ctx context.Context, e harness.ExperimentSpec) (string, error) {
+// blockFirstRender returns a runner whose first render blocks until
+// release closes (or its study is cancelled); every other render
+// returns at once.
+func blockFirstRender(release <-chan struct{}) runnerFunc {
+	var once sync.Once
+	return func(ctx context.Context, e harness.ExperimentSpec) (string, error) {
 		block := false
-		blockFirst.Do(func() { block = true })
+		once.Do(func() { block = true })
 		if block {
 			select {
 			case <-release:
@@ -217,61 +218,64 @@ func TestServicePrioritySchedulesInteractiveFirst(t *testing.T) {
 			}
 		}
 		return "rendered " + e.Label() + "\n", nil
-	})
+	}
+}
 
-	blocker := submit(t, ts, tinyStudy) // occupies the only slot, blocked
-	// The dispatcher must grant the blocker before the others exist:
-	// if it first woke after all four POSTs, it would pop the
-	// interactive study, whose render would then be the one to block.
+// waitRunning polls until study id is running.
+func waitRunning(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for getStatus(t, ts, blocker.ID).State != StateRunning {
+	for getStatus(t, ts, id).State != StateRunning {
 		if time.Now().After(deadline) {
-			t.Fatal("blocker never started running")
+			t.Fatalf("study %s never started running", id)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	b1 := submit(t, ts, `{"frames": 2, "priority": "batch", "experiments": [`+smallGeometry+`]}`)
-	b2 := submit(t, ts, `{"frames": 2, "priority": "batch", "experiments": [`+smallGeometry+`]}`)
+}
+
+// TestServicePrioritySchedulesInteractiveFirst: with one slot busy and
+// a queue of batch studies, an interactive study submitted last still
+// runs next, and the batch studies then start in submission order. The
+// first study's render blocks on a channel, so every later submission
+// is verifiably queued before the slot frees.
+func TestServicePrioritySchedulesInteractiveFirst(t *testing.T) {
+	svc, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	release := make(chan struct{})
+	svc.runner = blockFirstRender(release)
+
+	blocker := submit(t, ts, tinyStudy) // occupies the only slot, blocked
+	waitRunning(t, ts, blocker.ID)
+	batchSpec := `{"frames": 2, "priority": "batch", "experiments": [` + smallGeometry + `]}`
+	batches := []string{submit(t, ts, batchSpec).ID, submit(t, ts, batchSpec).ID, submit(t, ts, batchSpec).ID}
 	inter := submit(t, ts, `{"frames": 2, "priority": "interactive", "experiments": [`+smallGeometry+`]}`)
 	if inter.Priority != PriorityInteractive {
 		t.Fatalf("interactive study reported priority %q", inter.Priority)
 	}
 
-	// All three are queued behind the blocked slot before it frees.
-	deadline = time.Now().Add(30 * time.Second)
-	for {
-		st := getStatus(t, ts, blocker.ID)
-		queued := 0
-		for _, id := range []string{b1.ID, b2.ID, inter.ID} {
-			if getStatus(t, ts, id).State == StateQueued {
-				queued++
-			}
+	// All four are queued behind the blocked slot before it frees.
+	for _, id := range append([]string{inter.ID}, batches...) {
+		if st := getStatus(t, ts, id); st.State != StateQueued {
+			t.Fatalf("study %s: state %q behind the blocked slot, want queued", id, st.State)
 		}
-		if st.State == StateRunning && queued == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("setup never settled: blocker %q, %d queued", st.State, queued)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	close(release)
 
-	for _, id := range []string{blocker.ID, b1.ID, b2.ID, inter.ID} {
+	for _, id := range append([]string{blocker.ID, inter.ID}, batches...) {
 		if st := waitTerminal(t, ts, id); st.State != StateDone {
 			t.Fatalf("study %s: state %q, want done", id, st.State)
 		}
 	}
-	interSt := getStatus(t, ts, inter.ID)
-	for _, batch := range []string{b1.ID, b2.ID} {
-		bSt := getStatus(t, ts, batch)
-		if bSt.Started == nil || interSt.Started == nil {
+	prev := getStatus(t, ts, inter.ID)
+	for _, id := range batches {
+		st := getStatus(t, ts, id)
+		if st.Started == nil || prev.Started == nil {
 			t.Fatal("terminal studies without Started timestamps")
 		}
-		if !interSt.Started.Before(*bSt.Started) {
-			t.Fatalf("interactive started %v, after batch %s at %v — priority inverted",
-				interSt.Started, batch, bSt.Started)
+		if !prev.Started.Before(*st.Started) {
+			t.Fatalf("%s started %v, not after %s at %v — priority or FIFO order broken",
+				id, st.Started, prev.ID, prev.Started)
 		}
+		prev = st
 	}
 
 	// An invalid priority is a validation error.
@@ -283,6 +287,50 @@ func TestServicePrioritySchedulesInteractiveFirst(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad priority: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServiceQueuedCancelFreesItsPlace: cancelling a queued study takes
+// it out of the queue at once. Two submit-and-cancel rounds behind a
+// running study leave the queue empty, the depth gauge where it
+// started, and room under MaxQueued for a new submission.
+func TestServiceQueuedCancelFreesItsPlace(t *testing.T) {
+	svc, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueued: 2})
+	release := make(chan struct{})
+	defer close(release)
+	svc.runner = blockFirstRender(release)
+	batchDepth := obs.Label("service_queue_depth", "priority", PriorityBatch)
+	before := obs.Default().Snapshot().Gauges[batchDepth]
+
+	blocker := submit(t, ts, tinyStudy)
+	waitRunning(t, ts, blocker.ID)
+	for i := 0; i < 2; i++ {
+		st := submit(t, ts, tinyStudy)
+		resp := doJSON(t, http.MethodDelete, ts.URL+"/v1/studies/"+st.ID, "", "", "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cancel %s: status %d", st.ID, resp.StatusCode)
+		}
+		if fin := getStatus(t, ts, st.ID); fin.State != StateCancelled {
+			t.Fatalf("cancelled study %s: state %q", st.ID, fin.State)
+		}
+	}
+
+	resp := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", "", "", "")
+	var health struct {
+		QueueDepth map[string]int `json:"queue_depth"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int{PriorityBatch: 0, PriorityInteractive: 0}; !reflect.DeepEqual(health.QueueDepth, want) {
+		t.Errorf("queue_depth after cancelling both queued studies = %v, want %v", health.QueueDepth, want)
+	}
+	if got := obs.Default().Snapshot().Gauges[batchDepth]; got != before {
+		t.Errorf("%s = %d after the cancels, want %d", batchDepth, got, before)
+	}
+	third := submit(t, ts, tinyStudy)
+	if st := getStatus(t, ts, third.ID); st.State != StateQueued {
+		t.Errorf("third study: state %q behind the blocked slot, want queued", st.State)
 	}
 }
 
