@@ -33,8 +33,10 @@
 // resubmitting a study, or submitting one whose sweep overlaps an
 // earlier study's grid, replays only cells no study has simulated
 // before — byte-identical output, and in fleet mode zero shards
-// dispatched for memo-covered cells. -memo-dir persists the memo
-// across restarts; /v1/healthz reports its hit rate.
+// dispatched for memo-covered cells. A study whose sweep cells are all
+// memoized runs no codec: cells are keyed by how their capture would be
+// made, so nothing is encoded to look them up. -memo-dir persists the
+// memo across restarts; /v1/healthz reports its hit rate.
 //
 // Observability: GET /v1/metrics serves the process metrics registry
 // (Prometheus text, or JSON with Accept: application/json), GET

@@ -77,15 +77,19 @@
 // retries, breaker trips, readmissions, memo hit rate) goes to stderr.
 //
 // Result memoization is on by default for the replay sweeps: every
-// simulated (trace hash, L1, L2) grid cell's whole-run stats are
-// memoized in-process, so repeating or extending a sweep within one
-// invocation replays only unseen cells — with byte-identical output,
-// because sweep points are a pure function of the memoized stats.
-// -memo-dir persists the memo across invocations (entries are keyed by
-// trace content hash and simulator code version, so stale entries are
-// never served); -no-memo disables memoization entirely. Local and
-// fleet sweeps share the same memo, and the capture/replay summary
-// reports the hit rate whenever the memo was consulted.
+// simulated (capture, L1, L2) grid cell's whole-run stats are memoized
+// in-process, so repeating or extending a sweep within one invocation
+// replays only unseen cells — with byte-identical output, because sweep
+// points are a pure function of the memoized stats. -memo-dir persists
+// the memo across invocations (entries are keyed by the capture's
+// identity and the simulator code version, so stale entries are never
+// served); -no-memo disables memoization entirely. A sweep that
+// captures its workload names the capture by its provenance (code
+// version, workload, direction), so a rerun whose cells are all on
+// disk runs no codec; a -trace-in or -trace-out sweep names it by the
+// trace's content hash. Local and fleet sweeps share the same memo,
+// and the capture/replay summary reports the hit rate whenever the
+// memo was consulted.
 //
 // Batch-manifest mode runs an arbitrary experiment list concurrently
 // and prints the outputs in manifest order. The manifest is JSON (the
@@ -131,6 +135,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dist"
@@ -563,15 +568,26 @@ func runManifest(ctx context.Context, path string, frames, parallel int, progres
 
 // runBatch executes the experiment list on the pool — one farm job per
 // experiment, each internally serial — and prints the rendered outputs
-// in manifest order once all complete.
+// in manifest order once all complete. The last sweep to finish
+// releases the study's shared capture.
 func runBatch(ctx context.Context, pool *farm.Pool, exps []harness.ExperimentSpec, frames int) error {
+	var sweeps atomic.Int64
+	for _, e := range exps {
+		if e.ReplaysCapture() {
+			sweeps.Add(1)
+		}
+	}
 	jobs := make([]farm.Job[string], len(exps))
 	for i, e := range exps {
 		e := e
 		jobs[i] = farm.Job[string]{
 			Label: e.Label(),
 			Run: func(ctx context.Context, env farm.Env) (string, error) {
-				return harness.RenderExperiment(ctx, farm.Serial(), e, frames)
+				out, err := harness.RenderExperiment(ctx, farm.Serial(), e, frames)
+				if e.ReplaysCapture() && sweeps.Add(-1) == 0 {
+					harness.StudyFrom(ctx).ReleaseCaptures()
+				}
+				return out, err
 			},
 		}
 	}

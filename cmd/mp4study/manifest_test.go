@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/farm"
 	"repro/internal/harness"
 )
 
@@ -138,4 +140,36 @@ func manifestLabels(mf manifestFile) []string {
 		labels[i] = e.Label()
 	}
 	return labels
+}
+
+// TestRunBatchReleasesCaptureAfterLastSweep: a manifest's concurrent
+// sweeps share one capture, and the last of them to finish releases it,
+// so a later request captures anew.
+func TestRunBatchReleasesCaptureAfterLastSweep(t *testing.T) {
+	exps := []harness.ExperimentSpec{
+		{Sweep: "geometry", L1s: []cache.Config{{SizeBytes: 32 << 10, LineBytes: 32, Ways: 2}}, L2KB: []int{512}},
+		{Sweep: "policy", Policies: []string{"lru", "fifo"}, L2KB: []int{512}},
+	}
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	stdout := os.Stdout
+	os.Stdout = devnull
+	s := harness.NewStudy(true)
+	err = runBatch(harness.WithStudy(context.Background(), s), farm.New(farm.Config{Workers: 2}), exps, 1)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := s.Usage(); u.Traces != 1 {
+		t.Fatalf("two sweeps of one workload made %d captures, want 1", u.Traces)
+	}
+	if _, err := s.EncodeTrace(harness.Workload{W: 352, H: 288, Frames: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if u := s.Usage(); u.Traces != 2 {
+		t.Fatal("the capture outlived the manifest's last sweep")
+	}
 }

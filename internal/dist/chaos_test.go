@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/faultnet"
 	"repro/internal/harness"
+	"repro/internal/memo"
 )
 
 // The chaos suite drives the self-healing coordinator through
@@ -176,6 +177,46 @@ func TestChaosFallbackLocalCompletes(t *testing.T) {
 	_, _, err = strict.GeometrySweepWithStats(context.Background(), faultWorkload, l1s, l2Sizes)
 	if err == nil || !strings.Contains(err.Error(), "workers failed") {
 		t.Errorf("without FallbackLocal, want a classified fleet-loss error, got %v", err)
+	}
+}
+
+// TestChaosFallbackCellsReachMemo: cells the local fallback rescues
+// are memoized in the coordinator's memo like cells a worker replayed,
+// so the next identical sweep is served entirely from the memo.
+func TestChaosFallbackCellsReachMemo(t *testing.T) {
+	w0, w1 := goodWorker(t), goodWorker(t)
+	l1s, l2Sizes := faultAxes()
+	cells := len(l1s) * len(l2Sizes)
+	mc, err := memo.New(memo.Config{Version: harness.CodeVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func() ([]harness.GeometryPoint, SweepStats) {
+		t.Helper()
+		coord := chaosCoordinator(faultnet.New(1, nil, &faultnet.Rule{Name: "fleet-down", ErrRate: 1}), w0.URL, w1.URL)
+		coord.FallbackLocal = true
+		coord.Memo = mc
+		points, stats, err := coord.GeometrySweepWithStats(context.Background(), faultWorkload, l1s, l2Sizes)
+		if err != nil {
+			t.Fatalf("fallback did not rescue the dead fleet: %v", err)
+		}
+		return points, stats
+	}
+
+	cold, s1 := sweep()
+	if s1.FallbackShards == 0 {
+		t.Fatalf("no shards went through the fallback: %+v", s1)
+	}
+	if mc.Len() != cells {
+		t.Fatalf("memo holds %d cells after the rescued sweep, want %d", mc.Len(), cells)
+	}
+	warm, s2 := sweep()
+	if s2.MemoHits != cells || s2.MemoMisses != 0 || s2.FallbackShards != 0 {
+		t.Errorf("second sweep: %d hits, %d misses, %d fallback shards; want %d, 0, 0",
+			s2.MemoHits, s2.MemoMisses, s2.FallbackShards, cells)
+	}
+	if !reflect.DeepEqual(warm, cold) || !reflect.DeepEqual(cold, localBaseline(t)) {
+		t.Fatal("memo-served sweep differs from the rescued sweep or from local")
 	}
 }
 

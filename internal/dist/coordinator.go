@@ -15,7 +15,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/memo"
 	"repro/internal/obs"
-	"repro/internal/simmem"
 	"repro/internal/trace"
 )
 
@@ -44,12 +43,17 @@ var (
 // events; mp4study surfaces them at -log-level info/debug.
 var distLog = obs.Logger("dist")
 
-// Coordinator drives a distributed geometry sweep: capture once
-// locally, filter the capture down to the per-L1 L2-bound traces,
-// shard the (L1 × L2 size) grid across the workers, and merge the
-// results in deterministic shard order. Workers that fail or time out
-// are dropped and their shards re-planned onto the survivors (see
-// the package comment for the failover semantics).
+// Coordinator drives a distributed geometry sweep: plan the (L1 × L2
+// size) grid into shards against the memo, capture the workload
+// locally only if some shard is left to dispatch, filter the capture
+// down to the L2-bound trace of each L1 row that ships, shard the
+// remaining cells across the workers, and merge the results in
+// deterministic shard order. The capture is the context's Study's
+// shared one (harness.Study.EncodeTrace), so several sweeps of one
+// workload in a study capture it once; the study releases it after its
+// last sweep. Workers that fail or time out
+// are dropped and their shards re-planned onto the survivors (see the
+// package comment for the failover semantics).
 type Coordinator struct {
 	// Workers are the base URLs of the worker processes, e.g.
 	// "http://10.0.0.7:8375". At least one is required.
@@ -93,14 +97,16 @@ type Coordinator struct {
 	// sweep — byte-identical output, degraded wall-clock. Caller
 	// cancellation is never rescued.
 	FallbackLocal bool
-	// Memo, when non-nil, makes the sweep incremental: every (trace
-	// hash, L1, L2) grid cell already in the memo is served locally
-	// from its memoized stats — no shard dispatched, no trace filtered
-	// or uploaded for rows the memo fully covers — and every cell the
-	// fleet does replay is memoized on success. Output is byte-identical
-	// with or without a memo: values are whole-run cache.Stats and
-	// perf.Compute is deterministic. Memo-served shards reach OnShard
-	// with Worker == MemoWorker.
+	// Memo, when non-nil, makes the sweep incremental: cells are keyed
+	// by (capture provenance, L1, L2) — harness.CaptureProvenance, known
+	// before anything is encoded — and every cell already in the memo is
+	// served locally from its memoized stats: no shard dispatched, no
+	// trace filtered or uploaded for rows the memo fully covers, and no
+	// capture at all when it covers the grid. Every cell the fleet or
+	// the local fallback does replay is memoized on success. Output is
+	// byte-identical with or without a memo: values are whole-run
+	// cache.Stats and perf.Compute is deterministic. Memo-served shards
+	// reach OnShard with Worker == MemoWorker.
 	Memo *memo.Cache
 	// OnShard, when non-nil, receives every completed shard in strict
 	// shard-index order — the streaming counterpart of the merged
@@ -220,11 +226,11 @@ type SweepStats struct {
 }
 
 // GeometrySweepWithStats runs the distributed counterpart of
-// harness.RunGeometrySweep: one local capture, every configuration
-// replayed on the worker fleet. Nil/empty axes use the harness
-// defaults. The returned points are identical — field for field — to
-// the local sweep of the same workload and axes; the stats are the
-// sweep's transport and failover accounting.
+// harness.RunGeometrySweep: at most one local capture, every
+// configuration the memo lacks replayed on the worker fleet. Nil/empty
+// axes use the harness defaults. The returned points are identical —
+// field for field — to the local sweep of the same workload and axes;
+// the stats are the sweep's transport and failover accounting.
 func (c *Coordinator) GeometrySweepWithStats(ctx context.Context, wl harness.Workload, l1s []cache.Config, l2Sizes []int) ([]harness.GeometryPoint, SweepStats, error) {
 	shardPoints, stats, err := c.geometrySweepShards(ctx, wl, l1s, l2Sizes)
 	if err != nil {
@@ -261,8 +267,8 @@ func (b *batch) label() string {
 	return fmt.Sprintf("shards %d-%d (%s)", lo, hi, b.payload.key)
 }
 
-// geometrySweepShards performs the capture/filter/upload/replay cycle
-// and returns per-shard points ordered by shard index.
+// geometrySweepShards performs the plan/capture/filter/upload/replay
+// cycle and returns per-shard points ordered by shard index.
 func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Workload, l1s []cache.Config, l2Sizes []int) ([][]harness.GeometryPoint, SweepStats, error) {
 	var stats SweepStats
 	if len(c.Workers) == 0 {
@@ -292,24 +298,13 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 		}
 	}
 
-	// Capture once. The capture precedes planning because a memoized
-	// plan is keyed by the capture's content hash; each L1 row then
-	// ships only its L2-bound stream.
-	capture, err := harness.RecordEncodeCtx(ctx, simmem.NewSpace(0), wl)
-	if err != nil {
-		return nil, stats, fmt.Errorf("dist: capture: %w", err)
-	}
-
-	// Plan the shards: memo-covered cells become prefilled shards that
-	// never reach a worker. Planning before payload serialization
-	// matters: small grids can leave workers without assignments, and
-	// fully memoized L1 rows never get filtered or uploaded at all. The
-	// capture hash costs a whole wire encode, so only a memo pays it.
-	var captureHash trace.Hash
-	if c.Memo != nil {
-		captureHash = capture.Enc.Hash()
-	}
-	shards, prefill, hits, misses := c.planMemoShards(captureHash, l1s, l2Sizes)
+	// Plan the shards before capturing: memo-covered cells become
+	// prefilled shards that never reach a worker, so fully memoized L1
+	// rows are never filtered or uploaded, and a fully memoized grid is
+	// never captured. Only shards left to dispatch need the capture;
+	// each L1 row then ships only its L2-bound stream.
+	id := harness.CaptureProvenance(wl)
+	shards, prefill, hits, misses := c.planMemoShards(id, l1s, l2Sizes)
 	if c.Memo != nil {
 		stats.MemoHits, stats.MemoMisses = hits, misses
 	}
@@ -317,6 +312,13 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 	for _, sh := range shards {
 		if _, ok := prefill[sh.Index]; !ok {
 			dispatch = append(dispatch, sh)
+		}
+	}
+	var capture *trace.Trace
+	if len(dispatch) > 0 {
+		var err error
+		if capture, err = harness.StudyFrom(ctx).EncodeTrace(wl); err != nil {
+			return nil, stats, fmt.Errorf("dist: capture: %w", err)
 		}
 	}
 	payloadOf, err := c.buildPayloads(ctx, capture, l1s, dispatch)
@@ -419,7 +421,7 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 			}
 			distLog.Warn("sweep completed via local fallback",
 				"shards", n, "fleet_error", s.fatal)
-			s.memoize(captureHash, prefill)
+			s.memoize(id, prefill)
 			return s.results, s.stats, nil
 		}
 		return nil, s.stats, s.fatal
@@ -429,17 +431,18 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 			return nil, s.stats, fmt.Errorf("dist: shard %d missing from worker responses", i)
 		}
 	}
-	s.memoize(captureHash, prefill)
+	s.memoize(id, prefill)
 	return s.results, s.stats, nil
 }
 
-// memoize records every fleet-replayed cell of a successful sweep in
-// the coordinator's memo, so the next sweep over the same capture can
-// serve them without dispatching anything. Prefilled shards are
-// already in the memo; shards without stats (pre-stats workers,
-// local-fallback shards) are simply skipped — the memo is an
-// optimization, never required for completeness.
-func (s *sweepState) memoize(captureHash trace.Hash, prefill map[int][]harness.GeometryPoint) {
+// memoize records every replayed cell of a successful sweep — by a
+// worker or by the local fallback — in the coordinator's memo under
+// the capture identity id, so the next sweep of the same workload can
+// serve them without capturing or dispatching anything. It is the
+// sweep's one memo writer. Prefilled shards are already in the memo;
+// shards without stats (pre-stats workers) are simply skipped — the
+// memo is an optimization, never required for completeness.
+func (s *sweepState) memoize(id trace.Hash, prefill map[int][]harness.GeometryPoint) {
 	if s.c.Memo == nil {
 		return
 	}
@@ -452,27 +455,28 @@ func (s *sweepState) memoize(captureHash trace.Hash, prefill map[int][]harness.G
 			continue
 		}
 		for j, size := range sh.L2Sizes {
-			s.c.Memo.Put(harness.GeometryMemoKey(captureHash, sh.L1, size), sts[j])
+			s.c.Memo.Put(harness.GeometryMemoKey(id, sh.L1, size), sts[j])
 		}
 	}
 }
 
-// planMemoShards cuts the (L1 × L2 size) grid into shards. Per L1
-// row, maximal runs of memo-hit cells become one prefilled shard each
+// planMemoShards cuts the (L1 × L2 size) grid into shards, looking
+// cells up under the capture identity id. Per L1 row, maximal runs of
+// memo-hit cells become one prefilled shard each
 // (results reconstructed from memoized stats — byte-identical to a
 // replay because perf.Compute is deterministic), and runs of misses
 // split into at most len(c.Workers) contiguous chunks. Without a memo
 // every cell misses and no lookup runs. Flattening shard results by
 // Index reproduces the local sweep's (L1 outer, L2 inner) point order
 // exactly, independent of which worker ran what or when it finished.
-func (c *Coordinator) planMemoShards(captureHash trace.Hash, l1s []cache.Config, l2Sizes []int) (shards []Shard, prefill map[int][]harness.GeometryPoint, hits, misses int) {
+func (c *Coordinator) planMemoShards(id trace.Hash, l1s []cache.Config, l2Sizes []int) (shards []Shard, prefill map[int][]harness.GeometryPoint, hits, misses int) {
 	prefill = map[int][]harness.GeometryPoint{}
 	for _, l1 := range l1s {
 		memoized := make([]cache.Stats, len(l2Sizes))
 		hit := make([]bool, len(l2Sizes))
 		for j, size := range l2Sizes {
 			if c.Memo != nil {
-				memoized[j], hit[j] = c.Memo.Get(harness.GeometryMemoKey(captureHash, l1, size))
+				memoized[j], hit[j] = c.Memo.Get(harness.GeometryMemoKey(id, l1, size))
 			}
 		}
 		for lo := 0; lo < len(l2Sizes); {
@@ -523,7 +527,7 @@ func (c *Coordinator) planMemoShards(captureHash trace.Hash, l1s []cache.Config,
 // filter exactly once (the same FilterGeometryL1 seam the local sweep
 // uses, so a worker replaying the payload cannot diverge from a local
 // run). payloadOf maps each shard index to its payload.
-func (c *Coordinator) buildPayloads(ctx context.Context, capture *harness.Capture, l1s []cache.Config, shards []Shard) (map[int]*payload, error) {
+func (c *Coordinator) buildPayloads(ctx context.Context, capture *trace.Trace, l1s []cache.Config, shards []Shard) (map[int]*payload, error) {
 	payloadOf := make(map[int]*payload, len(shards))
 	// One filter replay per L1 row, concurrently — this is the work
 	// the workers would otherwise each repeat per shard. Only rows some
@@ -549,7 +553,7 @@ func (c *Coordinator) buildPayloads(ctx context.Context, capture *harness.Captur
 		wg.Add(1)
 		go func(li int, l1 cache.Config) {
 			defer wg.Done()
-			lt := harness.FilterGeometryL1(ctx, capture.Enc, l1)
+			lt := harness.FilterGeometryL1(ctx, capture, l1)
 			var wire bytes.Buffer
 			if _, err := lt.WriteTo(&wire); err != nil {
 				errs[li] = fmt.Errorf("dist: serialize l2 trace %d: %w", li, err)

@@ -65,9 +65,9 @@ func TestSecondSweepUploadsNoTraceBytes(t *testing.T) {
 // TestMemoizedSweepDispatchesNothing is the memo acceptance test at
 // the fleet layer: with a memo attached, a repeat of the same sweep
 // dispatches zero shards, uploads zero traces, reports a 100% hit
-// rate, attributes every streamed shard to the memo — and is
-// byte-identical to the cold run. A partially covered sweep replays
-// only its missing cells.
+// rate, attributes every streamed shard to the memo, runs no codec and
+// filters nothing in its study — and is byte-identical to the cold
+// run. A partially covered sweep replays only its missing cells.
 func TestMemoizedSweepDispatchesNothing(t *testing.T) {
 	srv := httptest.NewServer(NewWorker(WorkerConfig{Workers: 2}).Handler())
 	defer srv.Close()
@@ -106,12 +106,16 @@ func TestMemoizedSweepDispatchesNothing(t *testing.T) {
 			otherEvents.Add(1)
 		}
 	}}
-	warm, s2, err := warmCoord.GeometrySweepWithStats(context.Background(), wl, l1s, l2Sizes)
+	study := harness.NewStudy(true)
+	warm, s2, err := warmCoord.GeometrySweepWithStats(harness.WithStudy(context.Background(), study), wl, l1s, l2Sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(warm, cold) {
 		t.Fatal("warm sweep differs from cold sweep")
+	}
+	if u := study.Usage(); u.Traces != 0 || u.L2Traces != 0 || u.Replays != 0 {
+		t.Errorf("warm sweep captured, filtered or replayed in its study: %+v", u)
 	}
 	if s2.MemoHits != cells || s2.MemoMisses != 0 {
 		t.Errorf("warm sweep memo accounting = %d/%d, want %d/0 (100%% hit rate)", s2.MemoHits, s2.MemoMisses, cells)

@@ -1,8 +1,9 @@
 // Package dist shards trace-replay sweeps across worker processes.
 //
 // The paper's methodology — simulate one workload on many machines —
-// distributes along its natural seam: a workload is encoded ONCE by
-// the coordinator and every (L1, L2) cache configuration becomes an
+// distributes along its natural seam: a workload is encoded at most
+// once by the coordinator — not at all when the memo already holds
+// every cell — and every (L1, L2) cache configuration left becomes an
 // independent replay job on whichever worker its shard landed on.
 // Because every shard of one L1 row shares that L1, the coordinator
 // does not ship the full capture: it replays the capture through the

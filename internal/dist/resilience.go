@@ -15,10 +15,9 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/farm"
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // Self-healing metrics, live counterparts of the new SweepStats
@@ -362,20 +361,22 @@ func (s *sweepState) stealWorkLocked(wi int) {
 	}
 }
 
-// fallbackLocal replays every shard the fleet never delivered through
-// the local harness path — the same RunGeometrySweepFromTrace seam the
-// workers execute, against the same capture, so the output is
-// byte-identical to a local sweep. Called after the fleet goroutines
-// have joined on a fatal sweep (never on caller cancellation). Returns
-// the number of shards recovered, or the replay error.
-func (s *sweepState) fallbackLocal(ctx context.Context, capture *harness.Capture, shards []Shard) (int, error) {
+// fallbackLocal replays every shard the fleet never delivered
+// in-process, through the workers' own seam (FilterGeometryL1, then
+// GeometryRowStatsFromL2Trace) against the same capture, so the output
+// is byte-identical to a local sweep, and it records each shard's
+// stats so memoize stores the rescued cells like any replayed ones.
+// Called after the fleet goroutines have joined on a fatal
+// sweep (never on caller cancellation). Returns the number of shards
+// recovered, or the replay error.
+func (s *sweepState) fallbackLocal(ctx context.Context, capture *trace.Trace, shards []Shard) (int, error) {
 	done := 0
 	for _, sh := range shards {
 		if len(s.results[sh.Index]) > 0 {
 			continue
 		}
-		points, err := harness.RunGeometrySweepFromTrace(ctx, farm.Serial(), capture.Enc,
-			[]cache.Config{sh.L1}, sh.L2Sizes)
+		lt := harness.FilterGeometryL1(ctx, capture, sh.L1)
+		points, stats, err := harness.GeometryRowStatsFromL2Trace(ctx, lt, sh.L2Sizes)
 		if err != nil {
 			return done, fmt.Errorf("shard %d: %w", sh.Index, err)
 		}
@@ -384,6 +385,7 @@ func (s *sweepState) fallbackLocal(ctx context.Context, capture *harness.Capture
 		// has a single owner.
 		s.mu.Lock()
 		s.results[sh.Index] = points
+		s.cellStats[sh.Index] = stats
 		s.servedBy[sh.Index] = FallbackWorker
 		s.emitReadyLocked()
 		s.mu.Unlock()

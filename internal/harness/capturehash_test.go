@@ -11,9 +11,12 @@ import (
 
 // captureHashPins commits the content hash of the encode and decode
 // captures of one tiny workload per codec path. Every reference the
-// codec makes is in these traces, so a codec change that moves, adds or
-// drops a single one fails here even where the paper machines' counters
-// happen not to move.
+// codec makes on those paths is in these traces, so a codec change that
+// moves, adds or drops a single one fails here even where the paper
+// machines' counters happen not to move. Two frames code an I-VOP and a
+// P-VOP; six frames (coding order I P B B P P under the default GOP)
+// add the B-VOPs that every sweep capture at the default six frames
+// codes.
 var captureHashPins = []struct {
 	name     string
 	wl       Workload
@@ -50,6 +53,21 @@ var captureHashPins = []struct {
 		alg:  motion.DiamondSearch,
 		enc:  "10624bfaeb44234091f397113d3e96067ff951d967ee7f26911d6e07dd1dcb95",
 		dec:  "c3c60718bd7818f5e68acc49e0b58413d682e47a375ba7371f033be3ba816448",
+	},
+	{
+		// B-VOPs of one VO: forward, backward and interpolated
+		// prediction chosen by SAD, and the P-VOPs that follow them.
+		name: "1 VO B-VOPs",
+		wl:   Workload{W: 176, H: 144, Frames: 6},
+		enc:  "2bcf3e7cd37fb436225cb01cbd5ef3cb3a9eb7b59102a383688cffb6cd8b90c0",
+		dec:  "856802d32ad9e1cd23a05526d488e2bd6d7bcc1410abb934a898b70945b8f4c5",
+	},
+	{
+		// B-VOPs of shaped VOs in both layers.
+		name: "3 VOs x 2 layers B-VOPs",
+		wl:   Workload{W: 176, H: 144, Frames: 6, Objects: 3, Layers: 2},
+		enc:  "0205bb80d6652f380c43a7b36e47ed0c8d2208b0781450cb2fc4cc1609d1be4e",
+		dec:  "417a7852316677e36b7874f13e22015111042ba5fa698c0d0e9672f0a73448dc",
 	},
 }
 

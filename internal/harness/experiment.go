@@ -53,6 +53,12 @@ func (e ExperimentSpec) Label() string {
 	}
 }
 
+// ReplaysCapture reports whether the experiment replays its study's
+// encode capture: the geometry and policy sweeps do.
+func (e ExperimentSpec) ReplaysCapture() bool {
+	return e.Sweep == "geometry" || e.Sweep == "policy"
+}
+
 // GeometryAxes converts the spec's optional axes into the sweep's
 // argument shape (nil where defaulted).
 func (e ExperimentSpec) GeometryAxes() (l1s []cache.Config, l2Sizes []int) {

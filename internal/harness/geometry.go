@@ -10,22 +10,22 @@ import (
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/perf"
-	"repro/internal/simmem"
 	"repro/internal/trace"
 )
 
 // CodeVersion names the simulator semantics memoized results depend
-// on: the cache models, the replay machinery, and perf.Compute. Bump
-// it whenever any of those change observable output — every memo entry
-// recorded under the old version then misses instead of replaying
-// stale results.
+// on: the codec's reference stream (memo keys name a sweep's capture by
+// its provenance, see CaptureProvenance), the cache models, the replay
+// machinery, and perf.Compute. Bump it whenever any of those change
+// observable output — every memo entry recorded under the old version
+// then misses instead of replaying stale results.
 const CodeVersion = "sim-v1"
 
 // Sweep metrics: every geometry/policy sweep — local, trace-file or
 // the shard replays a distributed worker runs — passes through
-// RunGeometrySweepFromTrace or GeometryRowFromL2Trace, so these two
-// counters plus the harness_geometry_sweep span (see obs.Span) give
-// points/sec for the whole fleet's rows.
+// geometrySweep or GeometryRowStatsFromL2Trace, so these two counters
+// plus the harness_geometry_sweep span (see obs.Span) give points/sec
+// for the whole fleet's rows.
 var (
 	mSweepPoints = obs.Default().Counter("harness_sweep_points_total")
 	mSweepRows   = obs.Default().Counter("harness_sweep_rows_total")
@@ -93,12 +93,15 @@ func GeometryL2For(l1 cache.Config, l2Size int) cache.Config {
 }
 
 // GeometryMemoKey is the memo identity of one sweep cell: the
-// capture's content hash plus the exact (L1, L2) pair the cell
-// simulates. Shared by the local sweep and the dist coordinator so
-// both populate and consult the same entries.
-func GeometryMemoKey(traceHash trace.Hash, l1 cache.Config, l2Size int) memo.Key {
+// capture's identity plus the exact (L1, L2) pair the cell simulates.
+// A sweep that captures its workload itself names the capture by
+// CaptureProvenance, which it knows before capturing; a sweep of a
+// trace already in hand (a trace file, a worker's upload) names it by
+// its content hash, Trace.Hash. Shared by the local sweep and the dist
+// coordinator so both populate and consult the same entries.
+func GeometryMemoKey(capture trace.Hash, l1 cache.Config, l2Size int) memo.Key {
 	return memo.Key{
-		TraceHash: traceHash.String(),
+		TraceHash: capture.String(),
 		L1:        l1,
 		L2:        GeometryL2For(l1, l2Size),
 	}
@@ -181,28 +184,52 @@ func RunGeometrySweep(wl Workload, l1s []cache.Config, l2Sizes []int) ([]Geometr
 	return RunGeometrySweepPool(context.Background(), nil, wl, l1s, l2Sizes)
 }
 
-// RunGeometrySweepPool encodes the workload exactly once, then
-// simulates every (L1, L2 size) combination by replaying the capture
-// (see RunGeometrySweepFromTrace). Points return in (L1 outer, L2
-// inner) order. Nil/empty axes use the defaults.
+// RunGeometrySweepPool simulates every (L1, L2 size) combination of
+// the workload from one encode capture. Points return in (L1 outer, L2
+// inner) order; nil/empty axes use the defaults. The sweep plans before
+// it captures: with a memo on the context's Study, every cell is looked
+// up under the capture's provenance (CaptureProvenance), and only rows
+// with a missing cell are filtered and replayed, from the study's
+// shared capture (Study.EncodeTrace). A sweep whose cells are all
+// memoized runs no codec.
 func RunGeometrySweepPool(ctx context.Context, p *farm.Pool, wl Workload, l1s []cache.Config, l2Sizes []int) ([]GeometryPoint, error) {
-	capture, err := RecordEncodeCtx(ctx, simmem.NewSpace(0), wl)
-	if err != nil {
-		return nil, err
-	}
-	return RunGeometrySweepFromTrace(ctx, p, capture.Enc, l1s, l2Sizes)
+	s := StudyFrom(ctx)
+	return geometrySweep(ctx, p, s, CaptureProvenance(wl),
+		func() (*trace.Trace, error) { return s.EncodeTrace(wl) }, l1s, l2Sizes)
 }
 
 // RunGeometrySweepFromTrace runs the geometry sweep against an existing
 // capture — recorded in-process or decoded from a trace file (mp4study
-// -trace-in, or a shard request arriving at a distributed worker): the
-// full trace replays through an L1 filter per L1 configuration (one
-// farm job each), and each filtered trace replays per L2 size. Points
-// return in (L1 outer, L2 inner) order, identical to
-// RunGeometrySweepPool on the workload the trace captures. Nil/empty
+// -trace-in): the full trace replays through an L1 filter per L1
+// configuration (one farm job each), and each filtered trace replays
+// per L2 size. Points return in (L1 outer, L2 inner) order, identical
+// to RunGeometrySweepPool on the workload the trace captures. Nil/empty
 // axes use the defaults; every geometry is validated before simulation
-// (traces and axes may arrive over the network).
+// (traces and axes may arrive over the network). Memo cells are keyed
+// by the trace's content hash, computed only when the study has a memo.
 func RunGeometrySweepFromTrace(ctx context.Context, p *farm.Pool, tr *trace.Trace, l1s []cache.Config, l2Sizes []int) ([]GeometryPoint, error) {
+	s := StudyFrom(ctx)
+	var id trace.Hash
+	if s.Memo() != nil {
+		id = tr.Hash()
+	}
+	return geometrySweep(ctx, p, s, id,
+		func() (*trace.Trace, error) { return tr, nil }, l1s, l2Sizes)
+}
+
+// geometryRow is one L1 row of a sweep: its points, with the cells the
+// memo served filled in and the rest listed in missing.
+type geometryRow struct {
+	l1      cache.Config
+	points  []GeometryPoint
+	missing []int
+}
+
+// geometrySweep is the sweep both entry points share. id names the
+// capture in memo keys; capture supplies the trace and is called only
+// if some cell misses the memo. Without a memo every cell misses and no
+// lookup runs.
+func geometrySweep(ctx context.Context, p *farm.Pool, s *Study, id trace.Hash, capture func() (*trace.Trace, error), l1s []cache.Config, l2Sizes []int) ([]GeometryPoint, error) {
 	defer obs.Span("harness.geometry_sweep")()
 	if len(l1s) == 0 {
 		l1s = GeometryL1Configs()
@@ -223,70 +250,76 @@ func RunGeometrySweepFromTrace(ctx context.Context, p *farm.Pool, tr *trace.Trac
 			}
 		}
 	}
-	rows, err := farm.MapLabeled(ctx, p, l1s,
-		func(i int, l1 cache.Config) string {
-			label := fmt.Sprintf("geometry/l1=%dK-%dw", l1.SizeBytes>>10, l1.Ways)
-			if suffix := policySuffix(l1.Policy); suffix != "" {
-				label += "-" + suffix
+	mc := s.Memo()
+	rows := make([]*geometryRow, len(l1s))
+	var todo []*geometryRow
+	for i, l1 := range l1s {
+		r := &geometryRow{l1: l1, points: make([]GeometryPoint, len(l2Sizes))}
+		rows[i] = r
+		for j, size := range l2Sizes {
+			if mc != nil {
+				if whole, ok := mc.Get(GeometryMemoKey(id, l1, size)); ok {
+					r.points[j] = GeometryPointFromStats(l1, size, whole)
+					s.noteMemoHit()
+					continue
+				}
+				s.noteMemoMiss()
 			}
-			return label
-		},
-		func(ctx context.Context, env farm.Env, l1 cache.Config) ([]GeometryPoint, error) {
-			return geometryRowMemo(ctx, tr, l1, l2Sizes)
-		})
-	if err != nil {
-		return nil, err
+			r.missing = append(r.missing, j)
+		}
+		if len(r.missing) > 0 {
+			todo = append(todo, r)
+			continue
+		}
+		mSweepRows.Inc()
+		mSweepPoints.Add(uint64(len(r.points)))
+	}
+	if len(todo) > 0 {
+		tr, err := capture()
+		if err != nil {
+			return nil, err
+		}
+		_, err = farm.MapLabeled(ctx, p, todo,
+			func(i int, r *geometryRow) string {
+				label := fmt.Sprintf("geometry/l1=%dK-%dw", r.l1.SizeBytes>>10, r.l1.Ways)
+				if suffix := policySuffix(r.l1.Policy); suffix != "" {
+					label += "-" + suffix
+				}
+				return label
+			},
+			func(ctx context.Context, env farm.Env, r *geometryRow) (struct{}, error) {
+				replayMissing(ctx, s, mc, tr, id, r, l2Sizes)
+				return struct{}{}, nil
+			})
+		if err != nil {
+			return nil, err
+		}
 	}
 	var out []GeometryPoint
 	for _, r := range rows {
-		out = append(out, r...)
+		out = append(out, r.points...)
 	}
 	return out, nil
 }
 
-// geometryRowMemo computes one L1 row of the sweep, serving cells from
-// the study's memo when one is attached. Only the missing cells pay
-// for simulation — and a fully memoized row skips the L1 filter replay
-// entirely, which is the row's dominant cost. Without a memo this is
-// exactly the historical filter-then-replay path.
-func geometryRowMemo(ctx context.Context, tr *trace.Trace, l1 cache.Config, l2Sizes []int) ([]GeometryPoint, error) {
-	s := StudyFrom(ctx)
-	mc := s.Memo()
-	if mc == nil {
-		lt := FilterGeometryL1(ctx, tr, l1)
-		return GeometryRowFromL2Trace(ctx, lt, l2Sizes)
+// replayMissing fills the row's missing cells: one L1 filter replay of
+// the capture, then one fused replay of the L2-bound stream across the
+// missing L2 sizes, each result memoized in mc under id.
+func replayMissing(ctx context.Context, s *Study, mc *memo.Cache, tr *trace.Trace, id trace.Hash, r *geometryRow, l2Sizes []int) {
+	lt := FilterGeometryL1(ctx, tr, r.l1)
+	cfgs := make([]cache.Config, len(r.missing))
+	for k, j := range r.missing {
+		cfgs[k] = GeometryL2For(r.l1, l2Sizes[j])
 	}
-	hash := tr.Hash()
-	points := make([]GeometryPoint, len(l2Sizes))
-	var missing []int
-	for i, size := range l2Sizes {
-		if whole, ok := mc.Get(GeometryMemoKey(hash, l1, size)); ok {
-			points[i] = GeometryPointFromStats(l1, size, whole)
-			s.noteMemoHit()
-			continue
-		}
-		missing = append(missing, i)
-		s.noteMemoMiss()
+	rr := lt.ReplayMany(cfgs, trace.ReplayWorkers())
+	for k, j := range r.missing {
+		size := l2Sizes[j]
+		s.noteReplay()
+		r.points[j] = GeometryPointFromStats(r.l1, size, rr[k].Whole)
+		mc.Put(GeometryMemoKey(id, r.l1, size), rr[k].Whole)
 	}
-	if len(missing) > 0 {
-		lt := FilterGeometryL1(ctx, tr, l1)
-		cfgs := make([]cache.Config, len(missing))
-		for j, i := range missing {
-			cfgs[j] = GeometryL2For(l1, l2Sizes[i])
-		}
-		rr := lt.ReplayMany(cfgs, trace.ReplayWorkers())
-		for j, i := range missing {
-			size := l2Sizes[i]
-			s.noteReplay()
-			points[i] = GeometryPointFromStats(l1, size, rr[j].Whole)
-			mc.Put(GeometryMemoKey(hash, l1, size), rr[j].Whole)
-		}
-	}
-	// Same row/point accounting as GeometryRowFromL2Trace, so the sweep
-	// throughput metrics mean the same thing with or without a memo.
 	mSweepRows.Inc()
-	mSweepPoints.Add(uint64(len(points)))
-	return points, nil
+	mSweepPoints.Add(uint64(len(r.points)))
 }
 
 // FilterGeometryL1 replays a full capture through one L1 configuration

@@ -7,6 +7,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/perf"
 	"repro/internal/simmem"
+	"repro/internal/trace"
 )
 
 // The paper's three machines share one L1 (Table 1), so every
@@ -18,9 +19,11 @@ import (
 // table of paper-machine measurements, keyed by the normalized
 // Workload, and each experiment reads its column from it: within one
 // study a workload is encoded and decoded at most once however many
-// experiments show it.
+// experiments show it. The same rows hold the study's encode captures,
+// which its geometry and policy sweeps share (see capture.go).
 
-// measurements is a Study's table of paper-machine runs.
+// measurements is a Study's table of paper-machine runs and encode
+// captures.
 type measurements struct {
 	mu      sync.Mutex
 	entries map[Workload]*measurement
@@ -35,6 +38,14 @@ type measurement struct {
 	// ss is the encode's coded stream, kept only until the decode is
 	// measured from it.
 	ss *codec.SessionStream
+
+	// capture is the workload's encode capture (Study.EncodeTrace),
+	// made under capMu by the first request after the row was made or
+	// the study released its captures. capMu is a lock of its own so
+	// that a sweep asking for the capture does not wait behind a
+	// paper-machine run.
+	capMu   sync.Mutex
+	capture *trace.Trace
 }
 
 // measurement returns wl's row in the study's table. Callers without a

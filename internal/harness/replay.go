@@ -27,12 +27,14 @@ import (
 // interchangeable with the live Multi-tracer path it replaced.
 
 // Study bundles the per-run simulation policy and accounting: the
-// capture/replay strategy, the TraceUsage counters and the table of
-// paper-machine measurements its tables and figures read (see
-// measure.go). Every run belongs to exactly one Study, carried through
-// the context (see WithStudy); a run without one gets a fresh Study
-// that nothing shares, so every table or figure rendered there
-// simulates afresh.
+// capture/replay strategy, the TraceUsage counters, and the table of
+// paper-machine measurements its tables and figures read and encode
+// captures its sweeps replay (see measure.go and capture.go). Every run
+// belongs to exactly one Study, carried through the context (see
+// WithStudy); a run without one gets a fresh Study that nothing shares,
+// so every table, figure or sweep rendered there simulates afresh. The
+// measurements live as long as the Study; a capture lives until the
+// study's last sweep has run (ReleaseCaptures).
 //
 // The strategy is fixed when the Study is built, and the zero Study
 // replays. Replay studies are what every CLI and service request runs;
@@ -44,9 +46,9 @@ import (
 // studies in one process.
 type Study struct {
 	live bool
-	// memoCache, when set, memoizes per-cell sweep stats by trace
-	// content hash (see RunGeometrySweepFromTrace). Nil disables
-	// memoization; output is byte-identical either way.
+	// memoCache, when set, memoizes per-cell sweep stats by capture
+	// identity (see GeometryMemoKey). Nil disables memoization; output
+	// is byte-identical either way.
 	memoCache atomic.Pointer[memo.Cache]
 	measured  measurements
 	usage     struct {
@@ -186,7 +188,14 @@ func RecordEncodeIn(space *simmem.Space, wl Workload) (*Capture, error) {
 }
 
 // RecordEncodeCtx is RecordEncodeIn accounted to the context's Study.
+// Each call captures anew; sweeps share their study's capture through
+// Study.EncodeTrace instead.
 func RecordEncodeCtx(ctx context.Context, space *simmem.Space, wl Workload) (*Capture, error) {
+	return recordEncode(StudyFrom(ctx), space, wl)
+}
+
+// recordEncode is RecordEncodeCtx accounted to s.
+func recordEncode(s *Study, space *simmem.Space, wl Workload) (*Capture, error) {
 	wl = wl.normalize()
 	frames := wl.frames(space)
 	rec := trace.NewRecorder()
@@ -195,7 +204,7 @@ func RecordEncodeCtx(ctx context.Context, space *simmem.Space, wl Workload) (*Ca
 		return nil, err
 	}
 	tr := rec.Finish()
-	StudyFrom(ctx).noteTrace(tr)
+	s.noteTrace(tr)
 	return &Capture{Workload: wl, Enc: tr, SS: ss}, nil
 }
 

@@ -1,12 +1,15 @@
 // Package memo is the experiment result cache that makes sweeps
-// incremental: one simulated grid cell — a content-addressed trace
-// replayed against one (L1, L2) geometry — is a pure function of its
-// key, so its whole-run cache.Stats can be memoized and replayed
-// sweeps can skip every cell they have seen before. The key is
-// (trace content hash, canonical L1 config, canonical L2 config) plus
-// the simulator code version baked into the cache, so a trace edit, a
-// geometry change, a policy/seed change, or a simulator change each
-// miss naturally instead of serving stale results.
+// incremental: one simulated grid cell — a capture replayed against
+// one (L1, L2) geometry — is a pure function of its key, so its
+// whole-run cache.Stats can be memoized and replayed sweeps can skip
+// every cell they have seen before. The key is (capture identity,
+// canonical L1 config, canonical L2 config) plus the simulator code
+// version baked into the cache, so a different capture, a geometry
+// change, a policy/seed change, or a simulator change each miss
+// naturally instead of serving stale results. A capture is identified
+// either by how it is made (its provenance: code version, workload,
+// direction), which a sweep knows before it captures, or by its
+// content hash, for a trace read from a file.
 //
 // Values are raw cache.Stats, not derived metrics: perf.Compute is
 // deterministic, so reconstructing a sweep point from memoized stats
@@ -44,11 +47,15 @@ var (
 )
 
 // Key identifies one memoizable grid cell. TraceHash is the hex
-// content hash of the FULL capture (trace.Hash.String()) — the same
-// identity the distributed trace store uses — so local and fleet
-// sweeps share entries. L1 and L2 are the exact configurations the
-// cell simulates; Get/Put canonicalize them (policy spelling, display
-// name) so equal caches cannot miss on spelling.
+// identity of the FULL capture the cell replays (a trace.Hash's
+// String): either its provenance (harness.CaptureProvenance), for a
+// capture a sweep makes itself, or its content hash (trace.Hash), for
+// a trace already in hand. The two are SHA-256 digests of disjoint
+// preimages, so they never collide; local and fleet sweeps of one
+// workload compute the same one and share entries. L1 and L2 are the
+// exact configurations the cell simulates; Get/Put canonicalize them
+// (policy spelling, display name) so equal caches cannot miss on
+// spelling.
 type Key struct {
 	TraceHash string       `json:"trace_hash"`
 	L1        cache.Config `json:"l1"`

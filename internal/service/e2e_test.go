@@ -234,8 +234,8 @@ func TestE2EServiceFleetMatchesLocalService(t *testing.T) {
 // TestE2EServiceMemoSecondStudyReplaysNothing: resubmitting an
 // identical study to a fleet-backed service is served entirely from
 // the server's shared result memo — zero shards dispatched to any
-// worker, every SSE shard event attributed to the memo, and output
-// byte-identical to the first run.
+// worker, no capture and no L1 filter run, every SSE shard event
+// attributed to the memo, and output byte-identical to the first run.
 func TestE2EServiceMemoSecondStudyReplaysNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes and encodes workloads")
@@ -275,6 +275,9 @@ func TestE2EServiceMemoSecondStudyReplaysNothing(t *testing.T) {
 	}
 	if u := fin.TraceUsage; u.MemoMisses != 0 || u.MemoHits == 0 || u.Replays != 0 {
 		t.Fatalf("second study usage = %+v, want all hits, zero replays", u)
+	}
+	if u := fin.TraceUsage; u.Traces != 0 || u.L2Traces != 0 {
+		t.Fatalf("second study usage = %+v, want no capture and no L1 filter", u)
 	}
 	if got, want := result(t, ts, second.ID), result(t, ts, first.ID); got != want {
 		t.Fatalf("memoized study output differs\n--- got ---\n%s\n--- want ---\n%s", got, want)

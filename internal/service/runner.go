@@ -110,7 +110,7 @@ type fleetRunner struct {
 }
 
 func (f *fleetRunner) Render(ctx context.Context, pool *farm.Pool, e harness.ExperimentSpec, frames int, sink EventSink) (string, error) {
-	if e.Sweep != "geometry" && e.Sweep != "policy" {
+	if !e.ReplaysCapture() {
 		return f.local.Render(ctx, pool, e, frames, sink)
 	}
 	l1s, l2Sizes, err := e.SweepAxes()

@@ -693,6 +693,12 @@ func (s *Server) run(j *job) {
 	serviceLog.Info("study started", "id", j.id,
 		"experiments", len(j.spec.Experiments), "priority", priorityName(j.priority))
 	ctx := harness.WithStudy(j.ctx, j.study)
+	lastSweep := -1
+	for i, e := range j.spec.Experiments {
+		if e.ReplaysCapture() {
+			lastSweep = i
+		}
+	}
 	for i, e := range j.spec.Experiments {
 		out, err := s.runner.Render(ctx, s.pool, e, j.spec.Frames, j.sinkFor(i, e.Label()))
 		if err != nil {
@@ -709,6 +715,10 @@ func (s *Server) run(j *job) {
 		}
 		mExperimentsDone.Inc()
 		j.setOutput(i, out)
+		if i == lastSweep {
+			// No later experiment replays the study's capture.
+			j.study.ReleaseCaptures()
+		}
 	}
 	mStudiesDone.Inc()
 	mStudySeconds.ObserveSince(start)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -164,6 +165,75 @@ func TestServiceTerminalStudyDropsItsStudy(t *testing.T) {
 	}
 	if u := getStatus(t, ts, st.ID).TraceUsage; u != fin.TraceUsage || u.Zero() {
 		t.Fatalf("retired study reports usage %+v, want %+v", u, fin.TraceUsage)
+	}
+}
+
+// TestServiceMemoDirRestartRunsNoCodec: a server started on the memo
+// directory of an earlier one serves a resubmitted study without
+// capturing, filtering or replaying anything, with the same output.
+func TestServiceMemoDirRestartRunsNoCodec(t *testing.T) {
+	dir := t.TempDir()
+	run := func() (StudyStatus, string) {
+		t.Helper()
+		svc, ts := newTestServer(t, Config{MemoDir: dir})
+		st := submit(t, ts, tinyStudy)
+		fin := waitTerminal(t, ts, st.ID)
+		if fin.State != StateDone {
+			t.Fatalf("study ended %s: %s", fin.State, fin.Error)
+		}
+		out := result(t, ts, st.ID)
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := svc.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return fin, out
+	}
+	first, want := run()
+	if u := first.TraceUsage; u.Traces != 1 || u.MemoHits != 0 {
+		t.Fatalf("first study usage = %+v, want one capture and a cold memo", u)
+	}
+	second, got := run()
+	if u := second.TraceUsage; u.Traces != 0 || u.L2Traces != 0 || u.Replays != 0 || u.MemoMisses != 0 {
+		t.Fatalf("restarted server's study usage = %+v, want every cell from the memo directory and no codec", u)
+	}
+	if got != want {
+		t.Fatalf("restarted server's output differs\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestServiceReleasesCaptureAfterLastSweep: a study keeps its shared
+// capture while a sweep is left to replay it and releases it after its
+// last sweep. The runner stands in for the sweeps (each asks the study
+// for the capture) and, at each table, records whether asking again
+// captures anew.
+func TestServiceReleasesCaptureAfterLastSweep(t *testing.T) {
+	svc, ts := newTestServer(t, Config{})
+	wl := harness.Workload{W: 96, H: 80, Frames: 1}
+	var mu sync.Mutex
+	var recaptured []bool
+	svc.runner = runnerFunc(func(ctx context.Context, e harness.ExperimentSpec) (string, error) {
+		s := harness.StudyFrom(ctx)
+		before := s.Usage().Traces
+		if _, err := s.EncodeTrace(wl); err != nil {
+			return "", err
+		}
+		if !e.ReplaysCapture() {
+			mu.Lock()
+			recaptured = append(recaptured, s.Usage().Traces > before)
+			mu.Unlock()
+		}
+		return e.Label() + "\n", nil
+	})
+	st := submit(t, ts, `{"frames": 1, "experiments": [`+smallGeometry+`, {"table": 1}, {"sweep": "policy"}, {"table": 1}]}`)
+	if fin := waitTerminal(t, ts, st.ID); fin.State != StateDone {
+		t.Fatalf("study ended %s: %s", fin.State, fin.Error)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []bool{false, true}; !reflect.DeepEqual(recaptured, want) {
+		t.Fatalf("tables recaptured %v, want %v: held before the last sweep, released after it", recaptured, want)
 	}
 }
 
