@@ -37,7 +37,13 @@
 // in one replay harness.Study, which carries the memo and the usage
 // report, and keeps the paper-machine measurements its tables and
 // figures share: a workload that several experiments show is simulated
-// once per invocation.
+// once per invocation. -all, -table, -figure, a plain -sweep and
+// -manifest all run an experiment list the same way
+// (harness.RunExperiments; -all's list is harness.PaperExperiments):
+// one farm batch first measures every paper-machine run the list's
+// tables and figures read, one job per workload; then the experiments
+// render in list order, and each output is printed once it and every
+// earlier one are done.
 //
 // Multi-machine simulations use trace capture and replay: each
 // workload's reference stream is captured once (for the paper's
@@ -91,9 +97,10 @@
 // and the capture/replay summary reports the hit rate whenever the
 // memo was consulted.
 //
-// Batch-manifest mode runs an arbitrary experiment list concurrently
-// and prints the outputs in manifest order. The manifest is JSON (the
-// same schema the mp4served study service accepts):
+// Batch-manifest mode runs an arbitrary experiment list in list order,
+// after the one batch of paper-machine runs described above, and prints
+// each output as it is done. The manifest is JSON (the same schema the
+// mp4served study service accepts):
 //
 //	{
 //	  "frames": 6,
@@ -135,7 +142,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dist"
@@ -154,7 +160,7 @@ func main() {
 	frames := flag.Int("frames", 0, "sequence length in frames (0 = default)")
 	sweep := flag.String("sweep", "", "extra experiment: "+strings.Join(harness.Sweeps, " | "))
 	policy := flag.String("policy", "", "comma-separated replacement-policy axis (lru|plru|fifo|random|victim); with -sweep geometry or -sweep policy")
-	manifest := flag.String("manifest", "", "batch-manifest file (JSON); runs its experiment list")
+	manifest := flag.String("manifest", "", "batch-manifest file (JSON); runs its experiment list in order, printing each output as it is done")
 	serviceURL := flag.String("service", "", "with -manifest: POST the manifest to this mp4served base URL instead of simulating locally")
 	follow := flag.Bool("follow", false, "with -service: stream the study's events (SSE) — shard progress to stderr, outputs to stdout as they complete")
 	priority := flag.String("priority", "", "with -service: admission priority, interactive or batch (default batch)")
@@ -282,18 +288,6 @@ func main() {
 		if pool, err = runManifest(ctx, *manifest, *frames, *parallel, *progress); err != nil {
 			fatal(err)
 		}
-	case *all:
-		if err := runAll(ctx, pool, *frames); err != nil {
-			fatal(err)
-		}
-	case *table != 0:
-		if err := printExperiment(ctx, pool, harness.ExperimentSpec{Table: *table}, *frames); err != nil {
-			fatal(err)
-		}
-	case *figure != 0:
-		if err := printExperiment(ctx, pool, harness.ExperimentSpec{Figure: *figure}, *frames); err != nil {
-			fatal(err)
-		}
 	case replaySweep && *workers != "":
 		if err := runGeometryFleet(ctx, *frames, *workers, *maxAttempts, *fallbackLocal, sweepSpec); err != nil {
 			fatal(err)
@@ -302,8 +296,17 @@ func main() {
 		if err := runGeometryTraceIO(ctx, pool, *frames, *traceIn, *traceOut, sweepSpec); err != nil {
 			fatal(err)
 		}
-	case *sweep != "":
-		if err := printExperiment(ctx, pool, sweepSpec, *frames); err != nil {
+	default:
+		exps := []harness.ExperimentSpec{sweepSpec}
+		switch {
+		case *all:
+			exps = harness.PaperExperiments()
+		case *table != 0:
+			exps = []harness.ExperimentSpec{{Table: *table}}
+		case *figure != 0:
+			exps = []harness.ExperimentSpec{{Figure: *figure}}
+		}
+		if err := runExperiments(ctx, pool, exps, *frames, os.Stdout); err != nil {
 			fatal(err)
 		}
 	}
@@ -452,46 +455,6 @@ func runGeometryFleet(ctx context.Context, frames int, workers string, maxAttemp
 	return nil
 }
 
-// runAll regenerates every table and figure in paper order, in the
-// context's study. Tables 2–7 fan out through harness.RunTables at
-// workload granularity (encode and decode tables of the same
-// configuration share one capture) and leave their measurements in the
-// study. Table 8, Figure 2 and Figures 3/4 — the latter two views of
-// one object/layer sweep, run once — read their machine's column of
-// those measurements; only Figure 2's three sizes outside Table 3
-// simulate. The study makes 9 encodes and 9 decodes in all, against 19
-// of each when Table 8 and the figures simulate their own runs.
-func runAll(ctx context.Context, pool *farm.Pool, frames int) error {
-	fmt.Print(harness.Table1() + "\n")
-	tabs, err := harness.RunTables(ctx, pool, harness.TableSpecs(), frames)
-	if err != nil {
-		return err
-	}
-	for _, tab := range tabs {
-		fmt.Print(tab.String() + "\n")
-	}
-	for _, e := range []harness.ExperimentSpec{{Table: 8}, {Figure: 2}} {
-		if err := printExperiment(ctx, pool, e, frames); err != nil {
-			return err
-		}
-	}
-	points, err := harness.RunObjectSweepPool(ctx, pool, frames)
-	if err != nil {
-		return err
-	}
-	var sb strings.Builder
-	for _, s := range harness.Figure3Series(points) {
-		s.Write(&sb)
-		sb.WriteString("\n")
-	}
-	for _, s := range harness.Figure4Series(points) {
-		s.Write(&sb)
-		sb.WriteString("\n")
-	}
-	fmt.Print(sb.String())
-	return nil
-}
-
 func newPool(workers int, progress bool) *farm.Pool {
 	cfg := farm.Config{Workers: workers}
 	if progress {
@@ -563,53 +526,17 @@ func runManifest(ctx context.Context, path string, frames, parallel int, progres
 		parallel = mf.Parallel
 	}
 	pool := newPool(parallel, progress)
-	return pool, runBatch(ctx, pool, mf.Experiments, frames)
+	return pool, runExperiments(ctx, pool, mf.Experiments, frames, os.Stdout)
 }
 
-// runBatch executes the experiment list on the pool — one farm job per
-// experiment, each internally serial — and prints the rendered outputs
-// in manifest order once all complete. The last sweep to finish
-// releases the study's shared capture.
-func runBatch(ctx context.Context, pool *farm.Pool, exps []harness.ExperimentSpec, frames int) error {
-	var sweeps atomic.Int64
-	for _, e := range exps {
-		if e.ReplaysCapture() {
-			sweeps.Add(1)
-		}
-	}
-	jobs := make([]farm.Job[string], len(exps))
-	for i, e := range exps {
-		e := e
-		jobs[i] = farm.Job[string]{
-			Label: e.Label(),
-			Run: func(ctx context.Context, env farm.Env) (string, error) {
-				out, err := harness.RenderExperiment(ctx, farm.Serial(), e, frames)
-				if e.ReplaysCapture() && sweeps.Add(-1) == 0 {
-					harness.StudyFrom(ctx).ReleaseCaptures()
-				}
-				return out, err
-			},
-		}
-	}
-	outputs, err := farm.Run(ctx, pool, jobs)
-	if err != nil {
-		return err
-	}
-	for _, out := range outputs {
-		fmt.Print(out)
-	}
-	return nil
-}
-
-// printExperiment runs one experiment with its internal fan-out on the
-// pool and prints it.
-func printExperiment(ctx context.Context, pool *farm.Pool, e harness.ExperimentSpec, frames int) error {
-	out, err := harness.RenderExperiment(ctx, pool, e, frames)
-	if err != nil {
-		return err
-	}
-	fmt.Print(out)
-	return nil
+// runExperiments runs exps in the context's study (harness.RunExperiments)
+// and writes each output to w once it and every earlier one are done.
+func runExperiments(ctx context.Context, pool *farm.Pool, exps []harness.ExperimentSpec, frames int, w io.Writer) error {
+	return harness.RunExperiments(ctx, pool, exps, frames,
+		func(ctx context.Context, _ int, e harness.ExperimentSpec) (string, error) {
+			return harness.RenderExperiment(ctx, pool, e, frames)
+		},
+		func(_ int, out string) { io.WriteString(w, out) })
 }
 
 // profileFlushes holds the -cpuprofile/-memprofile finalizers. They

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +18,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/farm"
 	"repro/internal/harness"
+	"repro/internal/memo"
 )
 
 // TestManifestRejectsReplayFieldAndTrailingData: a manifest that still
@@ -142,25 +147,17 @@ func manifestLabels(mf manifestFile) []string {
 	return labels
 }
 
-// TestRunBatchReleasesCaptureAfterLastSweep: a manifest's concurrent
-// sweeps share one capture, and the last of them to finish releases it,
-// so a later request captures anew.
-func TestRunBatchReleasesCaptureAfterLastSweep(t *testing.T) {
+// TestManifestReleasesCaptureAfterLastSweep: a manifest's sweeps share
+// one capture, released after the last of them, so a later request
+// captures anew.
+func TestManifestReleasesCaptureAfterLastSweep(t *testing.T) {
 	exps := []harness.ExperimentSpec{
 		{Sweep: "geometry", L1s: []cache.Config{{SizeBytes: 32 << 10, LineBytes: 32, Ways: 2}}, L2KB: []int{512}},
 		{Sweep: "policy", Policies: []string{"lru", "fifo"}, L2KB: []int{512}},
 	}
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	stdout := os.Stdout
-	os.Stdout = devnull
 	s := harness.NewStudy(true)
-	err = runBatch(harness.WithStudy(context.Background(), s), farm.New(farm.Config{Workers: 2}), exps, 1)
-	os.Stdout = stdout
-	if err != nil {
+	ctx := harness.WithStudy(context.Background(), s)
+	if err := runExperiments(ctx, farm.New(farm.Config{Workers: 2}), exps, 1, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if u := s.Usage(); u.Traces != 1 {
@@ -171,5 +168,34 @@ func TestRunBatchReleasesCaptureAfterLastSweep(t *testing.T) {
 	}
 	if u := s.Usage(); u.Traces != 2 {
 		t.Fatal("the capture outlived the manifest's last sweep")
+	}
+}
+
+// TestManifestSweepsShareTheirCommonRow: on a cold memo, a manifest's
+// policy sweep finds its lru row, the geometry sweep's 32 KB 2-way row,
+// in the memo, because the sweeps run in list order: 7 L1-filtered
+// traces and 42 replays, not 8 and 48. The output is the fleet
+// workloads' golden study.
+func TestManifestSweepsShareTheirCommonRow(t *testing.T) {
+	mc, err := memo.New(memo.Config{Version: harness.CodeVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := harness.NewStudy(true)
+	s.SetMemo(mc)
+	var out bytes.Buffer
+	exps := []harness.ExperimentSpec{{Sweep: "geometry"}, {Sweep: "policy"}}
+	if err := runExperiments(harness.WithStudy(context.Background(), s), farm.Default(), exps, 6, &out); err != nil {
+		t.Fatal(err)
+	}
+	if u := s.Usage(); u.L2Traces != 7 || u.Replays != 42 || u.MemoHits != 6 || u.MemoHits+u.MemoMisses != 48 {
+		t.Fatalf("usage %+v, want 7 L1-filtered traces, 42 replays and 6/48 memo hits", u)
+	}
+	golden, err := os.ReadFile("../../bench/golden/fleet-resubmit-seed1.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(out.Bytes())), strings.TrimSpace(string(golden)); got != want {
+		t.Fatalf("stdout SHA-256 %s, want %s", got, want)
 	}
 }

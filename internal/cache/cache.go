@@ -577,12 +577,6 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	return res
 }
 
-// FillClean installs the line containing addr in the clean state (used for
-// L2 receiving an L1 writeback of a line it already holds would instead
-// mark dirty; FillClean is used when warming or installing lines without
-// an explicit demand reference semantic).
-func (c *Cache) FillClean(addr uint64) Result { return c.Access(addr, false) }
-
 // Reset clears contents, counters and replacement-policy state (the
 // PolicyRandom stream rewinds to its seed, so a reset cache replays a
 // stream identically to a fresh one).

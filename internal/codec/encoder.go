@@ -623,7 +623,3 @@ func appendWriter(dst *bits.Writer, src *bits.Writer) {
 		dst.PutBit(uint32(b))
 	}
 }
-
-// Recon returns the reconstructed anchor for display index d, or nil;
-// the enhancement layer and tests use it.
-func (e *Encoder) Recon(d int) *video.Frame { return e.ringSlot(d) }

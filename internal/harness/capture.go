@@ -85,9 +85,10 @@ func (s *Study) EncodeTrace(wl Workload) (*trace.Trace, error) {
 }
 
 // ReleaseCaptures drops the study's encode captures, so that they do
-// not outlive the sweeps that replay them: a study calls it once no
-// experiment that replays a capture (ExperimentSpec.ReplaysCapture) is
-// left to run. A later EncodeTrace captures again.
+// not outlive the sweeps that replay them: RunExperiments calls it once
+// the last experiment of its list that replays a capture
+// (ExperimentSpec.ReplaysCapture) has rendered. A later EncodeTrace
+// captures again.
 func (s *Study) ReleaseCaptures() {
 	s.measured.mu.Lock()
 	rows := make([]*measurement, 0, len(s.measured.entries))

@@ -273,6 +273,86 @@ func RenderExperiment(ctx context.Context, pool *farm.Pool, e ExperimentSpec, fr
 	}
 }
 
+// PaperExperiments lists every table and figure of the paper in paper
+// order: the list mp4study -all runs.
+func PaperExperiments() []ExperimentSpec {
+	return []ExperimentSpec{
+		{Table: 1}, {Table: 2}, {Table: 3}, {Table: 4}, {Table: 5}, {Table: 6}, {Table: 7},
+		{Table: 8}, {Figure: 2}, {Figure: 3}, {Figure: 4},
+	}
+}
+
+// paperRuns returns the paper-machine runs e reads: none for Table 1
+// and the sweeps.
+func (e ExperimentSpec) paperRuns(frames int) []paperRun {
+	switch {
+	case e.Table == 8:
+		return table8Runs(frames)
+	case e.Table != 0:
+		if spec, err := TableSpecByNum(e.Table); err == nil {
+			return tableRuns(spec, frames)
+		}
+	case e.Figure == 2:
+		return figure2Runs(frames, Figure2Sizes)
+	case e.Figure == 3, e.Figure == 4:
+		return objectSweepRuns(frames)
+	}
+	return nil
+}
+
+// RunExperiments runs exps in the context's study and hands each output
+// to emit, in list order; cmd/mp4study and the study service run every
+// experiment list through it. It first measures every paper-machine run
+// the list's tables and figures read in one farm batch on p
+// (measureRuns: one job per workload, in the order workloads first
+// appear). Then render renders the experiments one at a time in list
+// order, each with its own fan-out on p; the paper's tables and figures
+// only read the study's measurements. Once the last experiment that
+// replays the study's capture (ReplaysCapture) has rendered, the
+// study's captures are released.
+//
+// An error names the experiment it is charged to: a failed run is
+// charged to the first listed experiment that reads it, and a cancelled
+// ctx reads "cancelled during <label>".
+func RunExperiments(ctx context.Context, p *farm.Pool, exps []ExperimentSpec, frames int,
+	render func(ctx context.Context, i int, e ExperimentSpec) (string, error),
+	emit func(i int, out string)) error {
+	fail := func(i int, err error) error {
+		if ctx.Err() != nil {
+			return fmt.Errorf("cancelled during %s", exps[i].Label())
+		}
+		return fmt.Errorf("%s: %w", exps[i].Label(), err)
+	}
+	var runs []paperRun
+	var readers []int // readers[k]: the experiment that listed runs[k]
+	lastSweep := -1
+	for i, e := range exps {
+		for _, r := range e.paperRuns(frames) {
+			runs = append(runs, r)
+			readers = append(readers, i)
+		}
+		if e.ReplaysCapture() {
+			lastSweep = i
+		}
+	}
+	if len(runs) > 0 {
+		if _, k, err := measureRuns(ctx, p, runs); err != nil {
+			return fail(readers[k], err)
+		}
+	}
+	for i, e := range exps {
+		out, err := render(ctx, i, e)
+		if err != nil {
+			return fail(i, err)
+		}
+		if i == lastSweep {
+			StudyFrom(ctx).ReleaseCaptures()
+		}
+		emit(i, out)
+	}
+	return nil
+}
+
 func renderTable(ctx context.Context, pool *farm.Pool, n, frames int) (string, error) {
 	switch n {
 	case 1:

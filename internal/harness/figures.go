@@ -22,30 +22,28 @@ func Figure2Pool(ctx context.Context, p *farm.Pool, frames int) ([]perf.Series, 
 	return Figure2Sweep(ctx, p, frames, Figure2Sizes)
 }
 
+// figure2Runs are the runs Figure 2 reads over sizes: their decodes.
+func figure2Runs(frames int, sizes [][2]int) []paperRun {
+	return runsAt(sizes, Workload{Frames: frames}, false, true)
+}
+
 // Figure2Sweep is Figure2Pool over a caller-chosen size list (the
 // determinism tests sweep small sizes; the paper figure uses
 // Figure2Sizes). Each point is the O2 (R12K/1MB) column of the size's
-// decode measured on the paper machines, read from the context's Study:
-// after RunTables, the 720×576 and 1024×768 points are Table 3's and
-// only the other sizes simulate.
+// decode measured on the paper machines in the context's Study: in a
+// study that ran Table 3, the 720×576 and 1024×768 points are Table 3's
+// and only the other sizes simulate.
 func Figure2Sweep(ctx context.Context, p *farm.Pool, frames int, sizes [][2]int) ([]perf.Series, error) {
 	col := paperColumn(perf.O2R12K1MB())
-	points, err := farm.MapLabeled(ctx, p, sizes,
-		func(i int, sz [2]int) string { return fmt.Sprintf("figure2/%dx%d", sz[0], sz[1]) },
-		func(ctx context.Context, env farm.Env, sz [2]int) (perf.Metrics, error) {
-			_, dec, err := measure(ctx, env.Space, Workload{W: sz[0], H: sz[1], Frames: frames}, false, true)
-			if err != nil {
-				return perf.Metrics{}, err
-			}
-			return dec[col].Whole, nil
-		})
+	runs, _, err := measureRuns(ctx, p, figure2Runs(frames, sizes))
 	if err != nil {
 		return nil, err
 	}
 	missRate := perf.Series{Label: "Figure 2a: L2C miss rate (decode, 1MB L2C)", YUnit: "%"}
 	bw := perf.Series{Label: "Figure 2b: L2-DRAM bandwidth (decode, 1MB L2C)", YUnit: "MB/s"}
 	stall := perf.Series{Label: "Figure 2c: DRAM stall time (decode, 1MB L2C)", YUnit: "%"}
-	for i, whole := range points {
+	for i, r := range runs {
+		whole := r.dec[col].Whole
 		x := Workload{W: sizes[i][0], H: sizes[i][1]}.Label()
 		missRate.Append(x, whole.L2MissRate*100)
 		bw.Append(x, whole.L2DRAMMBps)
@@ -77,46 +75,48 @@ var ObjectSweepConfigs = []struct {
 	{3, 2, "3 VOs, 2 layers each"},
 }
 
+// objectSweepRuns are the runs Figures 3/4 read: both directions of
+// the six workloads of Tables 2–7, resolution outer, configuration
+// inner.
+func objectSweepRuns(frames int) []paperRun {
+	var runs []paperRun
+	for _, res := range TableResolutions {
+		for _, c := range ObjectSweepConfigs {
+			wl := Workload{W: res[0], H: res[1], Frames: frames, Objects: c.Objects, Layers: c.Layers}
+			runs = append(runs, paperRun{wl, true, true})
+		}
+	}
+	return runs
+}
+
 // RunObjectSweepPool measures the Figures 3/4 sweep on the R10K/2MB
-// machine (the machine the paper plots). Every (resolution, object
-// configuration) pair is one pool job; the points return in the paper's
-// order (resolution outer, configuration inner). The pairs are the six
-// workloads of Tables 2–7, so each point is their R10K/2MB column, read
-// from the context's Study: after RunTables, nothing simulates.
+// machine (the machine the paper plots), on the pool; the points return
+// in the paper's order (resolution outer, configuration inner). The
+// pairs are the six workloads of Tables 2–7, so each point is their
+// R10K/2MB column, read from the context's Study, which simulates only
+// what it has not measured yet.
 func RunObjectSweepPool(ctx context.Context, p *farm.Pool, frames int) ([]ObjectSweepPoint, error) {
 	col := paperColumn(perf.OnyxR10K2MB())
-	type sweepCase struct {
-		res [2]int
-		cfg struct {
-			Objects, Layers int
-			Label           string
-		}
+	runs := objectSweepRuns(frames)
+	measured, _, err := measureRuns(ctx, p, runs)
+	if err != nil {
+		return nil, err
 	}
-	var cases []sweepCase
-	for _, res := range TableResolutions {
-		for _, cfgPt := range ObjectSweepConfigs {
-			cases = append(cases, sweepCase{res: res, cfg: cfgPt})
-		}
-	}
-	return farm.Map(ctx, p, cases, func(ctx context.Context, env farm.Env, c sweepCase) (ObjectSweepPoint, error) {
-		wl := Workload{W: c.res[0], H: c.res[1], Frames: frames,
-			Objects: c.cfg.Objects, Layers: c.cfg.Layers}
-		enc, dec, err := measure(ctx, env.Space, wl, true, true)
-		if err != nil {
-			return ObjectSweepPoint{}, err
-		}
-		e, d := enc[col].Whole, dec[col].Whole
-		return ObjectSweepPoint{
-			Label:      c.cfg.Label,
-			Objects:    c.cfg.Objects,
-			Layers:     c.cfg.Layers,
-			Resolution: wl.Label(),
+	points := make([]ObjectSweepPoint, len(runs))
+	for i, r := range runs {
+		e, d := measured[i].enc[col].Whole, measured[i].dec[col].Whole
+		points[i] = ObjectSweepPoint{
+			Label:      ObjectSweepConfigs[i%len(ObjectSweepConfigs)].Label,
+			Objects:    r.wl.Objects,
+			Layers:     r.wl.Layers,
+			Resolution: r.wl.Label(),
 			EncodeL1:   e.L1MissRate * 100,
 			DecodeL1:   d.L1MissRate * 100,
 			EncodeL2:   e.L2MissRate * 100,
 			DecodeL2:   d.L2MissRate * 100,
-		}, nil
-	})
+		}
+	}
+	return points, nil
 }
 
 // Figure3Series converts sweep points into the Figure 3 bar series

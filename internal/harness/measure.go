@@ -2,9 +2,12 @@ package harness
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 
 	"repro/internal/codec"
+	"repro/internal/farm"
 	"repro/internal/perf"
 	"repro/internal/simmem"
 	"repro/internal/trace"
@@ -102,6 +105,75 @@ func measure(ctx context.Context, space *simmem.Space, wl Workload, enc, dec boo
 		m.dec, m.ss = res, nil
 	}
 	return m.enc, m.dec, nil
+}
+
+// paperRun is a run on perf.PaperMachines() that an experiment reads:
+// a workload's encode, its decode, or both.
+type paperRun struct {
+	wl       Workload
+	enc, dec bool
+}
+
+// runResults are a paperRun's Results, one per paper machine; each
+// direction the run asked for is set.
+type runResults struct{ enc, dec []Result }
+
+// runsAt returns one run per size, each of the shape of wl.
+func runsAt(sizes [][2]int, wl Workload, enc, dec bool) []paperRun {
+	runs := make([]paperRun, len(sizes))
+	for i, sz := range sizes {
+		wl.W, wl.H = sz[0], sz[1]
+		runs[i] = paperRun{wl, enc, dec}
+	}
+	return runs
+}
+
+// measureRuns measures runs in the context's study as one batch on the
+// pool. The runs of one normalized Workload merge into one job, which
+// measures every direction any of them asks for, so a decode never
+// makes an untraced encode of a workload whose encode the batch also
+// measures, whatever the order of runs; the jobs run in the order their
+// workloads first appear. It returns each run's Results in the order of
+// runs. On failure it also returns the index of the first run of the
+// workload whose job failed, or 0 if ctx was cancelled.
+func measureRuns(ctx context.Context, p *farm.Pool, runs []paperRun) ([]runResults, int, error) {
+	var jobs []paperRun
+	var first []int              // first[j]: the index of jobs[j]'s first run
+	at := make([]int, len(runs)) // at[i]: the job that measures runs[i]
+	index := map[Workload]int{}
+	for i, r := range runs {
+		wl := r.wl.normalize()
+		j, ok := index[wl]
+		if !ok {
+			j = len(jobs)
+			index[wl] = j
+			jobs = append(jobs, paperRun{wl: wl})
+			first = append(first, i)
+		}
+		jobs[j].enc = jobs[j].enc || r.enc
+		jobs[j].dec = jobs[j].dec || r.dec
+		at[i] = j
+	}
+	measured, err := farm.MapLabeled(ctx, p, jobs,
+		func(_ int, r paperRun) string {
+			return fmt.Sprintf("paper/%dobj%dlay/%dx%d", r.wl.Objects, r.wl.Layers, r.wl.W, r.wl.H)
+		},
+		func(ctx context.Context, env farm.Env, r paperRun) (runResults, error) {
+			enc, dec, err := measure(ctx, env.Space, r.wl, r.enc, r.dec)
+			return runResults{enc, dec}, err
+		})
+	if err != nil {
+		var je *farm.JobError
+		if errors.As(err, &je) {
+			return nil, first[je.Index], err
+		}
+		return nil, 0, err
+	}
+	out := make([]runResults, len(runs))
+	for i, j := range at {
+		out[i] = measured[j]
+	}
+	return out, 0, nil
 }
 
 // paperColumn returns the index of m in perf.PaperMachines(): the

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/farm"
 	"repro/internal/simmem"
 )
 
@@ -85,10 +86,65 @@ func TestPaperExperimentsReadSharedRuns(t *testing.T) {
 	}
 }
 
+// TestRunExperimentsMeasuresEachWorkloadOnce: whichever of Tables 2
+// and 3 a list names first, its batch measures each of their two
+// workloads in one job, encode and decode, before the first output, and
+// rendering then simulates nothing more. A plan that split a workload's
+// encode and decode into two jobs would run 4.
+func TestRunExperimentsMeasuresEachWorkloadOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-resolution paper experiments in -short mode")
+	}
+	const frames = 1
+	run := func(exps []ExperimentSpec) (map[string]string, TraceUsage) {
+		list := exps[0].Label() + ", " + exps[1].Label()
+		study := NewStudy(true)
+		ctx := WithStudy(context.Background(), study)
+		jobs := 0 // Progress runs on the goroutine that runs the batch
+		pool := farm.New(farm.Config{Workers: 2, Progress: func(farm.Event) { jobs++ }})
+		outs := map[string]string{}
+		var first TraceUsage
+		err := RunExperiments(ctx, pool, exps, frames,
+			func(ctx context.Context, _ int, e ExperimentSpec) (string, error) {
+				return RenderExperiment(ctx, nil, e, frames)
+			},
+			func(i int, out string) {
+				if len(outs) == 0 {
+					if jobs != 2 {
+						t.Errorf("[%s]: %d jobs before the first output, want 2", list, jobs)
+					}
+					first = study.Usage()
+				}
+				outs[exps[i].Label()] = out
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u := study.Usage(); u != first {
+			t.Errorf("[%s]: usage moved from %+v at the first output to %+v at the last", list, first, u)
+		}
+		return outs, study.Usage()
+	}
+	outs32, u32 := run([]ExperimentSpec{{Table: 3}, {Table: 2}})
+	outs23, u23 := run([]ExperimentSpec{{Table: 2}, {Table: 3}})
+	if u32.L2Traces != 4 || u32.Replays != 12 || u32 != u23 {
+		t.Errorf("usage %+v for [table 3, table 2] and %+v for [table 2, table 3], want 4 L1-filtered traces and 12 replays each", u32, u23)
+	}
+	if !reflect.DeepEqual(outs32, outs23) {
+		t.Errorf("outputs depend on the list order:\n%v\nwant\n%v", outs32, outs23)
+	}
+}
+
 // TestStudyConcurrentRequestsSimulateOnce: goroutines asking one study
-// for one workload — encode only, decode only, or both — share a single
-// encode and a single decode, and every caller gets the results a fresh
-// study measures.
+// for one workload — encode only, decode only, or both — all get the
+// results a fresh study measures, the study measures each direction
+// once (one traced encode, one traced decode: 2 L1-filtered traces and
+// 6 replays), and the coded stream does not outlive the decode. It does
+// not check that the callers share one codec run: a decode-only caller
+// that takes the row first encodes untraced for its stream, and the
+// next encode caller encodes again, which no counter read here shows.
+// RunExperiments avoids that by measuring both directions of a workload
+// in one job (TestRunExperimentsMeasuresEachWorkloadOnce).
 func TestStudyConcurrentRequestsSimulateOnce(t *testing.T) {
 	wl := Workload{W: 96, H: 80, Frames: 2}
 	wantEnc, wantDec, err := measure(WithStudy(context.Background(), NewStudy(true)), simmem.NewSpace(0), wl, true, true)

@@ -172,7 +172,7 @@ func RunColoringAblationPool(ctx context.Context, p *farm.Pool, wl Workload) ([]
 				name = "coloring=off"
 				space.DisableColoring()
 			}
-			res, ss, err := runEncodeInSpace(wl, space)
+			res, ss, err := runEncodeConfiguredIn(space, wl, func(*codec.Config) {})
 			if err != nil {
 				return AblationResult{}, err
 			}
@@ -190,18 +190,6 @@ func runEncodeConfiguredIn(space *simmem.Space, wl Workload, mod func(*codec.Con
 	cfg := wl.sessionConfig()
 	mod(&cfg.Object)
 	ss, err := codec.EncodeSession(cfg, space, h, nil, frames)
-	if err != nil {
-		return perf.Metrics{}, nil, err
-	}
-	return perf.Compute(m, h.Snapshot()), ss, nil
-}
-
-func runEncodeInSpace(wl Workload, space *simmem.Space) (perf.Metrics, *codec.SessionStream, error) {
-	wl = wl.normalize()
-	frames := wl.frames(space)
-	m := perf.O2R12K1MB()
-	h := m.NewHierarchy()
-	ss, err := codec.EncodeSession(wl.sessionConfig(), space, h, nil, frames)
 	if err != nil {
 		return perf.Metrics{}, nil, err
 	}

@@ -43,16 +43,26 @@ func TableSpecByNum(n int) (TableSpec, error) {
 	return TableSpec{}, fmt.Errorf("harness: no table %d", n)
 }
 
-// assembleTable lays per-resolution results into the paper's column
-// order (resolution outer, machine inner) — identical to what a serial
-// loop produces, whatever order the cells were computed in.
-func assembleTable(spec TableSpec, cells [][]Result) (*perf.Table, []Result) {
+// tableRuns are the runs Table spec reads: its two TableResolutions at
+// its object and layer count, in its direction.
+func tableRuns(spec TableSpec, frames int) []paperRun {
+	shape := Workload{Frames: frames, Objects: spec.Objects, Layers: spec.Layers}
+	return runsAt(TableResolutions, shape, spec.Encode, !spec.Encode)
+}
+
+// assembleTable lays the results of spec's runs (tableRuns) into the
+// paper's column order: resolution outer, machine inner.
+func assembleTable(spec TableSpec, runs []runResults) (*perf.Table, []Result) {
 	machines := perf.PaperMachines()
 	tab := perf.NewTable(fmt.Sprintf("Table %d. %s", spec.Num, spec.Title))
 	var all []Result
 	for ri, res := range TableResolutions {
 		wl := Workload{W: res[0], H: res[1]}
-		for i, r := range cells[ri] {
+		cells := runs[ri].dec
+		if spec.Encode {
+			cells = runs[ri].enc
+		}
+		for i, r := range cells {
 			tab.AddColumn(fmt.Sprintf("%s %s", wl.Label(), machines[i].Label()), r.Whole)
 			all = append(all, r)
 		}
@@ -61,107 +71,41 @@ func assembleTable(spec TableSpec, cells [][]Result) (*perf.Table, []Result) {
 }
 
 // RunTablePool regenerates one of Tables 2–7 with the given sequence
-// length (0 = default), fanning the per-resolution measurements out on
-// the pool. It also returns the per-column raw results keyed the same
-// way as the columns. An encode table measures the encode on all
-// machines; a decode table plays the coded stream of an untraced
-// encode, or the stream its study already holds. Within one study (see
-// WithStudy) each direction of a workload is simulated once, however
-// many tables and figures read it.
+// length (0 = default), measuring its two workloads on the pool. It
+// also returns the per-column raw results keyed the same way as the
+// columns. An encode table measures the encode on all machines; a
+// decode table plays the coded stream of an untraced encode, or the
+// stream its study already holds. Within one study (see WithStudy) each
+// direction of a workload is simulated once, however many tables and
+// figures read it.
 func RunTablePool(ctx context.Context, p *farm.Pool, spec TableSpec, frames int) (*perf.Table, []Result, error) {
-	cells, err := farm.MapLabeled(ctx, p, TableResolutions,
-		func(i int, res [2]int) string { return fmt.Sprintf("table%d/%dx%d", spec.Num, res[0], res[1]) },
-		func(ctx context.Context, env farm.Env, res [2]int) ([]Result, error) {
-			wl := Workload{W: res[0], H: res[1], Frames: frames,
-				Objects: spec.Objects, Layers: spec.Layers}
-			enc, dec, err := measure(ctx, env.Space, wl, spec.Encode, !spec.Encode)
-			if spec.Encode {
-				return enc, err
-			}
-			return dec, err
-		})
+	runs, _, err := measureRuns(ctx, p, tableRuns(spec, frames))
 	if err != nil {
 		return nil, nil, err
 	}
-	tab, all := assembleTable(spec, cells)
+	tab, all := assembleTable(spec, runs)
 	return tab, all, nil
 }
 
-// RunTables regenerates several of Tables 2–7 in one batch — the
-// multi-workload generation path behind `mp4study -all`. Table pairs
-// sharing a workload (2/3, 4/5, 6/7 are the encode/decode views of the
-// same configuration) share one farm job per resolution: the workload
-// is encoded once, its encode measured if an encode table wants it and
-// its stream decoded-and-measured if a decode table does. That turns
-// O(tables × resolutions) codec runs into O(workloads), with every
-// machine served by capture replay inside RunEncodeCtx/RunDecodeCtx.
-// The measurements land in the context's Study, where Table8Pool,
-// Figure2Sweep and RunObjectSweepPool read their columns without
-// simulating again. Tables return in spec order, byte-identical to
-// RunTablePool per spec.
+// RunTables regenerates several of Tables 2–7 from one batch of runs
+// (measureRuns): an encode table and a decode table of one
+// configuration (2/3, 4/5, 6/7) share one job per resolution, so each
+// workload is encoded once. The measurements land in the context's
+// Study. Tables return in spec order, byte-identical to RunTablePool
+// per spec.
 func RunTables(ctx context.Context, p *farm.Pool, specs []TableSpec, frames int) ([]*perf.Table, error) {
-	type group struct{ objects, layers int }
-	type need struct{ enc, dec bool }
-	needs := map[group]*need{}
-	var order []group
+	var runs []paperRun
 	for _, spec := range specs {
-		g := group{spec.Objects, spec.Layers}
-		n, ok := needs[g]
-		if !ok {
-			n = &need{}
-			needs[g] = n
-			order = append(order, g)
-		}
-		if spec.Encode {
-			n.enc = true
-		} else {
-			n.dec = true
-		}
+		runs = append(runs, tableRuns(spec, frames)...)
 	}
-
-	type cellKey struct {
-		g   group
-		res [2]int
-	}
-	type cellOut struct{ enc, dec []Result }
-	var keys []cellKey
-	for _, g := range order {
-		for _, res := range TableResolutions {
-			keys = append(keys, cellKey{g: g, res: res})
-		}
-	}
-	cells, err := farm.MapLabeled(ctx, p, keys,
-		func(i int, k cellKey) string {
-			return fmt.Sprintf("tables/%dobj%dlay/%dx%d", k.g.objects, k.g.layers, k.res[0], k.res[1])
-		},
-		func(ctx context.Context, env farm.Env, k cellKey) (cellOut, error) {
-			wl := Workload{W: k.res[0], H: k.res[1], Frames: frames,
-				Objects: k.g.objects, Layers: k.g.layers}
-			n := needs[k.g]
-			enc, dec, err := measure(ctx, env.Space, wl, n.enc, n.dec)
-			return cellOut{enc: enc, dec: dec}, err
-		})
+	measured, _, err := measureRuns(ctx, p, runs)
 	if err != nil {
 		return nil, err
 	}
-	byKey := map[cellKey]cellOut{}
-	for i, k := range keys {
-		byKey[k] = cells[i]
-	}
-
+	n := len(TableResolutions)
 	out := make([]*perf.Table, len(specs))
-	for si, spec := range specs {
-		specCells := make([][]Result, len(TableResolutions))
-		for ri, res := range TableResolutions {
-			c := byKey[cellKey{g: group{spec.Objects, spec.Layers}, res: res}]
-			if spec.Encode {
-				specCells[ri] = c.enc
-			} else {
-				specCells[ri] = c.dec
-			}
-		}
-		tab, _ := assembleTable(spec, specCells)
-		out[si] = tab
+	for i, spec := range specs {
+		out[i], _ = assembleTable(spec, measured[i*n:(i+1)*n])
 	}
 	return out, nil
 }
@@ -183,24 +127,21 @@ func Table1() string {
 	return out
 }
 
+// table8Runs are the runs Table 8 reads: both directions of the
+// Tables 2/3 workloads.
+func table8Runs(frames int) []paperRun {
+	return runsAt(TableResolutions, Workload{Frames: frames}, true, true)
+}
+
 // Table8Pool regenerates the burstiness table: per-phase (VopEncode /
 // VopDecode) metrics against whole-program metrics, on the R12K/8MB
 // machine, at both table resolutions. Cells are "phase (whole)". It is
-// the R12K/8MB column of the Tables 2/3 workloads: the per-resolution
-// jobs fan out on the pool and read that column from the context's
-// Study, simulating only what the study has not measured yet (after
-// RunTables, nothing).
+// the R12K/8MB column of the Tables 2/3 workloads, measured on the pool
+// in the context's Study, which simulates only what it has not measured
+// yet.
 func Table8Pool(ctx context.Context, p *farm.Pool, frames int) (*perf.Table, error) {
 	col := paperColumn(perf.Onyx2R12K8MB())
-	cells, err := farm.MapLabeled(ctx, p, TableResolutions,
-		func(i int, res [2]int) string { return fmt.Sprintf("table8/%dx%d", res[0], res[1]) },
-		func(ctx context.Context, env farm.Env, res [2]int) ([2]Result, error) {
-			enc, dec, err := measure(ctx, env.Space, Workload{W: res[0], H: res[1], Frames: frames}, true, true)
-			if err != nil {
-				return [2]Result{}, err
-			}
-			return [2]Result{enc[col], dec[col]}, nil
-		})
+	runs, _, err := measureRuns(ctx, p, table8Runs(frames))
 	if err != nil {
 		return nil, err
 	}
@@ -216,8 +157,8 @@ func Table8Pool(ctx context.Context, p *farm.Pool, frames int) (*perf.Table, err
 	}
 	for ri, res := range TableResolutions {
 		wl := Workload{W: res[0], H: res[1]}
-		addPhaseColumn(tab, fmt.Sprintf("VopEncode %s", wl.Label()), cells[ri][0], "VopEncode")
-		addPhaseColumn(tab, fmt.Sprintf("VopDecode %s", wl.Label()), cells[ri][1], "VopDecode")
+		addPhaseColumn(tab, fmt.Sprintf("VopEncode %s", wl.Label()), runs[ri].enc[col], "VopEncode")
+		addPhaseColumn(tab, fmt.Sprintf("VopDecode %s", wl.Label()), runs[ri].dec[col], "VopDecode")
 	}
 	return tab, nil
 }

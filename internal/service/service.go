@@ -672,10 +672,10 @@ func (s *Server) releaseSession(j *job) {
 	}
 }
 
-// run executes one started job: render the experiments in order
-// through the Runner seam (local farm or worker fleet), publishing
-// outputs and events as they complete, then hand its place to the next
-// queued study.
+// run executes one started job: harness.RunExperiments renders the
+// experiments in order through the Runner seam (local farm or worker
+// fleet), publishing outputs and events as they complete; then the job
+// hands its place to the next queued study.
 func (s *Server) run(j *job) {
 	defer s.wg.Done()
 	defer j.cancel()
@@ -693,32 +693,24 @@ func (s *Server) run(j *job) {
 	serviceLog.Info("study started", "id", j.id,
 		"experiments", len(j.spec.Experiments), "priority", priorityName(j.priority))
 	ctx := harness.WithStudy(j.ctx, j.study)
-	lastSweep := -1
-	for i, e := range j.spec.Experiments {
-		if e.ReplaysCapture() {
-			lastSweep = i
+	err := harness.RunExperiments(ctx, s.pool, j.spec.Experiments, j.spec.Frames,
+		func(ctx context.Context, i int, e harness.ExperimentSpec) (string, error) {
+			return s.runner.Render(ctx, s.pool, e, j.spec.Frames, j.sinkFor(i, e.Label()))
+		},
+		func(i int, out string) {
+			mExperimentsDone.Inc()
+			j.setOutput(i, out)
+		})
+	if err != nil {
+		if ctx.Err() != nil {
+			mStudiesCancelled.Inc()
+			serviceLog.Info("study cancelled", "id", j.id, "err", err)
+		} else {
+			mStudiesFailed.Inc()
+			serviceLog.Warn("study failed", "id", j.id, "err", err)
 		}
-	}
-	for i, e := range j.spec.Experiments {
-		out, err := s.runner.Render(ctx, s.pool, e, j.spec.Frames, j.sinkFor(i, e.Label()))
-		if err != nil {
-			if ctx.Err() != nil {
-				mStudiesCancelled.Inc()
-				serviceLog.Info("study cancelled", "id", j.id, "during", e.Label())
-				j.fail(fmt.Errorf("cancelled during %s", e.Label()))
-			} else {
-				mStudiesFailed.Inc()
-				serviceLog.Warn("study failed", "id", j.id, "experiment", e.Label(), "err", err)
-				j.fail(fmt.Errorf("%s: %w", e.Label(), err))
-			}
-			return
-		}
-		mExperimentsDone.Inc()
-		j.setOutput(i, out)
-		if i == lastSweep {
-			// No later experiment replays the study's capture.
-			j.study.ReleaseCaptures()
-		}
+		j.fail(err)
+		return
 	}
 	mStudiesDone.Inc()
 	mStudySeconds.ObserveSince(start)
