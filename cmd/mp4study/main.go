@@ -80,7 +80,10 @@
 // -max-attempts bounds the per-batch attempt budget and
 // -fallback-local replays undelivered shards locally if the whole
 // fleet is lost. A fleet summary (uploads, bytes shipped, failovers,
-// retries, breaker trips, readmissions, memo hit rate) goes to stderr.
+// retries, breaker trips, readmissions) goes to stderr; the fleet
+// sweep's captures, replays and memo hits are the run's study's, and
+// the capture/replay summary below reports them as it does a local
+// sweep's.
 //
 // Result memoization is on by default for the replay sweeps: every
 // simulated (capture, L1, L2) grid cell's whole-run stats are memoized
@@ -93,9 +96,9 @@
 // captures its workload names the capture by its provenance (code
 // version, workload, direction), so a rerun whose cells are all on
 // disk runs no codec; a -trace-in or -trace-out sweep names it by the
-// trace's content hash. Local and fleet sweeps share the same memo,
-// and the capture/replay summary reports the hit rate whenever the
-// memo was consulted.
+// trace's content hash. Local and fleet sweeps run the same planner
+// over the same memo, and the capture/replay summary's memo line
+// reports the hit rate whenever the memo was consulted, for both.
 //
 // Batch-manifest mode runs an arbitrary experiment list in list order,
 // after the one batch of paper-machine runs described above, and prints
@@ -415,15 +418,14 @@ func runGeometryFleet(ctx context.Context, frames int, workers string, maxAttemp
 	if len(urls) == 0 {
 		return fmt.Errorf("-workers: no worker URLs")
 	}
+	// The sweep runs in the run's study, whose memo (nil under
+	// -no-memo) the planner consults: memo-covered cells dispatch
+	// nothing, replayed cells are memoized — so with -memo-dir, a
+	// repeated fleet sweep moves zero bytes and replays zero shards.
 	coord := &dist.Coordinator{
 		Workers:       urls,
 		MaxAttempts:   maxAttempts,
 		FallbackLocal: fallbackLocal,
-		// The run's study memo (nil under -no-memo): memo-covered cells
-		// dispatch nothing, replayed cells are memoized — so with
-		// -memo-dir, a repeated fleet sweep moves zero bytes and replays
-		// zero shards.
-		Memo: harness.StudyFrom(ctx).Memo(),
 	}
 	wl := harness.Workload{W: 352, H: 288, Frames: frames}
 	l1s, l2Sizes, err := spec.SweepAxes()
@@ -441,10 +443,6 @@ func runGeometryFleet(ctx context.Context, frames int, workers string, maxAttemp
 	statusf(
 		"fleet: %d retries, %d breaker trips, %d health probes, %d readmissions\n",
 		stats.Retries, stats.BreakerTrips, stats.Probes, stats.Readmissions)
-	if total := stats.MemoHits + stats.MemoMisses; total > 0 {
-		statusf("fleet: memo %d/%d cells served (%.0f%% hit rate)\n",
-			stats.MemoHits, total, 100*float64(stats.MemoHits)/float64(total))
-	}
 	if stats.FallbackShards > 0 {
 		statusf("fleet: %d shards replayed through the local fallback\n", stats.FallbackShards)
 	}

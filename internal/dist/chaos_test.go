@@ -181,39 +181,40 @@ func TestChaosFallbackLocalCompletes(t *testing.T) {
 }
 
 // TestChaosFallbackCellsReachMemo: cells the local fallback rescues
-// are memoized in the coordinator's memo like cells a worker replayed,
-// so the next identical sweep is served entirely from the memo.
+// are memoized in the study's memo like cells a worker replayed, so the
+// next identical sweep is served entirely from the memo.
 func TestChaosFallbackCellsReachMemo(t *testing.T) {
 	w0, w1 := goodWorker(t), goodWorker(t)
 	l1s, l2Sizes := faultAxes()
-	cells := len(l1s) * len(l2Sizes)
+	cells := uint64(len(l1s) * len(l2Sizes))
 	mc, err := memo.New(memo.Config{Version: harness.CodeVersion})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep := func() ([]harness.GeometryPoint, SweepStats) {
+	sweep := func() ([]harness.GeometryPoint, SweepStats, harness.TraceUsage) {
 		t.Helper()
 		coord := chaosCoordinator(faultnet.New(1, nil, &faultnet.Rule{Name: "fleet-down", ErrRate: 1}), w0.URL, w1.URL)
 		coord.FallbackLocal = true
-		coord.Memo = mc
-		points, stats, err := coord.GeometrySweepWithStats(context.Background(), faultWorkload, l1s, l2Sizes)
+		study := harness.NewStudy(true)
+		study.SetMemo(mc)
+		points, stats, err := coord.GeometrySweepWithStats(harness.WithStudy(context.Background(), study), faultWorkload, l1s, l2Sizes)
 		if err != nil {
 			t.Fatalf("fallback did not rescue the dead fleet: %v", err)
 		}
-		return points, stats
+		return points, stats, study.Usage()
 	}
 
-	cold, s1 := sweep()
+	cold, s1, _ := sweep()
 	if s1.FallbackShards == 0 {
 		t.Fatalf("no shards went through the fallback: %+v", s1)
 	}
-	if mc.Len() != cells {
+	if uint64(mc.Len()) != cells {
 		t.Fatalf("memo holds %d cells after the rescued sweep, want %d", mc.Len(), cells)
 	}
-	warm, s2 := sweep()
-	if s2.MemoHits != cells || s2.MemoMisses != 0 || s2.FallbackShards != 0 {
+	warm, s2, u2 := sweep()
+	if u2.MemoHits != cells || u2.MemoMisses != 0 || s2.FallbackShards != 0 {
 		t.Errorf("second sweep: %d hits, %d misses, %d fallback shards; want %d, 0, 0",
-			s2.MemoHits, s2.MemoMisses, s2.FallbackShards, cells)
+			u2.MemoHits, u2.MemoMisses, s2.FallbackShards, cells)
 	}
 	if !reflect.DeepEqual(warm, cold) || !reflect.DeepEqual(cold, localBaseline(t)) {
 		t.Fatal("memo-served sweep differs from the rescued sweep or from local")

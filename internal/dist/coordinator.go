@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,8 +13,8 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/farm"
 	"repro/internal/harness"
-	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -43,17 +44,16 @@ var (
 // events; mp4study surfaces them at -log-level info/debug.
 var distLog = obs.Logger("dist")
 
-// Coordinator drives a distributed geometry sweep: plan the (L1 × L2
-// size) grid into shards against the memo, capture the workload
-// locally only if some shard is left to dispatch, filter the capture
-// down to the L2-bound trace of each L1 row that ships, shard the
-// remaining cells across the workers, and merge the results in
-// deterministic shard order. The capture is the context's Study's
-// shared one (harness.Study.EncodeTrace), so several sweeps of one
-// workload in a study capture it once; the study releases it after its
-// last sweep. Workers that fail or time out
-// are dropped and their shards re-planned onto the survivors (see the
-// package comment for the failover semantics).
+// Coordinator is the fleet's row replayer. GeometrySweepWithStats runs
+// the harness sweep planner (harness.RunGeometrySweepOn), which looks
+// every cell up in the context's Study memo and takes the study's
+// shared capture only on a miss; the coordinator then filters each row
+// with a missing cell down to its L2-bound trace, cuts the rows into
+// shards, replays the missing ones across the workers and writes every
+// shard's results into its run of its row. The planner counts and
+// memoizes the replayed cells, as it does for a local sweep. Workers
+// that fail or time out are dropped and their shards re-planned onto
+// the survivors (see the package comment for the failover semantics).
 type Coordinator struct {
 	// Workers are the base URLs of the worker processes, e.g.
 	// "http://10.0.0.7:8375". At least one is required.
@@ -93,21 +93,10 @@ type Coordinator struct {
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	// FallbackLocal replays whatever shards the fleet could not
-	// deliver through the local harness path instead of failing the
-	// sweep — byte-identical output, degraded wall-clock. Caller
-	// cancellation is never rescued.
+	// deliver in-process, from their rows' filtered streams, instead of
+	// failing the sweep — byte-identical output, degraded wall-clock.
+	// Caller cancellation is never rescued.
 	FallbackLocal bool
-	// Memo, when non-nil, makes the sweep incremental: cells are keyed
-	// by (capture provenance, L1, L2) — harness.CaptureProvenance, known
-	// before anything is encoded — and every cell already in the memo is
-	// served locally from its memoized stats: no shard dispatched, no
-	// trace filtered or uploaded for rows the memo fully covers, and no
-	// capture at all when it covers the grid. Every cell the fleet or
-	// the local fallback does replay is memoized on success. Output is
-	// byte-identical with or without a memo: values are whole-run
-	// cache.Stats and perf.Compute is deterministic. Memo-served shards
-	// reach OnShard with Worker == MemoWorker.
-	Memo *memo.Cache
 	// OnShard, when non-nil, receives every completed shard in strict
 	// shard-index order — the streaming counterpart of the merged
 	// return value (the study service feeds its SSE event log from
@@ -183,11 +172,6 @@ type SweepStats struct {
 	// already held the payload's content hash (HEAD probe hit) — zero
 	// bytes moved for each.
 	UploadsDeduped int
-	// MemoHits and MemoMisses count grid cells served from the result
-	// memo versus actually planned for replay. Both zero when the
-	// coordinator has no memo attached.
-	MemoHits   int
-	MemoMisses int
 	// Replays counts successful shard-batch replay calls.
 	Replays int
 	// Failovers counts shard batches re-planned onto another worker
@@ -226,21 +210,24 @@ type SweepStats struct {
 }
 
 // GeometrySweepWithStats runs the distributed counterpart of
-// harness.RunGeometrySweep: at most one local capture, every
-// configuration the memo lacks replayed on the worker fleet. Nil/empty
-// axes use the harness defaults. The returned points are identical —
-// field for field — to the local sweep of the same workload and axes;
-// the stats are the sweep's transport and failover accounting.
+// harness.RunGeometrySweep: the harness planner with the coordinator as
+// its row replayer, so the context's Study captures, memoizes and
+// accounts the sweep as it would the local one. Nil/empty axes use the
+// harness defaults. The returned points are identical — field for
+// field — to the local sweep of the same workload and axes; the stats
+// are the sweep's transport and failover accounting.
 func (c *Coordinator) GeometrySweepWithStats(ctx context.Context, wl harness.Workload, l1s []cache.Config, l2Sizes []int) ([]harness.GeometryPoint, SweepStats, error) {
-	shardPoints, stats, err := c.geometrySweepShards(ctx, wl, l1s, l2Sizes)
-	if err != nil {
-		return nil, stats, err
+	var stats SweepStats
+	if len(c.Workers) == 0 {
+		return nil, stats, fmt.Errorf("dist: no workers configured")
 	}
-	var out []harness.GeometryPoint
-	for _, pts := range shardPoints {
-		out = append(out, pts...)
-	}
-	return out, stats, nil
+	points, err := harness.RunGeometrySweepOn(ctx, nil, wl, l1s, l2Sizes,
+		func(ctx context.Context, _ *farm.Pool, tr *trace.Trace, rows []harness.SweepRow, l2Sizes []int) error {
+			var err error
+			stats, err = c.replayRows(ctx, tr, rows, l2Sizes)
+			return err
+		})
+	return points, stats, err
 }
 
 // payload is one serialized trace the sweep ships: one L1 row's
@@ -267,102 +254,51 @@ func (b *batch) label() string {
 	return fmt.Sprintf("shards %d-%d (%s)", lo, hi, b.payload.key)
 }
 
-// geometrySweepShards performs the plan/capture/filter/upload/replay
-// cycle and returns per-shard points ordered by shard index.
-func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Workload, l1s []cache.Config, l2Sizes []int) ([][]harness.GeometryPoint, SweepStats, error) {
-	var stats SweepStats
-	if len(c.Workers) == 0 {
-		return nil, stats, fmt.Errorf("dist: no workers configured")
-	}
-	if len(l1s) == 0 {
-		l1s = harness.GeometryL1Configs()
-	}
-	if len(l2Sizes) == 0 {
-		l2Sizes = harness.GeometryL2Sizes()
-	}
-	// Validate both axes before any capture work: they may come from
-	// flags or manifests, and a bad axis entry must not cost an encode
-	// — nor masquerade as fleet-wide worker failure when every worker
-	// rejects the same invalid shard.
-	for _, l1 := range l1s {
-		if err := l1.Validate(); err != nil {
-			return nil, stats, fmt.Errorf("dist: l1 axis: %w", err)
-		}
-		// Validate the exact L2 each (L1, size) pair will simulate —
-		// harness.GeometryL2For is the same rule the replay executes
-		// (allocation-free: axes may be hostile network data).
-		for _, size := range l2Sizes {
-			if err := harness.GeometryL2For(l1, size).Validate(); err != nil {
-				return nil, stats, fmt.Errorf("dist: l2 axis: %w", err)
-			}
-		}
-	}
-
-	// Plan the shards before capturing: memo-covered cells become
-	// prefilled shards that never reach a worker, so fully memoized L1
-	// rows are never filtered or uploaded, and a fully memoized grid is
-	// never captured. Only shards left to dispatch need the capture;
-	// each L1 row then ships only its L2-bound stream.
-	id := harness.CaptureProvenance(wl)
-	shards, prefill, hits, misses := c.planMemoShards(id, l1s, l2Sizes)
-	if c.Memo != nil {
-		stats.MemoHits, stats.MemoMisses = hits, misses
-	}
-	dispatch := make([]Shard, 0, len(shards))
-	for _, sh := range shards {
-		if _, ok := prefill[sh.Index]; !ok {
-			dispatch = append(dispatch, sh)
-		}
-	}
-	var capture *trace.Trace
-	if len(dispatch) > 0 {
-		var err error
-		if capture, err = harness.StudyFrom(ctx).EncodeTrace(wl); err != nil {
-			return nil, stats, fmt.Errorf("dist: capture: %w", err)
-		}
-	}
-	payloadOf, err := c.buildPayloads(ctx, capture, l1s, dispatch)
+// replayRows is the fleet's harness.RowReplayer: it filters and
+// serializes each row with a missing cell (buildPayloads), cuts the
+// rows into shards (cutShards), streams the memo-served shards, and
+// dispatches the rest across the workers, retrying, failing over and
+// falling back as configured.
+func (c *Coordinator) replayRows(ctx context.Context, tr *trace.Trace, rows []harness.SweepRow, l2Sizes []int) (SweepStats, error) {
+	payloads, err := buildPayloads(ctx, tr, rows)
 	if err != nil {
-		return nil, stats, err
+		return SweepStats{}, err
 	}
-
-	// Initial assignment: shards round-robin across workers (as the
-	// pre-failover coordinator did), then each worker's shards group
-	// per payload into one batch — one replay call per (worker,
-	// trace). Assignment only affects scheduling, never results:
-	// points merge by shard index.
-	byWorker := make([][]Shard, len(c.Workers))
-	for i, sh := range dispatch {
-		w := i % len(c.Workers)
-		byWorker[w] = append(byWorker[w], sh)
-	}
-	s := newSweepState(c, shards)
-	s.stats.MemoHits, s.stats.MemoMisses = stats.MemoHits, stats.MemoMisses
-	for idx, pts := range prefill {
-		s.results[idx] = pts
-		s.servedBy[idx] = MemoWorker
-	}
-	for wi, mine := range byWorker {
-		group := map[*payload]*batch{}
-		for _, sh := range mine {
-			p := payloadOf[sh.Index]
-			b, ok := group[p]
-			if !ok {
-				b = &batch{payload: p}
-				group[p] = b
-				s.queues[wi] = append(s.queues[wi], b)
-				s.pendingN++
-			}
-			b.shards = append(b.shards, sh)
+	s := newSweepState(c, cutShards(rows, l2Sizes, len(c.Workers)))
+	// Initial assignment: the shards left to replay round-robin across
+	// workers (as the pre-failover coordinator did), then each worker's
+	// shards group per payload into one batch — one replay call per
+	// (worker, trace). Assignment only affects scheduling, never results:
+	// every shard's results land in its own run of its row.
+	dispatched := 0
+	groups := make([]map[*payload]*batch, len(c.Workers))
+	for i, ps := range s.plan {
+		if ps.stats == nil {
+			s.servedBy[i] = MemoWorker
+			continue
 		}
+		wi := dispatched % len(c.Workers)
+		dispatched++
+		if groups[wi] == nil {
+			groups[wi] = map[*payload]*batch{}
+		}
+		p := payloads[ps.row]
+		b, ok := groups[wi][p]
+		if !ok {
+			b = &batch{payload: p}
+			groups[wi][p] = b
+			s.queues[wi] = append(s.queues[wi], b)
+			s.pendingN++
+		}
+		b.shards = append(b.shards, ps.Shard)
 	}
 
 	mSweepsStarted.Inc()
 	mWorkersAlive.Add(int64(s.aliveN))
 	mBatchesPend.Add(int64(s.pendingN))
 	distLog.Info("sweep started",
-		"workers", len(c.Workers), "shards", len(shards),
-		"memo_shards", len(shards)-len(dispatch),
+		"workers", len(c.Workers), "shards", len(s.plan),
+		"memo_shards", len(s.plan)-dispatched,
 		"batches", s.pendingN)
 	// Stream the memo-served prefix before any worker runs: emission is
 	// strict shard-index order, and a fully memoized sweep must deliver
@@ -411,180 +347,118 @@ func (c *Coordinator) geometrySweepShards(ctx context.Context, wl harness.Worklo
 	// failing sweeps cannot fill a store.
 	if s.fatal != nil {
 		// Graceful degradation: with FallbackLocal, a fleet-fatal sweep
-		// replays its undelivered shards through the local harness path —
-		// byte-identical output, degraded wall-clock. Caller cancellation
-		// is never rescued: the caller asked the whole sweep to stop.
+		// replays its undelivered shards in-process — byte-identical
+		// output, degraded wall-clock. Caller cancellation is never
+		// rescued: the caller asked the whole sweep to stop.
 		if c.FallbackLocal && ctx.Err() == nil {
-			n, ferr := s.fallbackLocal(ctx, capture, shards)
+			n, ferr := s.fallbackLocal(payloads)
 			if ferr != nil {
-				return nil, s.stats, fmt.Errorf("%w (local fallback failed after %d shards: %v)", s.fatal, n, ferr)
+				return s.stats, fmt.Errorf("%w (local fallback failed after %d shards: %v)", s.fatal, n, ferr)
 			}
 			distLog.Warn("sweep completed via local fallback",
 				"shards", n, "fleet_error", s.fatal)
-			s.memoize(id, prefill)
-			return s.results, s.stats, nil
+			return s.stats, nil
 		}
-		return nil, s.stats, s.fatal
+		return s.stats, s.fatal
 	}
-	for i, pts := range s.results {
-		if len(pts) == 0 {
-			return nil, s.stats, fmt.Errorf("dist: shard %d missing from worker responses", i)
+	for i, w := range s.servedBy {
+		if w == "" {
+			return s.stats, fmt.Errorf("dist: shard %d missing from worker responses", i)
 		}
 	}
-	s.memoize(id, prefill)
-	return s.results, s.stats, nil
+	return s.stats, nil
 }
 
-// memoize records every replayed cell of a successful sweep — by a
-// worker or by the local fallback — in the coordinator's memo under
-// the capture identity id, so the next sweep of the same workload can
-// serve them without capturing or dispatching anything. It is the
-// sweep's one memo writer. Prefilled shards are already in the memo;
-// shards without stats (pre-stats workers) are simply skipped — the
-// memo is an optimization, never required for completeness.
-func (s *sweepState) memoize(id trace.Hash, prefill map[int][]harness.GeometryPoint) {
-	if s.c.Memo == nil {
-		return
-	}
-	for i, sh := range s.shards {
-		if _, ok := prefill[sh.Index]; ok {
-			continue
-		}
-		sts := s.cellStats[i]
-		if len(sts) != len(sh.L2Sizes) {
-			continue
-		}
-		for j, size := range sh.L2Sizes {
-			s.c.Memo.Put(harness.GeometryMemoKey(id, sh.L1, size), sts[j])
-		}
-	}
+// plannedShard is one shard of a sweep's plan and the run of its row it
+// fills: points and stats are sliced from the row's Points and Stats,
+// not copied. A shard the memo served has its points already and nil
+// stats; it never reaches a worker.
+type plannedShard struct {
+	Shard
+	row    int
+	points []harness.GeometryPoint
+	stats  []cache.Stats
 }
 
-// planMemoShards cuts the (L1 × L2 size) grid into shards, looking
-// cells up under the capture identity id. Per L1 row, maximal runs of
-// memo-hit cells become one prefilled shard each
-// (results reconstructed from memoized stats — byte-identical to a
-// replay because perf.Compute is deterministic), and runs of misses
-// split into at most len(c.Workers) contiguous chunks. Without a memo
-// every cell misses and no lookup runs. Flattening shard results by
-// Index reproduces the local sweep's (L1 outer, L2 inner) point order
-// exactly, independent of which worker ran what or when it finished.
-func (c *Coordinator) planMemoShards(id trace.Hash, l1s []cache.Config, l2Sizes []int) (shards []Shard, prefill map[int][]harness.GeometryPoint, hits, misses int) {
-	prefill = map[int][]harness.GeometryPoint{}
-	for _, l1 := range l1s {
-		memoized := make([]cache.Stats, len(l2Sizes))
-		hit := make([]bool, len(l2Sizes))
-		for j, size := range l2Sizes {
-			if c.Memo != nil {
-				memoized[j], hit[j] = c.Memo.Get(harness.GeometryMemoKey(id, l1, size))
-			}
-		}
+// cutShards cuts a sweep's rows into shards. In each row, every
+// maximal run of memo-served cells becomes one prefilled shard, and
+// every run of missing cells splits into at most workers contiguous
+// chunks. Flattening shard results by Index reproduces the local
+// sweep's (L1 outer, L2 inner) point order exactly, independent of
+// which worker ran what or when it finished.
+func cutShards(rows []harness.SweepRow, l2Sizes []int, workers int) []plannedShard {
+	var plan []plannedShard
+	add := func(ri, lo, hi int, stats []cache.Stats) {
+		plan = append(plan, plannedShard{
+			Shard:  Shard{Index: len(plan), L1: rows[ri].L1, L2Sizes: l2Sizes[lo:hi:hi]},
+			row:    ri,
+			points: rows[ri].Points[lo:hi:hi],
+			stats:  stats,
+		})
+	}
+	for ri, r := range rows {
+		missing := r.Missing // ascending: the next missing cell is missing[0]
 		for lo := 0; lo < len(l2Sizes); {
-			hi := lo + 1
-			for hi < len(l2Sizes) && hit[hi] == hit[lo] {
-				hi++
-			}
-			run := l2Sizes[lo:hi]
-			if hit[lo] {
-				hits += len(run)
-				pts := make([]harness.GeometryPoint, len(run))
-				for j := range run {
-					pts[j] = harness.GeometryPointFromStats(l1, run[j], memoized[lo+j])
+			hi := lo
+			if len(missing) > 0 && missing[0] == lo {
+				for len(missing) > 0 && missing[0] == hi {
+					missing, hi = missing[1:], hi+1
 				}
-				prefill[len(shards)] = pts
-				shards = append(shards, Shard{
-					Index:   len(shards),
-					L1:      l1,
-					L2Sizes: append([]int(nil), run...),
-				})
-			} else {
-				misses += len(run)
-				chunks := len(c.Workers)
-				if chunks > len(run) {
-					chunks = len(run)
-				}
+				chunks := min(workers, hi-lo)
 				for k := 0; k < chunks; k++ {
-					a := k * len(run) / chunks
-					b := (k + 1) * len(run) / chunks
-					if a == b {
-						continue
-					}
-					shards = append(shards, Shard{
-						Index:   len(shards),
-						L1:      l1,
-						L2Sizes: append([]int(nil), run[a:b]...),
-					})
+					a, b := lo+k*(hi-lo)/chunks, lo+(k+1)*(hi-lo)/chunks
+					add(ri, a, b, r.Stats[a:b:b])
 				}
+			} else {
+				hi = len(l2Sizes)
+				if len(missing) > 0 {
+					hi = missing[0]
+				}
+				add(ri, lo, hi, nil)
 			}
 			lo = hi
 		}
 	}
-	return shards, prefill, hits, misses
+	return plan
 }
 
 // buildPayloads serializes what the sweep will ship: one M4L2 payload
-// per L1 row, produced by replaying the capture through each row's L1
-// filter exactly once (the same FilterGeometryL1 seam the local sweep
-// uses, so a worker replaying the payload cannot diverge from a local
-// run). payloadOf maps each shard index to its payload.
-func (c *Coordinator) buildPayloads(ctx context.Context, capture *trace.Trace, l1s []cache.Config, shards []Shard) (map[int]*payload, error) {
-	payloadOf := make(map[int]*payload, len(shards))
-	// One filter replay per L1 row, concurrently — this is the work
-	// the workers would otherwise each repeat per shard. Only rows some
-	// shard actually dispatches are filtered: a memoized plan can cover
-	// whole rows, and those must cost neither a filter replay nor an
-	// upload.
-	needed := make([]bool, len(l1s))
-	for _, sh := range shards {
-		for li := range l1s {
-			if sh.L1 == l1s[li] {
-				needed[li] = true
-				break
-			}
-		}
-	}
-	payloads := make([]*payload, len(l1s))
-	errs := make([]error, len(l1s))
+// per row with a missing cell, indexed by row, made by replaying the
+// capture through the row's L1 filter exactly once (the same
+// FilterGeometryL1 seam the local replayer uses, so a worker replaying
+// the payload cannot diverge from a local run). Rows filter
+// concurrently, one goroutine each; fully memoized rows cost neither a
+// filter replay nor an upload.
+func buildPayloads(ctx context.Context, tr *trace.Trace, rows []harness.SweepRow) ([]*payload, error) {
+	payloads := make([]*payload, len(rows))
+	errs := make([]error, len(rows))
 	var wg sync.WaitGroup
-	for li, l1 := range l1s {
-		if !needed[li] {
+	for ri, r := range rows {
+		if len(r.Missing) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(li int, l1 cache.Config) {
+		go func(ri int, l1 cache.Config) {
 			defer wg.Done()
-			lt := harness.FilterGeometryL1(ctx, capture, l1)
+			lt := harness.FilterGeometryL1(ctx, tr, l1)
 			var wire bytes.Buffer
 			if _, err := lt.WriteTo(&wire); err != nil {
-				errs[li] = fmt.Errorf("dist: serialize l2 trace %d: %w", li, err)
+				errs[ri] = fmt.Errorf("dist: serialize l2 trace %d: %w", ri, err)
 				return
 			}
 			key := fmt.Sprintf("l2/l1=%dK-%dw", l1.SizeBytes>>10, l1.Ways)
 			if l1.Policy != "" && l1.Policy != cache.PolicyLRU {
 				key += "-" + string(l1.Policy)
 			}
-			payloads[li] = &payload{
-				key:  fmt.Sprintf("%s#%d", key, li),
+			payloads[ri] = &payload{
+				key:  fmt.Sprintf("%s#%d", key, ri),
 				hash: lt.Hash().String(), // cached by WriteTo above
 				wire: wire.Bytes(),
 			}
-		}(li, l1)
+		}(ri, r.L1)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, sh := range shards {
-		for li := range l1s {
-			if sh.L1 == l1s[li] {
-				payloadOf[sh.Index] = payloads[li]
-				break
-			}
-		}
-	}
-	return payloadOf, nil
+	return payloads, errors.Join(errs...)
 }
 
 // sweepState is the failover scheduler's shared state. Batches queue
@@ -622,23 +496,17 @@ type sweepState struct {
 	fatal     error
 	stats     SweepStats
 
-	// results is indexed by shard index; each element is written by
-	// exactly one in-flight batch at a time. servedBy records, per
-	// shard index, which worker's replay produced the element (same
-	// exclusive-writer discipline). shards keeps the plan so emitted
-	// events carry the shard they report; emitted is the length of the
-	// contiguous completed prefix already streamed to OnShard.
-	results  [][]harness.GeometryPoint
+	// plan is indexed by shard index; each shard's cells are written by
+	// exactly one in-flight batch at a time, under mu. servedBy records,
+	// per shard index, which worker's replay filled them — "" until the
+	// shard is done. emitted is the length of the contiguous completed
+	// prefix already streamed to OnShard.
+	plan     []plannedShard
 	servedBy []string
-	// cellStats holds, per dispatched shard, the whole-run stats the
-	// worker reported alongside its points (empty when the worker
-	// omitted them) — the raw material the memo stores after success.
-	cellStats [][]cache.Stats
-	shards    []Shard
-	emitted   int
+	emitted  int
 }
 
-func newSweepState(c *Coordinator, shards []Shard) *sweepState {
+func newSweepState(c *Coordinator, plan []plannedShard) *sweepState {
 	seed := c.Seed
 	if seed == 0 {
 		seed = 1
@@ -654,10 +522,8 @@ func newSweepState(c *Coordinator, shards []Shard) *sweepState {
 		downSince:  make([]time.Time, len(c.Workers)),
 		noReadmit:  make([]bool, len(c.Workers)),
 		rng:        seed,
-		results:    make([][]harness.GeometryPoint, len(shards)),
-		servedBy:   make([]string, len(shards)),
-		cellStats:  make([][]cache.Stats, len(shards)),
-		shards:     shards,
+		plan:       plan,
+		servedBy:   make([]string, len(plan)),
 	}
 	s.stats.ShardsByWorker = map[string]int{}
 	s.cond = sync.NewCond(&s.mu)
@@ -677,15 +543,15 @@ func (s *sweepState) emitReadyLocked() {
 	if s.c.OnShard == nil {
 		return
 	}
-	for s.emitted < len(s.results) && len(s.results[s.emitted]) > 0 {
+	for s.emitted < len(s.plan) && s.servedBy[s.emitted] != "" {
 		i := s.emitted
 		s.emitted++
 		s.c.OnShard(ShardEvent{
-			Shard:  s.shards[i],
-			Points: s.results[i],
+			Shard:  s.plan[i].Shard,
+			Points: s.plan[i].points,
 			Worker: s.servedBy[i],
 			Done:   s.emitted,
-			Total:  len(s.shards),
+			Total:  len(s.plan),
 		})
 	}
 }
@@ -879,8 +745,8 @@ func (s *sweepState) setFatal(err error) {
 // runBatch executes one batch on worker wi: probe whether the worker
 // holds the batch's payload and upload it on a miss (failover re-plans
 // and restarted workers land here with the trace absent), then replay
-// the shards — each step under its own deadline — and store the
-// returned points by shard index.
+// the shards — each step under its own deadline — and write the
+// returned points and stats into the shards' cells.
 func (s *sweepState) runBatch(ctx context.Context, wi int, b *batch) error {
 	base := s.c.Workers[wi]
 	id := b.payload.hash
@@ -929,13 +795,14 @@ func (s *sweepState) runBatch(ctx context.Context, wi int, b *batch) error {
 		"worker", base, "batch", b.label(), "shards", len(b.shards),
 		"duration", time.Since(replayStart).Round(time.Millisecond).String())
 
-	// Only indices this batch carries may be written: the results
-	// slice is shared across workers, so an index echoed back wrong
-	// (buggy or stale worker) must be an error — and a failover — not
-	// a silent overwrite of another shard's element. Validate the whole
-	// response first, then commit under the sweep lock: emitReadyLocked
-	// scans results/servedBy from other workers' goroutines, so every
-	// write to them must be synchronized.
+	// Only the cells of shards this batch carries may be written: the
+	// rows are shared across workers, so an index echoed back wrong
+	// (buggy or stale worker) must be an error — and a failover — not a
+	// silent overwrite of another shard's cells. So must a result whose
+	// points do not cover its shard, or that lacks the stats the sweep
+	// memoizes. Validate the whole response first, then commit under
+	// the sweep lock: emitReadyLocked reads done shards from other
+	// workers' goroutines, so every write must be synchronized.
 	mine := make(map[int]bool, len(b.shards))
 	for _, sh := range b.shards {
 		mine[sh.Index] = true
@@ -944,8 +811,11 @@ func (s *sweepState) runBatch(ctx context.Context, wi int, b *batch) error {
 		if !mine[res.Index] {
 			return violationf("returned shard index %d it was not assigned", res.Index)
 		}
-		if len(res.Points) == 0 {
-			return violationf("shard %d returned no points", res.Index)
+		if n := len(s.plan[res.Index].L2Sizes); len(res.Points) != n {
+			return violationf("shard %d returned %d points for %d L2 sizes", res.Index, len(res.Points), n)
+		}
+		if len(res.Stats) != len(res.Points) {
+			return violationf("shard %d returned %d stats for %d points", res.Index, len(res.Stats), len(res.Points))
 		}
 		delete(mine, res.Index)
 	}
@@ -954,11 +824,10 @@ func (s *sweepState) runBatch(ctx context.Context, wi int, b *batch) error {
 	}
 	s.mu.Lock()
 	for _, res := range resp.Results {
-		s.results[res.Index] = res.Points
+		ps := s.plan[res.Index]
+		copy(ps.points, res.Points)
+		copy(ps.stats, res.Stats)
 		s.servedBy[res.Index] = base
-		if len(res.Stats) == len(res.Points) {
-			s.cellStats[res.Index] = res.Stats
-		}
 	}
 	s.mu.Unlock()
 	return nil

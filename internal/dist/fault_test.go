@@ -8,7 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -139,6 +142,77 @@ func TestFailoverWrongShardIndex(t *testing.T) {
 	stats := assertSweepMatchesLocal(t, faultCoordinator(buggy.URL, good.URL))
 	if stats.DeadWorkers != 1 {
 		t.Errorf("expected the index-scrambling worker dropped, got %+v", stats)
+	}
+}
+
+// TestFailoverWorkerStripsStats: a worker whose results carry points
+// but no stats breaks the protocol — the study would have nothing to
+// memoize for its cells. It is barred, its shards fail over to the good
+// worker, the sweep equals the local one byte for byte, and the study's
+// memo holds every cell with the stats the local sweep memoizes.
+func TestFailoverWorkerStripsStats(t *testing.T) {
+	target, err := url.Parse(goodWorker(t).URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	proxy.ModifyResponse = func(resp *http.Response) error {
+		if resp.Request.URL.Path != "/v1/replay" || resp.StatusCode != http.StatusOK {
+			return nil
+		}
+		var rr ReplayResponse
+		err := json.NewDecoder(resp.Body).Decode(&rr)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		for i := range rr.Results {
+			rr.Results[i].Stats = nil
+		}
+		body, err := json.Marshal(rr)
+		if err != nil {
+			return err
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(body))
+		resp.ContentLength = int64(len(body))
+		resp.Header.Set("Content-Length", strconv.Itoa(len(body)))
+		return nil
+	}
+	stripping := httptest.NewServer(proxy)
+	defer stripping.Close()
+	good := goodWorker(t)
+
+	l1s, l2Sizes := faultAxes()
+	ctx, _, distMemo := memoStudy(t)
+	distPoints, stats, err := faultCoordinator(stripping.URL, good.URL).GeometrySweepWithStats(ctx, faultWorkload, l1s, l2Sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, _, localMemo := memoStudy(t)
+	localPoints, err := harness.RunGeometrySweepPool(ctx, nil, faultWorkload, l1s, l2Sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stats.BarredWorkers, []string{stripping.URL}) {
+		t.Errorf("barred workers %v, want the stats-stripping worker %s", stats.BarredWorkers, stripping.URL)
+	}
+	if got, want := harness.GeometrySweepReport("sweep", distPoints), harness.GeometrySweepReport("sweep", localPoints); got != want {
+		t.Fatalf("sweep differs from local\n--- fleet ---\n%s\n--- local ---\n%s", got, want)
+	}
+	if n := distMemo.Len(); n != len(l1s)*len(l2Sizes) {
+		t.Errorf("study memo holds %d cells, want %d", n, len(l1s)*len(l2Sizes))
+	}
+	id := harness.CaptureProvenance(faultWorkload)
+	for _, l1 := range l1s {
+		for _, size := range l2Sizes {
+			key := harness.GeometryMemoKey(id, l1, size)
+			got, ok := distMemo.Get(key)
+			want, _ := localMemo.Get(key)
+			if !ok || got != want {
+				t.Errorf("memo cell %dK L2 under L1 %dK: %+v (present %t), want the local sweep's %+v",
+					size>>10, l1.SizeBytes>>10, got, ok, want)
+			}
+		}
 	}
 }
 

@@ -1,20 +1,23 @@
 // Package dist shards trace-replay sweeps across worker processes.
 //
 // The paper's methodology — simulate one workload on many machines —
-// distributes along its natural seam: a workload is encoded at most
-// once by the coordinator — not at all when the memo already holds
-// every cell — and every (L1, L2) cache configuration left becomes an
-// independent replay job on whichever worker its shard landed on.
-// Because every shard of one L1 row shares that L1, the coordinator
-// does not ship the full capture: it replays the capture through the
-// L1 filter once per L1 configuration and uploads the ~40× smaller
-// L2-bound M4L2 trace each row actually needs.
-// Workers execute shards through the same farm.Run engine and the same
-// harness seams local sweeps use, so a distributed sweep is the local
-// sweep with the replay loop stretched across processes; results merge
-// in deterministic shard order and are identical to
+// distributes along its natural seam. The harness sweep planner
+// (harness.RunGeometrySweepOn) decides: it looks every (L1, L2) cell
+// up in the study's memo, takes the study's capture only if a cell
+// misses, and hands every L1 row to a row replayer. The Coordinator is
+// the fleet's replayer and only executes: because every cell of one L1
+// row shares that L1, it does not ship the full capture, but replays
+// the capture through the L1 filter once per row with a missing cell
+// and uploads the ~40× smaller L2-bound M4L2 trace the row needs; each
+// run of missing cells becomes independent replay shards on whichever
+// workers they land on. Workers execute shards through the same
+// farm.Run engine and the same cell-replay loop
+// (harness.ReplayL2Cells) local sweeps use, so a distributed sweep is
+// the local sweep with the replay loop stretched across processes;
+// results merge in deterministic shard order and are identical to
 // harness.RunGeometrySweep (asserted end-to-end by the tests, across
-// real worker subprocesses).
+// real worker subprocesses), and the planner memoizes and accounts
+// them as it would the local sweep's.
 //
 // The coordinator is failover-aware and self-healing: each shard batch
 // first probes its worker for the trace's content hash (HEAD) and
@@ -25,11 +28,12 @@
 // Failures are classified — transient (timeouts, connection
 // refused/reset, 5xx) vs. permanent (4xx validation) vs. protocol
 // violation (well-formed responses that lie about shard indices or
-// trace IDs). Transients retry on the same worker under exponential
-// backoff with seeded jitter, inside the bounded per-batch attempt
-// budget; a worker accruing consecutive transient failures trips its
-// circuit breaker and is dropped, its batches re-planned onto the
-// survivors (re-uploading the needed trace where absent). Dropped
+// trace IDs, or leave out a shard's points or stats). Transients retry
+// on the same worker under exponential backoff with seeded jitter,
+// inside the bounded per-batch attempt budget; a worker accruing
+// consecutive transient failures trips its circuit breaker and is
+// dropped, its batches re-planned onto the survivors (re-uploading the
+// needed trace where absent). Dropped
 // workers are not gone for good: a background prober health-checks
 // them after an escalating cooldown and re-admits the ones that
 // recover, rebalancing queued work onto the returnee (whose batches
@@ -37,8 +41,9 @@
 // abort the sweep fast, and protocol violators are barred from
 // re-admission. Only when every worker is lost, or one batch exhausts
 // its budget, does the sweep fail — and with Coordinator.FallbackLocal
-// even that degrades gracefully: the undelivered shards replay through
-// the local harness path, byte-identical to a local sweep.
+// even that degrades gracefully: the undelivered shards replay
+// in-process from their rows' filtered streams, byte-identical to a
+// local sweep.
 //
 // Protocol (worker side, all JSON unless noted):
 //
@@ -87,10 +92,11 @@ type TraceInfo struct {
 // Shard is one replay job: a single L1 configuration with a contiguous
 // chunk of the L2-size axis. The replacement-policy axis rides inside
 // the L1 config (cache.Config.Policy; the simulated L2 inherits it,
-// see harness.geometryMachine) — no extra protocol field or trace kind
+// see harness.GeometryL2For) — no extra protocol field or trace kind
 // is needed, and pre-policy shards decode with the LRU default. Index
-// is the shard's position in the coordinator's deterministic plan (see
-// planMemoShards); results are merged by it, never by arrival order.
+// is the shard's position in the coordinator's deterministic cut of
+// the planner's rows (see cutShards); results are merged by it, never
+// by arrival order.
 type Shard struct {
 	Index   int          `json:"index"`
 	L1      cache.Config `json:"l1"`
@@ -104,23 +110,24 @@ type ReplayRequest struct {
 	Shards  []Shard `json:"shards"`
 }
 
-// ShardResult is one shard's sweep points, in (L1, L2 size) order.
-// Stats, when present, carries the whole-run simulation counters
-// behind each point (same order) so the coordinator can memoize the
-// cells; a response whose Stats length disagrees with Points is used
-// for points only.
+// ShardResult is one shard's sweep points, one per L2 size of the
+// shard, in axis order. Stats carries the whole-run simulation counters
+// behind each point, in the same order: the coordinator's study
+// memoizes them. Both are required — a result whose Points do not
+// cover its shard, or whose Stats length differs from Points, is a
+// protocol violation.
 type ShardResult struct {
 	Index  int                     `json:"index"`
 	Points []harness.GeometryPoint `json:"points"`
 	Stats  []cache.Stats           `json:"stats,omitempty"`
 }
 
-// ReplayResponse returns every requested shard plus the worker-side
-// capture/replay accounting for the request (each request runs under
-// its own harness.Study).
+// ReplayResponse returns every requested shard. The coordinator's
+// decoder accepts unknown fields, so a response carrying fields this
+// build does not know, such as an older worker's trace_usage, still
+// decodes.
 type ReplayResponse struct {
-	Results []ShardResult      `json:"results"`
-	Usage   harness.TraceUsage `json:"trace_usage"`
+	Results []ShardResult `json:"results"`
 }
 
 // HealthStatus is the GET /v1/healthz response. Beyond liveness it
@@ -151,7 +158,7 @@ type errorBody struct {
 const FallbackWorker = "local"
 
 // MemoWorker is the ShardEvent.Worker value of shards served entirely
-// from the coordinator's result memo — no worker ever saw them.
+// from the study's result memo — no worker ever saw them.
 const MemoWorker = "memo"
 
 // ShardEvent is one completed shard, delivered to Coordinator.OnShard.
@@ -164,7 +171,8 @@ type ShardEvent struct {
 	Shard  Shard
 	Points []harness.GeometryPoint
 	// Worker is the base URL of the worker whose replay produced the
-	// points, or FallbackWorker for shards the local fallback recovered.
+	// points, FallbackWorker for shards the local fallback recovered, or
+	// MemoWorker for shards the memo served.
 	Worker string
 	// Done counts shards emitted so far (this one included); Total is
 	// the sweep's shard count. Done == Total marks the final event.

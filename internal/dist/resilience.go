@@ -9,6 +9,7 @@ package dist
 // when to try again.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -49,7 +50,8 @@ const (
 	// diagnostic.
 	classPermanent
 	// classViolation: the worker answered 200 with a protocol-breaking
-	// body (foreign shard indices, missing shards, empty trace IDs).
+	// body (foreign shard indices, missing shards, points or stats,
+	// empty trace IDs).
 	// The worker cannot be trusted; it is dropped immediately and never
 	// re-admitted this sweep.
 	classViolation
@@ -362,31 +364,37 @@ func (s *sweepState) stealWorkLocked(wi int) {
 }
 
 // fallbackLocal replays every shard the fleet never delivered
-// in-process, through the workers' own seam (FilterGeometryL1, then
-// GeometryRowStatsFromL2Trace) against the same capture, so the output
-// is byte-identical to a local sweep, and it records each shard's
-// stats so memoize stores the rescued cells like any replayed ones.
-// Called after the fleet goroutines have joined on a fatal
-// sweep (never on caller cancellation). Returns the number of shards
-// recovered, or the replay error.
-func (s *sweepState) fallbackLocal(ctx context.Context, capture *trace.Trace, shards []Shard) (int, error) {
+// in-process, as a worker would: it decodes the shard's payload (once
+// per payload) and replays the shard's cells through
+// harness.ReplayL2Cells, the workers' own loop, so the output is
+// byte-identical to a local sweep and no row is filtered twice. Called
+// after the fleet goroutines have joined on a fatal sweep (never on
+// caller cancellation). Returns the number of shards recovered, or the
+// decode error.
+func (s *sweepState) fallbackLocal(payloads []*payload) (int, error) {
+	decoded := map[*payload]*trace.L2Trace{}
 	done := 0
-	for _, sh := range shards {
-		if len(s.results[sh.Index]) > 0 {
+	for i, ps := range s.plan {
+		if s.servedBy[i] != "" {
 			continue
 		}
-		lt := harness.FilterGeometryL1(ctx, capture, sh.L1)
-		points, stats, err := harness.GeometryRowStatsFromL2Trace(ctx, lt, sh.L2Sizes)
-		if err != nil {
-			return done, fmt.Errorf("shard %d: %w", sh.Index, err)
+		p := payloads[ps.row]
+		lt := decoded[p]
+		if lt == nil {
+			lt = &trace.L2Trace{}
+			if _, err := lt.ReadFrom(bytes.NewReader(p.wire)); err != nil {
+				return done, fmt.Errorf("shard %d: %w", i, err)
+			}
+			decoded[p] = lt
 		}
+		points, stats := harness.ReplayL2Cells(lt, ps.L2Sizes)
 		// The fleet goroutines have joined, but emission keeps the
 		// same lock-held discipline so the OnShard ordering invariant
 		// has a single owner.
 		s.mu.Lock()
-		s.results[sh.Index] = points
-		s.cellStats[sh.Index] = stats
-		s.servedBy[sh.Index] = FallbackWorker
+		copy(ps.points, points)
+		copy(ps.stats, stats)
+		s.servedBy[i] = FallbackWorker
 		s.emitReadyLocked()
 		s.mu.Unlock()
 		done++

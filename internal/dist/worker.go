@@ -337,19 +337,14 @@ func (w *Worker) handleReplay(rw http.ResponseWriter, r *http.Request) {
 	w.inFlight.Add(int64(len(req.Shards)))
 	defer w.inFlight.Add(-int64(len(req.Shards)))
 	replayStart := time.Now()
-	study := harness.NewStudy(true)
-	ctx := harness.WithStudy(r.Context(), study)
-	results, err := farm.MapLabeled(ctx, w.pool, req.Shards,
+	results, err := farm.MapLabeled(r.Context(), w.pool, req.Shards,
 		func(i int, sh Shard) string {
 			return fmt.Sprintf("shard%d/l1=%dK-%dw", sh.Index, sh.L1.SizeBytes>>10, sh.L1.Ways)
 		},
 		func(ctx context.Context, env farm.Env, sh Shard) (ShardResult, error) {
-			// The whole-run stats behind each point ride along so the
-			// coordinator can memoize the cells.
-			points, stats, err := harness.GeometryRowStatsFromL2Trace(ctx, st.l2, sh.L2Sizes)
-			if err != nil {
-				return ShardResult{}, err
-			}
+			// The whole-run stats behind each point ride along: the
+			// coordinator's study memoizes them.
+			points, stats := harness.ReplayL2Cells(st.l2, sh.L2Sizes)
 			return ShardResult{Index: sh.Index, Points: points, Stats: stats}, nil
 		})
 	if err != nil {
@@ -362,7 +357,7 @@ func (w *Worker) handleReplay(rw http.ResponseWriter, r *http.Request) {
 		"trace", req.TraceID, "shards", len(req.Shards),
 		"elapsed", time.Since(replayStart))
 	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(ReplayResponse{Results: results, Usage: study.Usage()})
+	json.NewEncoder(rw).Encode(ReplayResponse{Results: results})
 }
 
 // validateShard checks every geometry the shard names with

@@ -22,10 +22,11 @@ import (
 const CodeVersion = "sim-v1"
 
 // Sweep metrics: every geometry/policy sweep — local, trace-file or
-// the shard replays a distributed worker runs — passes through
-// geometrySweep or GeometryRowStatsFromL2Trace, so these two counters
-// plus the harness_geometry_sweep span (see obs.Span) give points/sec
-// for the whole fleet's rows.
+// fleet — runs through the one planner (geometrySweep), which counts
+// each of its rows and points once, memo-served or replayed. With the
+// harness_geometry_sweep span (see obs.Span) they give points/sec; the
+// shard replays a dist worker serves count only in its worker_*
+// metrics.
 var (
 	mSweepPoints = obs.Default().Counter("harness_sweep_points_total")
 	mSweepRows   = obs.Default().Counter("harness_sweep_rows_total")
@@ -185,28 +186,34 @@ func RunGeometrySweep(wl Workload, l1s []cache.Config, l2Sizes []int) ([]Geometr
 }
 
 // RunGeometrySweepPool simulates every (L1, L2 size) combination of
-// the workload from one encode capture. Points return in (L1 outer, L2
-// inner) order; nil/empty axes use the defaults. The sweep plans before
-// it captures: with a memo on the context's Study, every cell is looked
-// up under the capture's provenance (CaptureProvenance), and only rows
-// with a missing cell are filtered and replayed, from the study's
-// shared capture (Study.EncodeTrace). A sweep whose cells are all
-// memoized runs no codec.
+// the workload from one encode capture: RunGeometrySweepOn with the
+// local row replayer, one farm job per row on p.
 func RunGeometrySweepPool(ctx context.Context, p *farm.Pool, wl Workload, l1s []cache.Config, l2Sizes []int) ([]GeometryPoint, error) {
+	return RunGeometrySweepOn(ctx, p, wl, l1s, l2Sizes, replayRows)
+}
+
+// RunGeometrySweepOn is the geometry sweep's one planner. Points return
+// in (L1 outer, L2 inner) order; nil/empty axes use the defaults, and
+// every (L1, L2) pair is validated before anything runs (axes arrive
+// from flags, manifests and the network). With a memo on the context's
+// Study, every cell is looked up under the capture's provenance
+// (CaptureProvenance) before anything is captured; only if a cell
+// misses does the sweep take the study's shared capture
+// (Study.EncodeTrace). replay then gets every row and fills the missing
+// cells; once it succeeds, each replayed cell is counted and memoized.
+// A sweep whose cells are all memoized runs no codec.
+func RunGeometrySweepOn(ctx context.Context, p *farm.Pool, wl Workload, l1s []cache.Config, l2Sizes []int, replay RowReplayer) ([]GeometryPoint, error) {
 	s := StudyFrom(ctx)
 	return geometrySweep(ctx, p, s, CaptureProvenance(wl),
-		func() (*trace.Trace, error) { return s.EncodeTrace(wl) }, l1s, l2Sizes)
+		func() (*trace.Trace, error) { return s.EncodeTrace(wl) }, l1s, l2Sizes, replay)
 }
 
 // RunGeometrySweepFromTrace runs the geometry sweep against an existing
 // capture — recorded in-process or decoded from a trace file (mp4study
-// -trace-in): the full trace replays through an L1 filter per L1
-// configuration (one farm job each), and each filtered trace replays
-// per L2 size. Points return in (L1 outer, L2 inner) order, identical
-// to RunGeometrySweepPool on the workload the trace captures. Nil/empty
-// axes use the defaults; every geometry is validated before simulation
-// (traces and axes may arrive over the network). Memo cells are keyed
-// by the trace's content hash, computed only when the study has a memo.
+// -trace-in) — with the local row replayer. Points return in (L1 outer,
+// L2 inner) order, identical to RunGeometrySweepPool on the workload
+// the trace captures. Memo cells are keyed by the trace's content hash,
+// computed only when the study has a memo.
 func RunGeometrySweepFromTrace(ctx context.Context, p *farm.Pool, tr *trace.Trace, l1s []cache.Config, l2Sizes []int) ([]GeometryPoint, error) {
 	s := StudyFrom(ctx)
 	var id trace.Hash
@@ -214,22 +221,34 @@ func RunGeometrySweepFromTrace(ctx context.Context, p *farm.Pool, tr *trace.Trac
 		id = tr.Hash()
 	}
 	return geometrySweep(ctx, p, s, id,
-		func() (*trace.Trace, error) { return tr, nil }, l1s, l2Sizes)
+		func() (*trace.Trace, error) { return tr, nil }, l1s, l2Sizes, replayRows)
 }
 
-// geometryRow is one L1 row of a sweep: its points, with the cells the
-// memo served filled in and the rest listed in missing.
-type geometryRow struct {
-	l1      cache.Config
-	points  []GeometryPoint
-	missing []int
+// SweepRow is one L1 row of a geometry sweep as the planner hands it to
+// a RowReplayer. Points has one cell per L2 size, with the cells the
+// memo served filled in; Missing lists, in axis order, the indices of
+// the cells left to replay. Stats is allocated only for a row with a
+// missing cell.
+type SweepRow struct {
+	L1      cache.Config
+	Points  []GeometryPoint
+	Stats   []cache.Stats
+	Missing []int
 }
 
-// geometrySweep is the sweep both entry points share. id names the
+// RowReplayer replays the missing cells of a sweep's rows from the
+// capture tr, which is nil when no cell misses. It gets every row, the
+// fully memoized ones included, and must fill Points[j] and Stats[j]
+// for every missing j of every row, or return an error. The local
+// replayer runs one farm job per row on p; the dist coordinator ships
+// the rows to a worker fleet.
+type RowReplayer func(ctx context.Context, p *farm.Pool, tr *trace.Trace, rows []SweepRow, l2Sizes []int) error
+
+// geometrySweep is the planner behind every entry point. id names the
 // capture in memo keys; capture supplies the trace and is called only
 // if some cell misses the memo. Without a memo every cell misses and no
 // lookup runs.
-func geometrySweep(ctx context.Context, p *farm.Pool, s *Study, id trace.Hash, capture func() (*trace.Trace, error), l1s []cache.Config, l2Sizes []int) ([]GeometryPoint, error) {
+func geometrySweep(ctx context.Context, p *farm.Pool, s *Study, id trace.Hash, capture func() (*trace.Trace, error), l1s []cache.Config, l2Sizes []int, replay RowReplayer) ([]GeometryPoint, error) {
 	defer obs.Span("harness.geometry_sweep")()
 	if len(l1s) == 0 {
 		l1s = GeometryL1Configs()
@@ -239,94 +258,101 @@ func geometrySweep(ctx context.Context, p *farm.Pool, s *Study, id trace.Hash, c
 	}
 	// Validate the exact configurations the sweep will simulate: the
 	// L2 geometry derives from both the size axis and the L1 entry's
-	// policy (geometryMachine), so each (L1, size) pair is checked.
+	// policy (GeometryL2For), so each (L1, size) pair is checked.
 	for _, l1 := range l1s {
 		if err := l1.Validate(); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("l1 axis: %w", err)
 		}
 		for _, size := range l2Sizes {
-			if err := geometryMachine(l1, size).L2.Validate(); err != nil {
-				return nil, err
+			if err := GeometryL2For(l1, size).Validate(); err != nil {
+				return nil, fmt.Errorf("l2 axis: %w", err)
 			}
 		}
 	}
 	mc := s.Memo()
-	rows := make([]*geometryRow, len(l1s))
-	var todo []*geometryRow
+	rows := make([]SweepRow, len(l1s))
+	missing := false
 	for i, l1 := range l1s {
-		r := &geometryRow{l1: l1, points: make([]GeometryPoint, len(l2Sizes))}
-		rows[i] = r
+		r := SweepRow{L1: l1, Points: make([]GeometryPoint, len(l2Sizes))}
 		for j, size := range l2Sizes {
 			if mc != nil {
 				if whole, ok := mc.Get(GeometryMemoKey(id, l1, size)); ok {
-					r.points[j] = GeometryPointFromStats(l1, size, whole)
+					r.Points[j] = GeometryPointFromStats(l1, size, whole)
 					s.noteMemoHit()
 					continue
 				}
 				s.noteMemoMiss()
 			}
-			r.missing = append(r.missing, j)
+			r.Missing = append(r.Missing, j)
 		}
-		if len(r.missing) > 0 {
-			todo = append(todo, r)
-			continue
+		if len(r.Missing) > 0 {
+			r.Stats = make([]cache.Stats, len(l2Sizes))
+			missing = true
+		}
+		rows[i] = r
+	}
+	var tr *trace.Trace
+	if missing {
+		var err error
+		if tr, err = capture(); err != nil {
+			return nil, err
+		}
+	}
+	if err := replay(ctx, p, tr, rows, l2Sizes); err != nil {
+		return nil, err
+	}
+	out := make([]GeometryPoint, 0, len(l1s)*len(l2Sizes))
+	for _, r := range rows {
+		for _, j := range r.Missing {
+			s.noteReplay()
+			mc.Put(GeometryMemoKey(id, r.L1, l2Sizes[j]), r.Stats[j])
 		}
 		mSweepRows.Inc()
-		mSweepPoints.Add(uint64(len(r.points)))
-	}
-	if len(todo) > 0 {
-		tr, err := capture()
-		if err != nil {
-			return nil, err
-		}
-		_, err = farm.MapLabeled(ctx, p, todo,
-			func(i int, r *geometryRow) string {
-				label := fmt.Sprintf("geometry/l1=%dK-%dw", r.l1.SizeBytes>>10, r.l1.Ways)
-				if suffix := policySuffix(r.l1.Policy); suffix != "" {
-					label += "-" + suffix
-				}
-				return label
-			},
-			func(ctx context.Context, env farm.Env, r *geometryRow) (struct{}, error) {
-				replayMissing(ctx, s, mc, tr, id, r, l2Sizes)
-				return struct{}{}, nil
-			})
-		if err != nil {
-			return nil, err
-		}
-	}
-	var out []GeometryPoint
-	for _, r := range rows {
-		out = append(out, r.points...)
+		mSweepPoints.Add(uint64(len(r.Points)))
+		out = append(out, r.Points...)
 	}
 	return out, nil
 }
 
-// replayMissing fills the row's missing cells: one L1 filter replay of
-// the capture, then one fused replay of the L2-bound stream across the
-// missing L2 sizes, each result memoized in mc under id.
-func replayMissing(ctx context.Context, s *Study, mc *memo.Cache, tr *trace.Trace, id trace.Hash, r *geometryRow, l2Sizes []int) {
-	lt := FilterGeometryL1(ctx, tr, r.l1)
-	cfgs := make([]cache.Config, len(r.missing))
-	for k, j := range r.missing {
-		cfgs[k] = GeometryL2For(r.l1, l2Sizes[j])
+// replayRows is the local RowReplayer: one farm job per row with a
+// missing cell, which filters the capture through the row's L1
+// (FilterGeometryL1) and replays the missing cells in one fused pass
+// (ReplayL2Cells).
+func replayRows(ctx context.Context, p *farm.Pool, tr *trace.Trace, rows []SweepRow, l2Sizes []int) error {
+	var todo []SweepRow
+	for _, r := range rows {
+		if len(r.Missing) > 0 {
+			todo = append(todo, r)
+		}
 	}
-	rr := lt.ReplayMany(cfgs, trace.ReplayWorkers())
-	for k, j := range r.missing {
-		size := l2Sizes[j]
-		s.noteReplay()
-		r.points[j] = GeometryPointFromStats(r.l1, size, rr[k].Whole)
-		mc.Put(GeometryMemoKey(id, r.l1, size), rr[k].Whole)
-	}
-	mSweepRows.Inc()
-	mSweepPoints.Add(uint64(len(r.points)))
+	_, err := farm.MapLabeled(ctx, p, todo,
+		func(i int, r SweepRow) string {
+			label := fmt.Sprintf("geometry/l1=%dK-%dw", r.L1.SizeBytes>>10, r.L1.Ways)
+			if suffix := policySuffix(r.L1.Policy); suffix != "" {
+				label += "-" + suffix
+			}
+			return label
+		},
+		func(ctx context.Context, env farm.Env, r SweepRow) (struct{}, error) {
+			sizes := make([]int, len(r.Missing))
+			for k, j := range r.Missing {
+				sizes[k] = l2Sizes[j]
+			}
+			points, stats := ReplayL2Cells(FilterGeometryL1(ctx, tr, r.L1), sizes)
+			for k, j := range r.Missing {
+				r.Points[j], r.Stats[j] = points[k], stats[k]
+			}
+			return struct{}{}, nil
+		})
+	return err
 }
 
 // FilterGeometryL1 replays a full capture through one L1 configuration
 // of the geometry sweep and returns the surviving L2-bound stream — the
 // per-L1 half of the sweep, accounted to the context's Study. The
 // caller must have validated l1 (it is the seam the local sweep and the
-// distributed coordinator share; both validate their axes at ingress).
+// distributed coordinator share; both run behind the planner, which
+// validates its axes).
 func FilterGeometryL1(ctx context.Context, tr *trace.Trace, l1 cache.Config) *trace.L2Trace {
 	f := trace.NewL2Filter(l1)
 	tr.Replay(f, f)
@@ -335,57 +361,50 @@ func FilterGeometryL1(ctx context.Context, tr *trace.Trace, l1 cache.Config) *tr
 	return lt
 }
 
-// GeometryRowFromL2Trace simulates one L1 row of the geometry sweep
-// from an L1-filtered capture: one replay per L2 size against the
-// trace's embedded L1, in axis order — the per-L2 half of the sweep,
-// shared by the local sweep and the distributed worker's M4L2 path so
-// the two cannot drift apart. Nil/empty l2Sizes use the defaults; the
-// sizes are validated before simulation (they may arrive over the
-// network).
-func GeometryRowFromL2Trace(ctx context.Context, lt *trace.L2Trace, l2Sizes []int) ([]GeometryPoint, error) {
-	points, _, err := GeometryRowStatsFromL2Trace(ctx, lt, l2Sizes)
-	return points, err
+// ReplayL2Cells simulates the given L2 sizes behind an L1-filtered
+// capture's embedded L1 in one fused pass, returning each cell's point
+// and whole-run stats in the order of sizes — the per-L2 half of the
+// sweep, and the one cell-replay loop the local replayer, the dist
+// worker and the coordinator's local fallback share. It validates
+// nothing and counts nothing: the caller validates the sizes, and the
+// sweep planner counts the cells.
+func ReplayL2Cells(lt *trace.L2Trace, sizes []int) ([]GeometryPoint, []cache.Stats) {
+	cfgs := make([]cache.Config, len(sizes))
+	for i, size := range sizes {
+		cfgs[i] = GeometryL2For(lt.L1, size)
+	}
+	rr := lt.ReplayMany(cfgs, trace.ReplayWorkers())
+	points := make([]GeometryPoint, len(sizes))
+	stats := make([]cache.Stats, len(sizes))
+	for i, size := range sizes {
+		stats[i] = rr[i].Whole
+		points[i] = GeometryPointFromStats(lt.L1, size, rr[i].Whole)
+	}
+	return points, stats
 }
 
-// GeometryRowStatsFromL2Trace is GeometryRowFromL2Trace returning the
-// whole-run stats alongside each point — what a distributed worker
-// ships back so the coordinator can memoize the cells it replayed
-// remotely (the stats are the memo value; points derive from them).
-func GeometryRowStatsFromL2Trace(ctx context.Context, lt *trace.L2Trace, l2Sizes []int) ([]GeometryPoint, []cache.Stats, error) {
+// GeometryRowFromL2Trace simulates one L1 row of the geometry sweep
+// from an L1-filtered capture: one replay per L2 size against the
+// trace's embedded L1, in axis order, accounted to the context's Study.
+// Nil/empty l2Sizes use the defaults; the sizes are validated before
+// simulation.
+func GeometryRowFromL2Trace(ctx context.Context, lt *trace.L2Trace, l2Sizes []int) ([]GeometryPoint, error) {
 	if len(l2Sizes) == 0 {
 		l2Sizes = GeometryL2Sizes()
 	}
 	for _, size := range l2Sizes {
 		// Validate the exact L2 the row will simulate — including the
 		// policy it inherits from the trace's embedded L1.
-		l2 := geometryMachine(lt.L1, size).L2
-		if err := l2.Validate(); err != nil {
-			return nil, nil, err
+		if err := GeometryL2For(lt.L1, size).Validate(); err != nil {
+			return nil, err
 		}
 	}
+	points, _ := ReplayL2Cells(lt, l2Sizes)
 	s := StudyFrom(ctx)
-	l1 := lt.L1
-	points := make([]GeometryPoint, len(l2Sizes))
-	stats := make([]cache.Stats, len(l2Sizes))
-	cfgs := make([]cache.Config, len(l2Sizes))
-	for i, size := range l2Sizes {
-		cfgs[i] = geometryMachine(l1, size).L2
-	}
-	rr := lt.ReplayMany(cfgs, trace.ReplayWorkers())
-	for i, size := range l2Sizes {
-		m := geometryMachine(l1, size)
+	for range points {
 		s.noteReplay()
-		stats[i] = rr[i].Whole
-		points[i] = GeometryPoint{
-			Label:  geometryLabel(l1, size),
-			L1:     l1,
-			L2:     m.L2,
-			Encode: perf.Compute(m, rr[i].Whole),
-		}
 	}
-	mSweepRows.Inc()
-	mSweepPoints.Add(uint64(len(points)))
-	return points, stats, nil
+	return points, nil
 }
 
 // RunGeometrySweepLive is the re-encode baseline: every configuration

@@ -128,14 +128,27 @@ func runsAt(sizes [][2]int, wl Workload, enc, dec bool) []paperRun {
 	return runs
 }
 
+// held returns the Results of the directions r asks for if the study
+// has measured all of them, read under the row's lock.
+func (s *Study) held(r paperRun) (runResults, bool) {
+	m := s.measurement(r.wl)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r.enc && m.enc == nil || r.dec && m.dec == nil {
+		return runResults{}, false
+	}
+	return runResults{m.enc, m.dec}, true
+}
+
 // measureRuns measures runs in the context's study as one batch on the
 // pool. The runs of one normalized Workload merge into one job, which
 // measures every direction any of them asks for, so a decode never
 // makes an untraced encode of a workload whose encode the batch also
 // measures, whatever the order of runs; the jobs run in the order their
-// workloads first appear. It returns each run's Results in the order of
-// runs. On failure it also returns the index of the first run of the
-// workload whose job failed, or 0 if ctx was cancelled.
+// workloads first appear. A workload whose wanted directions the study
+// already holds is read without a job. It returns each run's Results in
+// the order of runs. On failure it also returns the index of the first
+// run of the workload whose job failed, or 0 if ctx was cancelled.
 func measureRuns(ctx context.Context, p *farm.Pool, runs []paperRun) ([]runResults, int, error) {
 	var jobs []paperRun
 	var first []int              // first[j]: the index of jobs[j]'s first run
@@ -154,7 +167,18 @@ func measureRuns(ctx context.Context, p *farm.Pool, runs []paperRun) ([]runResul
 		jobs[j].dec = jobs[j].dec || r.dec
 		at[i] = j
 	}
-	measured, err := farm.MapLabeled(ctx, p, jobs,
+	s := StudyFrom(ctx)
+	measured := make([]runResults, len(jobs))
+	var todo []paperRun
+	var farmed []int // farmed[k]: the job todo[k] is
+	for j, r := range jobs {
+		var ok bool
+		if measured[j], ok = s.held(r); !ok {
+			todo = append(todo, r)
+			farmed = append(farmed, j)
+		}
+	}
+	results, err := farm.MapLabeled(ctx, p, todo,
 		func(_ int, r paperRun) string {
 			return fmt.Sprintf("paper/%dobj%dlay/%dx%d", r.wl.Objects, r.wl.Layers, r.wl.W, r.wl.H)
 		},
@@ -165,9 +189,12 @@ func measureRuns(ctx context.Context, p *farm.Pool, runs []paperRun) ([]runResul
 	if err != nil {
 		var je *farm.JobError
 		if errors.As(err, &je) {
-			return nil, first[je.Index], err
+			return nil, first[farmed[je.Index]], err
 		}
 		return nil, 0, err
+	}
+	for k, j := range farmed {
+		measured[j] = results[k]
 	}
 	out := make([]runResults, len(runs))
 	for i, j := range at {

@@ -89,8 +89,10 @@ func TestPaperExperimentsReadSharedRuns(t *testing.T) {
 // TestRunExperimentsMeasuresEachWorkloadOnce: whichever of Tables 2
 // and 3 a list names first, its batch measures each of their two
 // workloads in one job, encode and decode, before the first output, and
-// rendering then simulates nothing more. A plan that split a workload's
-// encode and decode into two jobs would run 4.
+// rendering on the same pool then simulates nothing more and starts no
+// job: the tables read the rows the study holds. A plan that split a
+// workload's encode and decode into two jobs would run 4 before the
+// first output; renders that farmed the rows again, 6 in all.
 func TestRunExperimentsMeasuresEachWorkloadOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-resolution paper experiments in -short mode")
@@ -106,7 +108,7 @@ func TestRunExperimentsMeasuresEachWorkloadOnce(t *testing.T) {
 		var first TraceUsage
 		err := RunExperiments(ctx, pool, exps, frames,
 			func(ctx context.Context, _ int, e ExperimentSpec) (string, error) {
-				return RenderExperiment(ctx, nil, e, frames)
+				return RenderExperiment(ctx, pool, e, frames)
 			},
 			func(i int, out string) {
 				if len(outs) == 0 {
@@ -119,6 +121,9 @@ func TestRunExperimentsMeasuresEachWorkloadOnce(t *testing.T) {
 			})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if jobs != 2 {
+			t.Errorf("[%s]: %d jobs over the whole run, want 2", list, jobs)
 		}
 		if u := study.Usage(); u != first {
 			t.Errorf("[%s]: usage moved from %+v at the first output to %+v at the last", list, first, u)

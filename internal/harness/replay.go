@@ -120,15 +120,6 @@ func (s *Study) noteReplay() { s.usage.replays.Add(1) }
 func (s *Study) noteMemoHit()  { s.usage.memoHits.Add(1) }
 func (s *Study) noteMemoMiss() { s.usage.memoMisses.Add(1) }
 
-// CountMemo folds externally served memo cells into the study's usage
-// — the fleet path consults the memo in the dist coordinator rather
-// than through this study's replay seam, and its sweep stats land here
-// so TraceUsage reports one coherent hit/miss picture either way.
-func (s *Study) CountMemo(hits, misses uint64) {
-	s.usage.memoHits.Add(hits)
-	s.usage.memoMisses.Add(misses)
-}
-
 // studyKey carries the Study through a context.
 type studyKey struct{}
 

@@ -118,11 +118,11 @@ func (f *fleetRunner) Render(ctx context.Context, pool *farm.Pool, e harness.Exp
 		return "", err
 	}
 	coord := f.cfg.coordinator()
-	// The study's memo (the server-wide one, attached at submission)
-	// rides into the coordinator: memo-covered cells never dispatch,
-	// and every replayed cell is memoized for the next study. Shard
-	// events for memo-served cells carry Worker == dist.MemoWorker.
-	coord.Memo = harness.StudyFrom(ctx).Memo()
+	// The sweep runs in the study's context, so the harness planner
+	// consults the study's memo (the server-wide one, attached at
+	// submission): memo-covered cells never dispatch, and every replayed
+	// cell is memoized for the next study. Shard events for memo-served
+	// cells carry Worker == dist.MemoWorker.
 	coord.OnShard = func(ev dist.ShardEvent) {
 		sink(StudyEvent{Type: EventShard, Shard: &ShardProgress{
 			Index:  ev.Shard.Index,
@@ -140,7 +140,6 @@ func (f *fleetRunner) Render(ctx context.Context, pool *farm.Pool, e harness.Exp
 	if err != nil {
 		return "", fmt.Errorf("fleet sweep: %w", err)
 	}
-	harness.StudyFrom(ctx).CountMemo(uint64(stats.MemoHits), uint64(stats.MemoMisses))
 	return harness.GeometrySweepReport(harness.SweepTitle(e.Sweep, true), points), nil
 }
 
