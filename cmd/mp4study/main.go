@@ -71,12 +71,13 @@
 //
 // -workers runs the geometry or policy sweep on an mp4worker fleet: the
 // coordinator encodes once, filters the capture per L1 configuration,
-// ships each L1 row's small L2-bound trace to the workers, and merges
-// the sharded results — identical output to the local sweep, with
-// worker failures absorbed by the self-healing scheduler: transient
-// errors retry under backoff, repeat offenders are breaker-dropped and
-// their shards re-planned onto the survivors, and recovered workers
-// are re-admitted mid-sweep by the health prober (see internal/dist).
+// queues each L1 row's small L2-bound trace as one batch that the next
+// free worker takes, and merges the results — identical output to the
+// local sweep, with worker failures absorbed by the self-healing
+// scheduler: transient errors retry under backoff, repeat offenders
+// are breaker-dropped and their batch goes back on the queue, and
+// recovered workers are re-admitted mid-sweep by the health prober
+// (see internal/dist).
 // -max-attempts bounds the per-batch attempt budget and
 // -fallback-local replays undelivered shards locally if the whole
 // fleet is lost. A fleet summary (uploads, bytes shipped, failovers,

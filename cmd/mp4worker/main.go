@@ -5,12 +5,12 @@
 // A dist.Coordinator (see internal/dist, examples/distributed, and
 // `mp4study -sweep geometry|policy -workers ...`) encodes a workload
 // once and fans the simulation grid across any number of these
-// processes, re-planning shards onto the surviving workers when one
-// fails. Shards may name a replacement policy inside their L1 config
-// (cache.Config.Policy — the L2 inherits it); unknown policy names,
-// like any invalid geometry, are rejected with a 400, and shards whose
-// L1 (policy included) mismatches the uploaded trace's embedded L1 are
-// refused rather than silently mis-simulated.
+// processes, one L1 row per batch, putting a failed worker's batch back
+// on the queue for the others. Shards may name a replacement policy
+// inside their L1 config (cache.Config.Policy — the L2 inherits it);
+// unknown policy names, like any invalid geometry, are rejected with a
+// 400, and shards whose L1 (policy included) mismatches the uploaded
+// trace's embedded L1 are refused rather than silently mis-simulated.
 //
 // Usage:
 //

@@ -5,11 +5,11 @@
 // for `mp4worker` processes on other hosts), then has a coordinator
 // encode a CIF workload ONCE, filter the captured reference stream
 // down to each L1 row's L2-bound trace, ship those small M4L2
-// payloads to the workers, and shard the 18-configuration
-// cache-geometry grid across them (worker failures would be absorbed
-// by re-planning shards onto the survivors). The merged result is
-// compared against the same sweep computed locally — the two are
-// identical, because a replay of the same bytes is the same
+// payloads to the workers, and spread the 18-configuration
+// cache-geometry grid across them one L1 row at a time (a failed
+// worker's row would go back on the queue for the other). The merged
+// result is compared against the same sweep computed locally — the two
+// are identical, because a replay of the same bytes is the same
 // simulation wherever it runs.
 //
 //	go run ./examples/distributed

@@ -48,12 +48,13 @@ var distLog = obs.Logger("dist")
 // the harness sweep planner (harness.RunGeometrySweepOn), which looks
 // every cell up in the context's Study memo and takes the study's
 // shared capture only on a miss; the coordinator then filters each row
-// with a missing cell down to its L2-bound trace, cuts the rows into
-// shards, replays the missing ones across the workers and writes every
+// with a missing cell down to its L2-bound trace, makes that row one
+// batch on a single queue the workers pull from, and writes every
 // shard's results into its run of its row. The planner counts and
-// memoizes the replayed cells, as it does for a local sweep. Workers
-// that fail or time out are dropped and their shards re-planned onto
-// the survivors (see the package comment for the failover semantics).
+// memoizes the replayed cells, as it does for a local sweep. A worker
+// that fails or times out is dropped and its batch goes back to the
+// head of the queue (see the package comment for the failover
+// semantics).
 type Coordinator struct {
 	// Workers are the base URLs of the worker processes, e.g.
 	// "http://10.0.0.7:8375". At least one is required.
@@ -169,14 +170,13 @@ type SweepStats struct {
 	Uploads     int
 	UploadBytes int64
 	// UploadsDeduped counts uploads skipped entirely because the worker
-	// already held the payload's content hash (HEAD probe hit) — zero
-	// bytes moved for each.
+	// already held the batch's trace (a HEAD probe of its content hash
+	// hit) — zero bytes moved for each.
 	UploadsDeduped int
 	// Replays counts successful shard-batch replay calls.
 	Replays int
-	// Failovers counts shard batches re-planned onto another worker
-	// after a worker failure (including batches the dead worker had
-	// queued but never started).
+	// Failovers counts batches a dropped worker put back on the queue
+	// for the next worker to take. A re-admission moves nothing.
 	Failovers int
 	// DeadWorkers counts workers dropped from the sweep.
 	DeadWorkers int
@@ -230,20 +230,15 @@ func (c *Coordinator) GeometrySweepWithStats(ctx context.Context, wl harness.Wor
 	return points, stats, err
 }
 
-// payload is one serialized trace the sweep ships: one L1 row's
-// filtered M4L2 stream. key is a human label for logs; hash is the
-// trace's content hash — its identity on every worker, this sweep or
-// any other.
-type payload struct {
-	key  string
-	hash string
-	wire []byte
-}
-
-// batch is one dispatchable unit of work: a set of shards that replay
-// against the same payload, plus its failover accounting.
+// batch is one dispatchable unit of work: one row's filtered M4L2
+// stream and the row's shards left to replay, plus its failover
+// accounting. key is a human label for logs; hash is the stream's
+// content hash — its identity on every worker, this sweep or any
+// other.
 type batch struct {
-	payload  *payload
+	key      string
+	hash     string
+	wire     []byte
 	shards   []Shard
 	attempts int
 	lastErr  error
@@ -251,55 +246,47 @@ type batch struct {
 
 func (b *batch) label() string {
 	lo, hi := b.shards[0].Index, b.shards[len(b.shards)-1].Index
-	return fmt.Sprintf("shards %d-%d (%s)", lo, hi, b.payload.key)
+	return fmt.Sprintf("shards %d-%d (%s)", lo, hi, b.key)
 }
 
 // replayRows is the fleet's harness.RowReplayer: it filters and
-// serializes each row with a missing cell (buildPayloads), cuts the
-// rows into shards (cutShards), streams the memo-served shards, and
-// dispatches the rest across the workers, retrying, failing over and
-// falling back as configured.
+// serializes each row with a missing cell into one batch
+// (buildBatches), cuts the rows into shards (cutShards), streams the
+// memo-served shards, and has the workers pull the batches from one
+// queue, retrying, failing over and falling back as configured.
 func (c *Coordinator) replayRows(ctx context.Context, tr *trace.Trace, rows []harness.SweepRow, l2Sizes []int) (SweepStats, error) {
-	payloads, err := buildPayloads(ctx, tr, rows)
+	byRow, err := buildBatches(ctx, tr, rows)
 	if err != nil {
 		return SweepStats{}, err
 	}
-	s := newSweepState(c, cutShards(rows, l2Sizes, len(c.Workers)))
-	// Initial assignment: the shards left to replay round-robin across
-	// workers (as the pre-failover coordinator did), then each worker's
-	// shards group per payload into one batch — one replay call per
-	// (worker, trace). Assignment only affects scheduling, never results:
-	// every shard's results land in its own run of its row.
-	dispatched := 0
-	groups := make([]map[*payload]*batch, len(c.Workers))
+	s := newSweepState(c, cutShards(rows, l2Sizes))
+	// Each row's batch carries the row's shards left to replay, and the
+	// batches queue in row order. Who runs a batch only affects
+	// scheduling, never results: every shard's results land in its own
+	// run of its row.
+	var batches []*batch
 	for i, ps := range s.plan {
 		if ps.stats == nil {
 			s.servedBy[i] = MemoWorker
 			continue
 		}
-		wi := dispatched % len(c.Workers)
-		dispatched++
-		if groups[wi] == nil {
-			groups[wi] = map[*payload]*batch{}
-		}
-		p := payloads[ps.row]
-		b, ok := groups[wi][p]
-		if !ok {
-			b = &batch{payload: p}
-			groups[wi][p] = b
-			s.queues[wi] = append(s.queues[wi], b)
-			s.pendingN++
+		b := byRow[ps.row]
+		if len(b.shards) == 0 {
+			batches = append(batches, b)
 		}
 		b.shards = append(b.shards, ps.Shard)
 	}
+	// Worker i starts on batch i, so the first assignment is
+	// deterministic; the rest wait on the queue.
+	first := min(len(batches), len(c.Workers))
+	s.queue = batches[first:]
+	s.pendingN = len(batches)
 
 	mSweepsStarted.Inc()
 	mWorkersAlive.Add(int64(s.aliveN))
 	mBatchesPend.Add(int64(s.pendingN))
 	distLog.Info("sweep started",
-		"workers", len(c.Workers), "shards", len(s.plan),
-		"memo_shards", len(s.plan)-dispatched,
-		"batches", s.pendingN)
+		"workers", len(c.Workers), "shards", len(s.plan), "batches", s.pendingN)
 	// Stream the memo-served prefix before any worker runs: emission is
 	// strict shard-index order, and a fully memoized sweep must deliver
 	// every event even though no worker goroutine ever completes a batch.
@@ -312,7 +299,11 @@ func (c *Coordinator) replayRows(ctx context.Context, tr *trace.Trace, rows []ha
 	s.ctx = sctx
 	s.running = len(c.Workers)
 	for wi := range c.Workers {
-		go s.runWorker(sctx, wi)
+		var b *batch
+		if wi < first {
+			b = batches[wi]
+		}
+		go s.runWorker(sctx, wi, b)
 	}
 	go s.runProber(sctx)
 	// Join on the goroutine counter, not a WaitGroup: re-admission
@@ -351,7 +342,7 @@ func (c *Coordinator) replayRows(ctx context.Context, tr *trace.Trace, rows []ha
 		// output, degraded wall-clock. Caller cancellation is never
 		// rescued: the caller asked the whole sweep to stop.
 		if c.FallbackLocal && ctx.Err() == nil {
-			n, ferr := s.fallbackLocal(payloads)
+			n, ferr := s.fallbackLocal(batches)
 			if ferr != nil {
 				return s.stats, fmt.Errorf("%w (local fallback failed after %d shards: %v)", s.fatal, n, ferr)
 			}
@@ -382,55 +373,49 @@ type plannedShard struct {
 
 // cutShards cuts a sweep's rows into shards. In each row, every
 // maximal run of memo-served cells becomes one prefilled shard, and
-// every run of missing cells splits into at most workers contiguous
-// chunks. Flattening shard results by Index reproduces the local
-// sweep's (L1 outer, L2 inner) point order exactly, independent of
-// which worker ran what or when it finished.
-func cutShards(rows []harness.SweepRow, l2Sizes []int, workers int) []plannedShard {
+// every maximal run of missing cells one shard to replay. Flattening
+// shard results by Index reproduces the local sweep's (L1 outer, L2
+// inner) point order exactly, independent of which worker ran what or
+// when it finished.
+func cutShards(rows []harness.SweepRow, l2Sizes []int) []plannedShard {
 	var plan []plannedShard
-	add := func(ri, lo, hi int, stats []cache.Stats) {
-		plan = append(plan, plannedShard{
-			Shard:  Shard{Index: len(plan), L1: rows[ri].L1, L2Sizes: l2Sizes[lo:hi:hi]},
-			row:    ri,
-			points: rows[ri].Points[lo:hi:hi],
-			stats:  stats,
-		})
-	}
 	for ri, r := range rows {
 		missing := r.Missing // ascending: the next missing cell is missing[0]
 		for lo := 0; lo < len(l2Sizes); {
 			hi := lo
+			var stats []cache.Stats
 			if len(missing) > 0 && missing[0] == lo {
 				for len(missing) > 0 && missing[0] == hi {
 					missing, hi = missing[1:], hi+1
 				}
-				chunks := min(workers, hi-lo)
-				for k := 0; k < chunks; k++ {
-					a, b := lo+k*(hi-lo)/chunks, lo+(k+1)*(hi-lo)/chunks
-					add(ri, a, b, r.Stats[a:b:b])
-				}
+				stats = r.Stats[lo:hi:hi]
 			} else {
 				hi = len(l2Sizes)
 				if len(missing) > 0 {
 					hi = missing[0]
 				}
-				add(ri, lo, hi, nil)
 			}
+			plan = append(plan, plannedShard{
+				Shard:  Shard{Index: len(plan), L1: r.L1, L2Sizes: l2Sizes[lo:hi:hi]},
+				row:    ri,
+				points: r.Points[lo:hi:hi],
+				stats:  stats,
+			})
 			lo = hi
 		}
 	}
 	return plan
 }
 
-// buildPayloads serializes what the sweep will ship: one M4L2 payload
-// per row with a missing cell, indexed by row, made by replaying the
-// capture through the row's L1 filter exactly once (the same
-// FilterGeometryL1 seam the local replayer uses, so a worker replaying
-// the payload cannot diverge from a local run). Rows filter
-// concurrently, one goroutine each; fully memoized rows cost neither a
-// filter replay nor an upload.
-func buildPayloads(ctx context.Context, tr *trace.Trace, rows []harness.SweepRow) ([]*payload, error) {
-	payloads := make([]*payload, len(rows))
+// buildBatches serializes what the sweep will ship: one batch per row
+// with a missing cell, indexed by row (nil for a fully memoized row),
+// holding the M4L2 stream made by replaying the capture through the
+// row's L1 filter exactly once (the same FilterGeometryL1 seam the
+// local replayer uses, so a worker replaying the stream cannot diverge
+// from a local run). Rows filter concurrently, one goroutine each;
+// fully memoized rows cost neither a filter replay nor an upload.
+func buildBatches(ctx context.Context, tr *trace.Trace, rows []harness.SweepRow) ([]*batch, error) {
+	batches := make([]*batch, len(rows))
 	errs := make([]error, len(rows))
 	var wg sync.WaitGroup
 	for ri, r := range rows {
@@ -450,7 +435,7 @@ func buildPayloads(ctx context.Context, tr *trace.Trace, rows []harness.SweepRow
 			if l1.Policy != "" && l1.Policy != cache.PolicyLRU {
 				key += "-" + string(l1.Policy)
 			}
-			payloads[ri] = &payload{
+			batches[ri] = &batch{
 				key:  fmt.Sprintf("%s#%d", key, ri),
 				hash: lt.Hash().String(), // cached by WriteTo above
 				wire: wire.Bytes(),
@@ -458,12 +443,13 @@ func buildPayloads(ctx context.Context, tr *trace.Trace, rows []harness.SweepRow
 		}(ri, r.L1)
 	}
 	wg.Wait()
-	return payloads, errors.Join(errs...)
+	return batches, errors.Join(errs...)
 }
 
-// sweepState is the failover scheduler's shared state. Batches queue
-// per worker; a worker goroutine drains its own queue and, when it
-// fails, hands its remaining work to the survivors.
+// sweepState is the failover scheduler's shared state: one queue of
+// batches in row order. Every worker goroutine takes the queue's head
+// whenever it is free, and a dropped worker's batch goes back to the
+// head.
 type sweepState struct {
 	c      *Coordinator
 	cancel context.CancelFunc
@@ -477,13 +463,12 @@ type sweepState struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queues   [][]*batch
-	pendingN int // batches not yet completed (queued + running)
-	running  int // live runWorker goroutines (a WaitGroup cannot re-Add
+	queue    []*batch // batches no worker holds, in row order
+	pendingN int      // batches not yet completed (queued + running)
+	running  int      // live runWorker goroutines (a WaitGroup cannot re-Add
 	// after Wait began, and re-admission does exactly that)
 	alive  []bool
 	aliveN int
-	busy   []bool // worker is mid-batch (its queue length alone lies)
 	// breakers, downSince and noReadmit are the self-healing state:
 	// per-worker circuit breakers, when each dropped worker went down
 	// (for the prober's cooldown), and the workers barred from
@@ -514,10 +499,8 @@ func newSweepState(c *Coordinator, plan []plannedShard) *sweepState {
 	s := &sweepState{
 		c:          c,
 		proberDone: make(chan struct{}),
-		queues:     make([][]*batch, len(c.Workers)),
 		alive:      make([]bool, len(c.Workers)),
 		aliveN:     len(c.Workers),
-		busy:       make([]bool, len(c.Workers)),
 		breakers:   make([]breaker, len(c.Workers)),
 		downSince:  make([]time.Time, len(c.Workers)),
 		noReadmit:  make([]bool, len(c.Workers)),
@@ -556,14 +539,16 @@ func (s *sweepState) emitReadyLocked() {
 	}
 }
 
-// runWorker drains worker wi's queue until the sweep completes, the
+// runWorker runs worker wi's batches until the sweep completes, the
 // sweep aborts, or the worker itself is dropped (at which point its
-// work is re-planned, the goroutine exits, and — unless the worker
-// violated the protocol — the prober may later re-admit it with a
-// fresh goroutine). Transient failures retry on the same worker under
-// exponential backoff while the batch budget and the worker's breaker
-// allow; permanent failures abort the sweep fast.
-func (s *sweepState) runWorker(ctx context.Context, wi int) {
+// batch goes back on the queue, the goroutine exits, and — unless the
+// worker violated the protocol — the prober may later re-admit it with
+// a fresh goroutine). The worker starts on b, or on the head of the
+// queue when b is nil, and takes the head of the queue after every
+// batch it delivers. Transient failures retry on the same worker, which
+// keeps the batch, under exponential backoff while the batch budget and
+// the worker's breaker allow; permanent failures abort the sweep fast.
+func (s *sweepState) runWorker(ctx context.Context, wi int, b *batch) {
 	defer func() {
 		s.mu.Lock()
 		s.running--
@@ -571,23 +556,22 @@ func (s *sweepState) runWorker(ctx context.Context, wi int) {
 		s.cond.Broadcast()
 	}()
 	for {
-		s.mu.Lock()
-		for s.fatal == nil && s.pendingN > 0 && len(s.queues[wi]) == 0 {
-			s.cond.Wait()
-		}
-		if s.fatal != nil || s.pendingN == 0 {
+		if b == nil {
+			s.mu.Lock()
+			for s.fatal == nil && s.pendingN > 0 && len(s.queue) == 0 {
+				s.cond.Wait()
+			}
+			if s.fatal != nil || s.pendingN == 0 {
+				s.mu.Unlock()
+				return
+			}
+			b, s.queue = s.queue[0], s.queue[1:]
 			s.mu.Unlock()
-			return
 		}
-		b := s.queues[wi][0]
-		s.queues[wi] = s.queues[wi][1:]
-		s.busy[wi] = true
-		s.mu.Unlock()
 
 		err := s.runBatch(ctx, wi, b)
 
 		s.mu.Lock()
-		s.busy[wi] = false
 		if err == nil {
 			s.breakers[wi].fails = 0
 			s.breakers[wi].halfOpen = false
@@ -598,12 +582,13 @@ func (s *sweepState) runWorker(ctx context.Context, wi int) {
 			mBatchesPend.Dec()
 			s.mu.Unlock()
 			s.cond.Broadcast()
+			b = nil
 			continue
 		}
 		if ctx.Err() != nil {
 			// The sweep's context died (caller cancellation, or the
 			// abort broadcast of an earlier fatal error) — the worker
-			// did not fail, so no death, no re-plan, no attempt
+			// did not fail, so no death, no requeue, no attempt
 			// burned. setFatal is a no-op if a real fatal error (or
 			// the cancellation) is already recorded.
 			s.setFatal(fmt.Errorf("dist: sweep cancelled: %w", ctx.Err()))
@@ -613,16 +598,7 @@ func (s *sweepState) runWorker(ctx context.Context, wi int) {
 		}
 		b.attempts++
 		b.lastErr = fmt.Errorf("worker %s: %w", s.c.Workers[wi], err)
-		switch class := classify(err); class {
-		case classViolation:
-			// The worker is up but wrong: drop it now and bar it from
-			// re-admission for the rest of the sweep.
-			s.noReadmit[wi] = true
-			s.stats.BarredWorkers = append(s.stats.BarredWorkers, s.c.Workers[wi])
-			s.failWorker(wi, b, err)
-			s.mu.Unlock()
-			s.cond.Broadcast()
-			return
+		switch classify(err) {
 		case classPermanent:
 			// 4xx: every worker would answer the same; retrying anywhere
 			// burns budget to learn nothing.
@@ -631,57 +607,57 @@ func (s *sweepState) runWorker(ctx context.Context, wi int) {
 			s.mu.Unlock()
 			s.cond.Broadcast()
 			return
-		}
-		// Transient. A replay 404 means the worker restarted or evicted
-		// the trace; the retry probes again and re-uploads.
-		if b.attempts >= s.c.maxAttempts() {
-			s.setFatal(fmt.Errorf("dist: %s failed after %d attempts (attempt budget %d): %w",
-				b.label(), b.attempts, s.c.maxAttempts(), b.lastErr))
+		case classViolation:
+			// The worker is up but wrong: drop it now and bar it from
+			// re-admission for the rest of the sweep.
+			s.noReadmit[wi] = true
+			s.stats.BarredWorkers = append(s.stats.BarredWorkers, s.c.Workers[wi])
+		default:
+			// Transient. A replay 404 means the worker restarted or
+			// evicted the trace; the retry probes again and re-uploads.
+			// A spent budget drops the worker below, and the sweep fails.
+			if b.attempts >= s.c.maxAttempts() {
+				break
+			}
+			s.breakers[wi].fails++
+			if s.breakers[wi].halfOpen || s.breakers[wi].fails >= s.c.breakerThreshold() {
+				// Consecutive failures (or any failure while half-open):
+				// open the breaker and drop the worker — the prober
+				// decides when it may return.
+				s.tripBreakerLocked(wi)
+				break
+			}
+			s.stats.Retries++
+			delay := s.backoffLocked(b.attempts)
+			mRetries.Inc()
+			distLog.Info("transient failure, retrying after backoff",
+				"worker", s.c.Workers[wi], "batch", b.label(),
+				"attempt", b.attempts, "delay", delay.Round(time.Millisecond).String(),
+				"err", err)
 			s.mu.Unlock()
-			s.cond.Broadcast()
-			return
+			if !sleepCtx(ctx, delay) {
+				s.mu.Lock()
+				s.setFatal(fmt.Errorf("dist: sweep cancelled: %w", ctx.Err()))
+				s.mu.Unlock()
+				s.cond.Broadcast()
+				return
+			}
+			continue
 		}
-		s.breakers[wi].fails++
-		if s.breakers[wi].halfOpen || s.breakers[wi].fails >= s.c.breakerThreshold() {
-			// Consecutive failures (or any failure while half-open):
-			// open the breaker and drop the worker — its batches fail
-			// over now, and the prober decides when it may return.
-			s.tripBreakerLocked(wi)
-			s.failWorker(wi, b, err)
-			s.mu.Unlock()
-			s.cond.Broadcast()
-			return
-		}
-		// Retry here after backoff. The batch returns to the FRONT of
-		// this worker's queue so it keeps its place — and stays visible
-		// to the re-admission rebalancer while we sleep.
-		s.queues[wi] = append([]*batch{b}, s.queues[wi]...)
-		s.stats.Retries++
-		delay := s.backoffLocked(b.attempts)
-		mRetries.Inc()
-		distLog.Info("transient failure, retrying after backoff",
-			"worker", s.c.Workers[wi], "batch", b.label(),
-			"attempt", b.attempts, "delay", delay.Round(time.Millisecond).String(),
-			"err", err)
+		s.failWorker(wi, b, err)
 		s.mu.Unlock()
-		if !sleepCtx(ctx, delay) {
-			s.mu.Lock()
-			s.setFatal(fmt.Errorf("dist: sweep cancelled: %w", ctx.Err()))
-			s.mu.Unlock()
-			s.cond.Broadcast()
-			return
-		}
+		s.cond.Broadcast()
+		return
 	}
 }
 
-// failWorker (mu held) drops worker wi from the sweep and re-plans its
-// current batch plus everything still queued to it onto the surviving
-// workers. The caller has already charged the failed attempt to cur's
-// budget and set cur.lastErr; batches the worker never started carry
-// their counts unchanged. The sweep aborts when no workers remain or a
-// batch exhausts its budget — though with re-admission the prober may
-// still bring this worker back later.
-func (s *sweepState) failWorker(wi int, cur *batch, err error) {
+// failWorker (mu held) drops worker wi from the sweep and puts its
+// batch b back at the head of the queue, where the next free worker
+// takes it. The caller has already charged the failed attempt to b's
+// budget and set b.lastErr. The sweep fails instead when b's budget is
+// spent or no worker is left — though while others run, the prober may
+// still bring this worker back.
+func (s *sweepState) failWorker(wi int, b *batch, err error) {
 	if s.fatal != nil {
 		return
 	}
@@ -691,43 +667,21 @@ func (s *sweepState) failWorker(wi int, cur *batch, err error) {
 	s.stats.DeadWorkers++
 	mWorkerDeaths.Inc()
 	mWorkersAlive.Dec()
-	s.stats.WorkerFailures = append(s.stats.WorkerFailures, cur.lastErr.Error())
+	s.stats.WorkerFailures = append(s.stats.WorkerFailures, b.lastErr.Error())
 	distLog.Warn("worker dropped from sweep",
-		"worker", s.c.Workers[wi], "batch", cur.label(),
-		"attempts", cur.attempts, "survivors", s.aliveN, "err", err)
-	orphans := append([]*batch{cur}, s.queues[wi]...)
-	s.queues[wi] = nil
-	for _, b := range orphans {
-		if b.attempts >= s.c.maxAttempts() {
-			s.setFatal(fmt.Errorf("dist: %s failed on %d workers (attempt budget %d): %w",
-				b.label(), b.attempts, s.c.maxAttempts(), b.lastErr))
-			return
-		}
-		if s.aliveN == 0 {
-			s.setFatal(fmt.Errorf("dist: all %d workers failed: %w", len(s.c.Workers), cur.lastErr))
-			return
-		}
-		// Re-plan onto the least-loaded survivor — an idle worker beats
-		// one mid-replay with an empty queue, so the orphan does not
-		// queue behind a long replay while capacity sits free.
-		target, best := -1, 0
-		for w := range s.queues {
-			if !s.alive[w] {
-				continue
-			}
-			load := len(s.queues[w])
-			if s.busy[w] {
-				load++
-			}
-			if target == -1 || load < best {
-				target, best = w, load
-			}
-		}
-		s.queues[target] = append(s.queues[target], b)
+		"worker", s.c.Workers[wi], "batch", b.label(),
+		"attempts", b.attempts, "survivors", s.aliveN, "err", err)
+	switch {
+	case b.attempts >= s.c.maxAttempts():
+		s.setFatal(fmt.Errorf("dist: %s failed after %d attempts (attempt budget %d): %w",
+			b.label(), b.attempts, s.c.maxAttempts(), b.lastErr))
+	case s.aliveN == 0:
+		s.setFatal(fmt.Errorf("dist: all %d workers failed: %w", len(s.c.Workers), b.lastErr))
+	default:
+		s.queue = append([]*batch{b}, s.queue...)
 		s.stats.Failovers++
 		mFailovers.Inc()
-		distLog.Info("batch re-planned onto survivor",
-			"batch", b.label(), "target", s.c.Workers[target], "attempts", b.attempts)
+		distLog.Info("batch requeued", "batch", b.label(), "attempts", b.attempts)
 	}
 }
 
@@ -743,13 +697,13 @@ func (s *sweepState) setFatal(err error) {
 }
 
 // runBatch executes one batch on worker wi: probe whether the worker
-// holds the batch's payload and upload it on a miss (failover re-plans
+// holds the batch's trace and upload it on a miss (requeued batches
 // and restarted workers land here with the trace absent), then replay
 // the shards — each step under its own deadline — and write the
 // returned points and stats into the shards' cells.
 func (s *sweepState) runBatch(ctx context.Context, wi int, b *batch) error {
 	base := s.c.Workers[wi]
-	id := b.payload.hash
+	id := b.hash
 	if s.c.headTrace(ctx, base, id) {
 		// Content-hash dedup: the worker already holds these exact bytes
 		// — left by an earlier batch or sweep, or another coordinator —
@@ -760,25 +714,25 @@ func (s *sweepState) runBatch(ctx context.Context, wi int, b *batch) error {
 		s.mu.Unlock()
 		mUploadDedup.Inc()
 		distLog.Debug("upload deduped by content hash",
-			"worker", base, "key", b.payload.key, "id", id)
+			"worker", base, "key", b.key, "id", id)
 	} else {
 		uctx, cancel := context.WithTimeout(ctx, s.c.uploadTimeout())
 		start := time.Now()
-		info, err := s.c.upload(uctx, base, b.payload)
+		info, err := s.c.upload(uctx, base, b.wire)
 		cancel()
 		if err != nil {
-			return fmt.Errorf("upload %s: %w", b.payload.key, err)
+			return fmt.Errorf("upload %s: %w", b.key, err)
 		}
 		mUploadSecs.ObserveSince(start)
 		id = info.ID
 		s.mu.Lock()
 		s.stats.Uploads++
-		s.stats.UploadBytes += int64(len(b.payload.wire))
+		s.stats.UploadBytes += int64(len(b.wire))
 		s.mu.Unlock()
 		mUploads.Inc()
-		mUploadBytes.Add(uint64(len(b.payload.wire)))
+		mUploadBytes.Add(uint64(len(b.wire)))
 		distLog.Debug("trace uploaded",
-			"worker", base, "key", b.payload.key, "id", id, "bytes", len(b.payload.wire))
+			"worker", base, "key", b.key, "id", id, "bytes", len(b.wire))
 	}
 
 	rctx, cancel := context.WithTimeout(ctx, s.c.replayTimeout())
@@ -850,9 +804,9 @@ func (c *Coordinator) headTrace(ctx context.Context, base, hash string) bool {
 	return c.do(req, http.StatusOK, nil) == nil
 }
 
-// upload ships one payload to a worker.
-func (c *Coordinator) upload(ctx context.Context, base string, p *payload) (*TraceInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/traces", bytes.NewReader(p.wire))
+// upload ships one serialized trace to a worker.
+func (c *Coordinator) upload(ctx context.Context, base string, wire []byte) (*TraceInfo, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/traces", bytes.NewReader(wire))
 	if err != nil {
 		return nil, err
 	}

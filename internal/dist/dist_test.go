@@ -382,10 +382,11 @@ func TestDistributedSweepSurvivesKilledWorkerProcess(t *testing.T) {
 // self-healing acceptance test at full fidelity: three real worker OS
 // processes, one of which kills itself on its first replay request.
 // The test restarts the dead worker at the SAME address mid-sweep
-// (the two survivors are slowed so work remains), and the
-// coordinator's health prober must re-admit it: the sweep completes
-// byte-identical to the local sweep, SweepStats records the
-// re-admission, and the restarted worker serves post-restart shards.
+// (the grid has twice as many rows as workers and the two survivors
+// are slowed, so rows are still queued), and the coordinator's health
+// prober must re-admit it: the sweep completes byte-identical to the
+// local sweep, SweepStats records the re-admission, and the restarted
+// worker serves post-restart shards.
 func TestDistributedSweepReadmitsRestartedWorkerProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -406,7 +407,10 @@ func TestDistributedSweepReadmitsRestartedWorkerProcess(t *testing.T) {
 		ProbeTimeout:    2 * time.Second,
 	}
 	wl := harness.Workload{W: 160, H: 128, Frames: 2}
-	l1s, l2Sizes := sweepAxes()
+	_, l2Sizes := sweepAxes()
+	// Six rows (three L1s under two policies), one batch each, on three
+	// workers: rows are still queued when the restarted worker returns.
+	l1s := harness.ExpandPolicyAxis(nil, []cache.Policy{cache.PolicyLRU, cache.PolicyFIFO})
 
 	type sweepResult struct {
 		points []harness.GeometryPoint
@@ -677,35 +681,33 @@ func TestWorkerRejectsOversizeUpload(t *testing.T) {
 }
 
 // TestPlanShardsCoversGridInOrder: the shard plan partitions the grid
-// into contiguous chunks whose flattening is the (L1 outer, L2 inner)
-// enumeration, for every worker count.
+// into contiguous runs whose flattening is the (L1 outer, L2 inner)
+// enumeration.
 func TestPlanShardsCoversGridInOrder(t *testing.T) {
 	l1s := harness.GeometryL1Configs()
 	l2s := harness.GeometryL2Sizes()
-	for workers := 1; workers <= 8; workers++ {
-		shards := planShards(l1s, l2s, workers)
-		var gotL1 []cache.Config
-		var gotL2 []int
-		for i, sh := range shards {
-			if sh.Index != i {
-				t.Fatalf("workers=%d: shard %d has index %d", workers, i, sh.Index)
-			}
-			for range sh.L2Sizes {
-				gotL1 = append(gotL1, sh.L1)
-			}
-			gotL2 = append(gotL2, sh.L2Sizes...)
+	shards := planShards(l1s, l2s)
+	var gotL1 []cache.Config
+	var gotL2 []int
+	for i, sh := range shards {
+		if sh.Index != i {
+			t.Fatalf("shard %d has index %d", i, sh.Index)
 		}
-		var wantL1 []cache.Config
-		var wantL2 []int
-		for _, l1 := range l1s {
-			for _, s := range l2s {
-				wantL1 = append(wantL1, l1)
-				wantL2 = append(wantL2, s)
-			}
+		for range sh.L2Sizes {
+			gotL1 = append(gotL1, sh.L1)
 		}
-		if !reflect.DeepEqual(gotL1, wantL1) || !reflect.DeepEqual(gotL2, wantL2) {
-			t.Fatalf("workers=%d: shard plan does not flatten to the local enumeration", workers)
+		gotL2 = append(gotL2, sh.L2Sizes...)
+	}
+	var wantL1 []cache.Config
+	var wantL2 []int
+	for _, l1 := range l1s {
+		for _, s := range l2s {
+			wantL1 = append(wantL1, l1)
+			wantL2 = append(wantL2, s)
 		}
+	}
+	if !reflect.DeepEqual(gotL1, wantL1) || !reflect.DeepEqual(gotL2, wantL2) {
+		t.Fatal("shard plan does not flatten to the local enumeration")
 	}
 }
 

@@ -9,29 +9,13 @@ import (
 	"repro/internal/harness"
 )
 
-// planShards is the reference grid cut: per L1, the L2 axis splits
-// into at most `workers` contiguous chunks. The coordinator's shard
-// cut, cutShards, must reproduce it exactly over rows the memo served
-// nothing of.
-func planShards(l1s []cache.Config, l2Sizes []int, workers int) []Shard {
-	var shards []Shard
-	for _, l1 := range l1s {
-		chunks := workers
-		if chunks > len(l2Sizes) {
-			chunks = len(l2Sizes)
-		}
-		for j := 0; j < chunks; j++ {
-			lo := j * len(l2Sizes) / chunks
-			hi := (j + 1) * len(l2Sizes) / chunks
-			if lo == hi {
-				continue
-			}
-			shards = append(shards, Shard{
-				Index:   len(shards),
-				L1:      l1,
-				L2Sizes: append([]int(nil), l2Sizes[lo:hi]...),
-			})
-		}
+// planShards is the reference grid cut: one shard per L1, over the
+// whole L2-size axis. The coordinator's shard cut, cutShards, must
+// reproduce it exactly over rows the memo served nothing of.
+func planShards(l1s []cache.Config, l2Sizes []int) []Shard {
+	shards := make([]Shard, len(l1s))
+	for i, l1 := range l1s {
+		shards[i] = Shard{Index: i, L1: l1, L2Sizes: append([]int(nil), l2Sizes...)}
 	}
 	return shards
 }
@@ -54,35 +38,33 @@ func sweepRows(l1s []cache.Config, nl2 int, missing []int) []harness.SweepRow {
 // and every shard is dispatched.
 func TestCutShardsWithoutHitsMatchesGridCut(t *testing.T) {
 	allL1s, allL2s := harness.GeometryL1Configs(), harness.GeometryL2Sizes()
-	for _, workers := range []int{1, 2, 3, 7} {
-		for nl1 := 1; nl1 <= len(allL1s); nl1++ {
-			for nl2 := 1; nl2 <= len(allL2s); nl2++ {
-				l1s, l2s := allL1s[:nl1], allL2s[:nl2]
-				name := fmt.Sprintf("workers=%d l1s=%d l2s=%d", workers, nl1, nl2)
-				all := make([]int, nl2)
-				for j := range all {
-					all[j] = j
+	for nl1 := 1; nl1 <= len(allL1s); nl1++ {
+		for nl2 := 1; nl2 <= len(allL2s); nl2++ {
+			l1s, l2s := allL1s[:nl1], allL2s[:nl2]
+			name := fmt.Sprintf("l1s=%d l2s=%d", nl1, nl2)
+			all := make([]int, nl2)
+			for j := range all {
+				all[j] = j
+			}
+			plan := cutShards(sweepRows(l1s, nl2, all), l2s)
+			got := make([]Shard, len(plan))
+			for i, ps := range plan {
+				got[i] = ps.Shard
+				if ps.stats == nil {
+					t.Fatalf("%s: shard %d is memo-served, but the memo served nothing", name, i)
 				}
-				plan := cutShards(sweepRows(l1s, nl2, all), l2s, workers)
-				got := make([]Shard, len(plan))
-				for i, ps := range plan {
-					got[i] = ps.Shard
-					if ps.stats == nil {
-						t.Fatalf("%s: shard %d is memo-served, but the memo served nothing", name, i)
-					}
-				}
-				if want := planShards(l1s, l2s, workers); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: shards\n got  %+v\n want %+v", name, got, want)
-				}
+			}
+			if want := planShards(l1s, l2s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: shards\n got  %+v\n want %+v", name, got, want)
 			}
 		}
 	}
 }
 
 // TestCutShardsSlicesMemoRuns: each maximal run of memo-served cells is
-// one shard, each run of missing cells splits into at most one chunk
-// per worker, and every shard's points and stats are its run of its
-// row's, not copies — so the cells a worker fills are the row's.
+// one shard, so is each maximal run of missing cells, and every shard's
+// points and stats are its run of its row's, not copies — so the cells
+// a worker fills are the row's.
 func TestCutShardsSlicesMemoRuns(t *testing.T) {
 	l1s, l2s := harness.GeometryL1Configs(), harness.GeometryL2Sizes()
 	rows := sweepRows(l1s[:2], len(l2s), []int{1, 2, 3, 5})
@@ -93,12 +75,12 @@ func TestCutShardsSlicesMemoRuns(t *testing.T) {
 	}
 	var want []run
 	for row := 0; row < 2; row++ {
-		want = append(want, run{row, 0, 1, true}, run{row, 1, 2, false}, run{row, 2, 4, false},
+		want = append(want, run{row, 0, 1, true}, run{row, 1, 4, false},
 			run{row, 4, 5, true}, run{row, 5, 6, false})
 	}
 	want = append(want, run{2, 0, 6, true})
 
-	plan := cutShards(rows, l2s, 2)
+	plan := cutShards(rows, l2s)
 	if len(plan) != len(want) {
 		t.Fatalf("%d shards, want %d", len(plan), len(want))
 	}

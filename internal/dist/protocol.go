@@ -8,9 +8,11 @@
 // the fleet's replayer and only executes: because every cell of one L1
 // row shares that L1, it does not ship the full capture, but replays
 // the capture through the L1 filter once per row with a missing cell
-// and uploads the ~40× smaller L2-bound M4L2 trace the row needs; each
-// run of missing cells becomes independent replay shards on whichever
-// workers they land on. Workers execute shards through the same
+// and uploads the ~40× smaller L2-bound M4L2 trace the row needs, to
+// one worker. Each such row is one batch: its trace plus one replay
+// shard per run of missing cells. The batches wait in one queue in row
+// order; worker i starts on batch i, and after that every free worker
+// takes the head of the queue. Workers execute shards through the same
 // farm.Run engine and the same cell-replay loop
 // (harness.ReplayL2Cells) local sweeps use, so a distributed sweep is
 // the local sweep with the replay loop stretched across processes;
@@ -19,7 +21,7 @@
 // real worker subprocesses), and the planner memoizes and accounts
 // them as it would the local sweep's.
 //
-// The coordinator is failover-aware and self-healing: each shard batch
+// The coordinator is failover-aware and self-healing: each batch
 // first probes its worker for the trace's content hash (HEAD) and
 // uploads only on a miss, and every probe, upload and replay attempt
 // runs under its own deadline. Each worker owns its trace store: it
@@ -32,18 +34,18 @@
 // on the same worker under exponential backoff with seeded jitter,
 // inside the bounded per-batch attempt budget; a worker accruing
 // consecutive transient failures trips its circuit breaker and is
-// dropped, its batches re-planned onto the survivors (re-uploading the
-// needed trace where absent). Dropped
+// dropped, and its batch goes back to the head of the queue for the
+// next free worker (which re-uploads the trace where absent). Dropped
 // workers are not gone for good: a background prober health-checks
 // them after an escalating cooldown and re-admits the ones that
-// recover, rebalancing queued work onto the returnee (whose batches
-// probe and re-upload whatever a restart lost). Permanent failures
-// abort the sweep fast, and protocol violators are barred from
-// re-admission. Only when every worker is lost, or one batch exhausts
-// its budget, does the sweep fail — and with Coordinator.FallbackLocal
-// even that degrades gracefully: the undelivered shards replay
-// in-process from their rows' filtered streams, byte-identical to a
-// local sweep.
+// recover; a returnee takes batches from the queue like any worker
+// (they probe and re-upload whatever a restart lost). Permanent
+// failures abort the sweep fast, and protocol violators are barred
+// from re-admission. Only when every worker is lost, or one batch
+// exhausts its budget (which drops the worker it last failed on too),
+// does the sweep fail — and with Coordinator.FallbackLocal even that
+// degrades gracefully: each undelivered batch's trace is decoded once
+// and its shards replay in-process, byte-identical to a local sweep.
 //
 // Protocol (worker side, all JSON unless noted):
 //
@@ -90,7 +92,8 @@ type TraceInfo struct {
 }
 
 // Shard is one replay job: a single L1 configuration with a contiguous
-// chunk of the L2-size axis. The replacement-policy axis rides inside
+// run of the L2-size axis (a row's whole axis when the memo served none
+// of it). The replacement-policy axis rides inside
 // the L1 config (cache.Config.Policy; the simulated L2 inherits it,
 // see harness.GeometryL2For) — no extra protocol field or trace kind
 // is needed, and pre-policy shards decode with the LRU default. Index

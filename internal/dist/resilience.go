@@ -4,9 +4,9 @@ package dist
 // classification, per-worker circuit breakers, exponential backoff
 // with seeded jitter, the health prober that re-admits recovered
 // workers mid-sweep, and the opt-in local fallback that replays
-// whatever the fleet could not. coordinator.go owns dispatch and
-// re-planning; this file owns everything about deciding whether and
-// when to try again.
+// whatever the fleet could not. coordinator.go owns the plan, the
+// batch queue and dispatch; this file owns everything about deciding
+// whether and when to try again.
 
 import (
 	"bytes"
@@ -297,11 +297,11 @@ func (s *sweepState) probeWorker(ctx context.Context, wi int) (*HealthStatus, er
 }
 
 // readmit brings a probed-healthy worker back into the sweep: move it
-// to half-open, steal it a fair share of queued work, and restart its
-// goroutine. Its batches probe for their traces as every batch does, so
-// a restarted process that lost its store gets them re-uploaded. No-ops
-// if the sweep meanwhile finished, failed, or the worker is somehow
-// alive.
+// to half-open and restart its goroutine, which takes batches from the
+// queue like any other. Its batches probe for their traces as every
+// batch does, so a restarted process that lost its store gets them
+// re-uploaded. No-ops if the sweep meanwhile finished, failed, or the
+// worker is somehow alive.
 func (s *sweepState) readmit(wi int, hs *HealthStatus) {
 	s.mu.Lock()
 	if s.fatal != nil || s.pendingN == 0 || s.alive[wi] {
@@ -317,88 +317,48 @@ func (s *sweepState) readmit(wi int, hs *HealthStatus) {
 	s.stats.Readmissions++
 	mReadmissions.Inc()
 	mWorkersAlive.Inc()
-	s.stealWorkLocked(wi)
-	stolen := len(s.queues[wi])
+	queued := len(s.queue)
 	s.running++
 	ctx := s.ctx
 	s.mu.Unlock()
 	distLog.Info("worker re-admitted",
 		"worker", s.c.Workers[wi], "traces", hs.Traces,
-		"batches_stolen", stolen, "in_flight_shards", hs.InFlightShards)
-	go s.runWorker(ctx, wi)
-	s.cond.Broadcast()
+		"queued_batches", queued, "in_flight_shards", hs.InFlightShards)
+	go s.runWorker(ctx, wi, nil)
 }
 
-// stealWorkLocked (mu held) rebalances queued batches onto the
-// re-admitted worker wi: repeatedly take the tail batch of the most
-// loaded surviving queue while that queue is more than one batch
-// ahead. Tail, not head — a batch parked at the head of a queue may be
-// a backoff retry its own worker is about to resume.
-func (s *sweepState) stealWorkLocked(wi int) {
-	for {
-		src, srcLoad := -1, 0
-		for w := range s.queues {
-			if w == wi || !s.alive[w] || len(s.queues[w]) == 0 {
-				continue
-			}
-			load := len(s.queues[w])
-			if s.busy[w] {
-				load++
-			}
-			if load > srcLoad {
-				src, srcLoad = w, load
-			}
-		}
-		if src == -1 || srcLoad <= len(s.queues[wi])+1 {
-			return
-		}
-		q := s.queues[src]
-		b := q[len(q)-1]
-		s.queues[src] = q[:len(q)-1]
-		s.queues[wi] = append(s.queues[wi], b)
-		s.stats.Failovers++
-		mFailovers.Inc()
-		distLog.Debug("batch stolen for re-admitted worker",
-			"batch", b.label(), "from", s.c.Workers[src], "to", s.c.Workers[wi])
-	}
-}
-
-// fallbackLocal replays every shard the fleet never delivered
-// in-process, as a worker would: it decodes the shard's payload (once
-// per payload) and replays the shard's cells through
-// harness.ReplayL2Cells, the workers' own loop, so the output is
-// byte-identical to a local sweep and no row is filtered twice. Called
-// after the fleet goroutines have joined on a fatal sweep (never on
-// caller cancellation). Returns the number of shards recovered, or the
-// decode error.
-func (s *sweepState) fallbackLocal(payloads []*payload) (int, error) {
-	decoded := map[*payload]*trace.L2Trace{}
+// fallbackLocal replays every batch the fleet never delivered
+// in-process, as a worker would: it decodes the batch's trace once and
+// replays each of its shards through harness.ReplayL2Cells, the
+// workers' own loop, so the output is byte-identical to a local sweep
+// and no row is filtered twice. Called after the fleet goroutines have
+// joined on a fatal sweep (never on caller cancellation). Returns the
+// number of shards recovered, or the decode error.
+func (s *sweepState) fallbackLocal(batches []*batch) (int, error) {
 	done := 0
-	for i, ps := range s.plan {
-		if s.servedBy[i] != "" {
-			continue
+	for _, b := range batches {
+		if s.servedBy[b.shards[0].Index] != "" {
+			continue // delivered: a batch's shards commit together
 		}
-		p := payloads[ps.row]
-		lt := decoded[p]
-		if lt == nil {
-			lt = &trace.L2Trace{}
-			if _, err := lt.ReadFrom(bytes.NewReader(p.wire)); err != nil {
-				return done, fmt.Errorf("shard %d: %w", i, err)
-			}
-			decoded[p] = lt
+		lt := &trace.L2Trace{}
+		if _, err := lt.ReadFrom(bytes.NewReader(b.wire)); err != nil {
+			return done, fmt.Errorf("%s: %w", b.label(), err)
 		}
-		points, stats := harness.ReplayL2Cells(lt, ps.L2Sizes)
-		// The fleet goroutines have joined, but emission keeps the
-		// same lock-held discipline so the OnShard ordering invariant
-		// has a single owner.
-		s.mu.Lock()
-		copy(ps.points, points)
-		copy(ps.stats, stats)
-		s.servedBy[i] = FallbackWorker
-		s.emitReadyLocked()
-		s.mu.Unlock()
-		done++
-		mFallbackSh.Inc()
+		for _, sh := range b.shards {
+			ps := s.plan[sh.Index]
+			points, stats := harness.ReplayL2Cells(lt, ps.L2Sizes)
+			// The fleet goroutines have joined, but emission keeps the
+			// same lock-held discipline so the OnShard ordering
+			// invariant has a single owner.
+			s.mu.Lock()
+			copy(ps.points, points)
+			copy(ps.stats, stats)
+			s.servedBy[sh.Index] = FallbackWorker
+			s.emitReadyLocked()
+			s.mu.Unlock()
+			done++
+			mFallbackSh.Inc()
+		}
 	}
 	s.stats.FallbackShards = done
 	return done, nil
