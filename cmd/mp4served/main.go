@@ -6,10 +6,11 @@
 // strategy and trace-usage accounting, so concurrent clients never
 // interfere.
 //
-// Execution is pluggable behind the same API: by default studies
-// render on an in-process farm; with -workers pointed at mp4worker
-// URLs, replayed geometry/policy sweeps fan out across the fleet with
-// the coordinator's full self-healing machinery (retries, breakers,
+// Every experiment renders the same way: by default on an in-process
+// farm; with -workers pointed at mp4worker URLs, the rows of the
+// geometry/policy sweeps replay on the fleet (a dist.Coordinator as
+// the render's row replayer, one SSE shard event per row) with the
+// coordinator's full self-healing machinery (retries, breakers,
 // probe-based re-admission, optional -fallback-local). Output is
 // byte-identical either way.
 //

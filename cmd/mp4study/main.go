@@ -70,21 +70,24 @@
 // cross-check of the policy machinery.
 //
 // -workers runs the geometry or policy sweep on an mp4worker fleet: the
-// coordinator encodes once, filters the capture per L1 configuration,
-// queues each L1 row's small L2-bound trace as one batch that the next
-// free worker takes, and merges the results — identical output to the
-// local sweep, with worker failures absorbed by the self-healing
-// scheduler: transient errors retry under backoff, repeat offenders
-// are breaker-dropped and their batch goes back on the queue, and
-// recovered workers are re-admitted mid-sweep by the health prober
-// (see internal/dist).
+// sweep renders as it does locally, but its rows replay on a
+// dist.Coordinator carried by the run's context
+// (harness.WithRowReplayer). The study encodes once; the coordinator
+// filters the capture per L1 row, queues each row's small L2-bound
+// trace, with one shard of the row's missing L2 sizes, as one batch
+// that the next free worker takes, and writes the results into the
+// row — identical output to the local sweep, with worker failures
+// absorbed by the self-healing scheduler: transient errors retry under
+// backoff, repeat offenders are breaker-dropped and their batch goes
+// back on the queue, and recovered workers are re-admitted mid-sweep
+// by the health prober (see internal/dist).
 // -max-attempts bounds the per-batch attempt budget and
-// -fallback-local replays undelivered shards locally if the whole
-// fleet is lost. A fleet summary (uploads, bytes shipped, failovers,
-// retries, breaker trips, readmissions) goes to stderr; the fleet
-// sweep's captures, replays and memo hits are the run's study's, and
-// the capture/replay summary below reports them as it does a local
-// sweep's.
+// -fallback-local replays undelivered rows locally if the whole fleet
+// is lost. A fleet summary (uploads, bytes shipped, failovers,
+// retries, breaker trips, readmissions) goes to stderr once the sweep
+// ends, failed or not; the fleet sweep's captures, replays and memo
+// hits are the run's study's, and the capture/replay summary below
+// reports them as it does a local sweep's.
 //
 // Result memoization is on by default for the replay sweeps: every
 // simulated (capture, L1, L2) grid cell's whole-run stats are memoized
@@ -252,12 +255,21 @@ func main() {
 	if *policy != "" && !replaySweep {
 		fatal(fmt.Errorf("-policy requires -sweep geometry or -sweep policy"))
 	}
+	var fleet *dist.Coordinator
 	if *workers != "" {
 		if !replaySweep {
 			fatal(fmt.Errorf("-workers requires -sweep geometry or -sweep policy"))
 		}
 		if *traceOut != "" || *traceIn != "" {
 			fatal(fmt.Errorf("-workers is incompatible with -trace-out/-trace-in (the coordinator captures and ships per-L1 filtered traces itself)"))
+		}
+		fleet = &dist.Coordinator{
+			Workers:       splitList(*workers),
+			MaxAttempts:   *maxAttempts,
+			FallbackLocal: *fallbackLocal,
+		}
+		if len(fleet.Workers) == 0 {
+			fatal(fmt.Errorf("-workers: no worker URLs"))
 		}
 	}
 	if (*maxAttempts != 0 || *fallbackLocal) && *workers == "" {
@@ -280,6 +292,15 @@ func main() {
 
 	start := time.Now()
 	ctx := harness.WithStudy(context.Background(), study)
+	if fleet != nil {
+		// The sweep runs in the run's study, whose memo (nil under
+		// -no-memo) the planner consults: memo-covered cells dispatch
+		// nothing, so with -memo-dir a repeated fleet sweep moves zero
+		// bytes and replays zero rows.
+		ctx = harness.WithRowReplayer(ctx, fleet.Replayer(func(stats dist.SweepStats) {
+			reportFleet(len(fleet.Workers), stats)
+		}))
+	}
 	pool := newPool(*parallel, *progress)
 
 	switch {
@@ -290,10 +311,6 @@ func main() {
 	case *manifest != "":
 		var err error
 		if pool, err = runManifest(ctx, *manifest, *frames, *parallel, *progress); err != nil {
-			fatal(err)
-		}
-	case replaySweep && *workers != "":
-		if err := runGeometryFleet(ctx, *frames, *workers, *maxAttempts, *fallbackLocal, sweepSpec); err != nil {
 			fatal(err)
 		}
 	case replaySweep && (*traceOut != "" || *traceIn != ""):
@@ -409,37 +426,12 @@ func runGeometryTraceIO(ctx context.Context, pool *farm.Pool, frames int, traceI
 	return nil
 }
 
-// runGeometryFleet is the distributed-fleet path of the geometry and
-// policy sweeps: one mp4study process coordinates, the named mp4worker
-// processes simulate (the policy axis rides inside each shard's L1
-// config). The printed sweep is identical to the local one; the fleet
-// accounting goes to stderr.
-func runGeometryFleet(ctx context.Context, frames int, workers string, maxAttempts int, fallbackLocal bool, spec harness.ExperimentSpec) error {
-	urls := splitList(workers)
-	if len(urls) == 0 {
-		return fmt.Errorf("-workers: no worker URLs")
-	}
-	// The sweep runs in the run's study, whose memo (nil under
-	// -no-memo) the planner consults: memo-covered cells dispatch
-	// nothing, replayed cells are memoized — so with -memo-dir, a
-	// repeated fleet sweep moves zero bytes and replays zero shards.
-	coord := &dist.Coordinator{
-		Workers:       urls,
-		MaxAttempts:   maxAttempts,
-		FallbackLocal: fallbackLocal,
-	}
-	wl := harness.Workload{W: 352, H: 288, Frames: frames}
-	l1s, l2Sizes, err := spec.SweepAxes()
-	if err != nil {
-		return err
-	}
-	points, stats, err := coord.GeometrySweepWithStats(ctx, wl, l1s, l2Sizes)
-	if err != nil {
-		return err
-	}
+// reportFleet summarises a fleet sweep on stderr: what it shipped, what
+// it survived, and every worker it lost.
+func reportFleet(workers int, stats dist.SweepStats) {
 	statusf(
 		"fleet: %d workers, %d uploads of L1-filtered traces (%.1f MB), %d replay calls, %d failovers, %d workers lost\n",
-		len(urls), stats.Uploads, float64(stats.UploadBytes)/(1<<20),
+		workers, stats.Uploads, float64(stats.UploadBytes)/(1<<20),
 		stats.Replays, stats.Failovers, stats.DeadWorkers)
 	statusf(
 		"fleet: %d retries, %d breaker trips, %d health probes, %d readmissions\n",
@@ -450,8 +442,6 @@ func runGeometryFleet(ctx context.Context, frames int, workers string, maxAttemp
 	for _, f := range stats.WorkerFailures {
 		statusf("fleet: lost %s\n", f)
 	}
-	fmt.Print(harness.GeometrySweepReport(harness.SweepTitle(spec.Sweep, true), points))
-	return nil
 }
 
 func newPool(workers int, progress bool) *farm.Pool {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -44,17 +45,16 @@ var (
 // events; mp4study surfaces them at -log-level info/debug.
 var distLog = obs.Logger("dist")
 
-// Coordinator is the fleet's row replayer. GeometrySweepWithStats runs
-// the harness sweep planner (harness.RunGeometrySweepOn), which looks
-// every cell up in the context's Study memo and takes the study's
-// shared capture only on a miss; the coordinator then filters each row
-// with a missing cell down to its L2-bound trace, makes that row one
-// batch on a single queue the workers pull from, and writes every
-// shard's results into its run of its row. The planner counts and
-// memoizes the replayed cells, as it does for a local sweep. A worker
-// that fails or times out is dropped and its batch goes back to the
-// head of the queue (see the package comment for the failover
-// semantics).
+// Coordinator is the fleet's row replayer (Replayer). The harness sweep
+// planner looks every cell up in the context's Study memo, takes the
+// study's shared capture only on a miss, and hands the rows to the
+// coordinator, which filters each row with a missing cell down to its
+// L2-bound trace and makes it one batch, holding one shard of the
+// row's missing L2 sizes, on a single queue the workers pull from. The
+// results land in the row's missing cells; the planner counts and
+// memoizes them, as it does for a local sweep. A worker that fails or
+// times out is dropped and its batch goes back to the head of the
+// queue (see the package comment for the failover semantics).
 type Coordinator struct {
 	// Workers are the base URLs of the worker processes, e.g.
 	// "http://10.0.0.7:8375". At least one is required.
@@ -93,17 +93,17 @@ type Coordinator struct {
 	// re-admits recovered workers mid-sweep. <= 0 means 250ms / 2s.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// FallbackLocal replays whatever shards the fleet could not
-	// deliver in-process, from their rows' filtered streams, instead of
-	// failing the sweep — byte-identical output, degraded wall-clock.
-	// Caller cancellation is never rescued.
+	// FallbackLocal replays whatever rows the fleet could not deliver
+	// in-process, from their filtered streams, instead of failing the
+	// sweep — byte-identical output, degraded wall-clock. Caller
+	// cancellation is never rescued.
 	FallbackLocal bool
-	// OnShard, when non-nil, receives every completed shard in strict
-	// shard-index order — the streaming counterpart of the merged
-	// return value (the study service feeds its SSE event log from
-	// it). The callback runs on scheduler goroutines with internal
-	// state locked: it must be fast and must not call back into the
-	// Coordinator — hand the event to a channel or buffer and return.
+	// OnShard, when non-nil, receives every completed row in strict
+	// row order — the streaming counterpart of the merged return value
+	// (the study service feeds its SSE event log from it). The callback
+	// runs on scheduler goroutines with internal state locked: it must
+	// be fast and must not call back into the Coordinator — hand the
+	// event to a channel or buffer and return.
 	OnShard func(ShardEvent)
 	// Seed drives the backoff jitter. 0 means 1 (deterministic
 	// default), so two identically-seeded sweeps retry on the same
@@ -195,7 +195,7 @@ type SweepStats struct {
 	// sent to dropped workers, and workers brought back mid-sweep.
 	Probes       int
 	Readmissions int
-	// FallbackShards counts shards replayed through the local fallback
+	// FallbackShards counts rows replayed through the local fallback
 	// path because the fleet could not deliver them.
 	FallbackShards int
 	// BarredWorkers lists the workers dropped as protocol violators —
@@ -203,35 +203,47 @@ type SweepStats struct {
 	// study service's fleet health surfaces them separately from
 	// merely-dead workers.
 	BarredWorkers []string
-	// ShardsByWorker counts successfully replayed shards per worker
-	// URL — the direct record of who actually served what (a
-	// re-admitted worker shows up here with its post-restart shards).
+	// ShardsByWorker counts the rows each worker URL replayed — the
+	// direct record of who actually served what (a re-admitted worker
+	// shows up here with its post-restart rows).
 	ShardsByWorker map[string]int
 }
 
 // GeometrySweepWithStats runs the distributed counterpart of
-// harness.RunGeometrySweep: the harness planner with the coordinator as
-// its row replayer, so the context's Study captures, memoizes and
-// accounts the sweep as it would the local one. Nil/empty axes use the
-// harness defaults. The returned points are identical — field for
-// field — to the local sweep of the same workload and axes; the stats
-// are the sweep's transport and failover accounting.
+// harness.RunGeometrySweep: harness.RunGeometrySweepPool with the
+// coordinator as the context's row replayer, so the context's Study
+// captures, memoizes and accounts the sweep as it would the local one.
+// Nil/empty axes use the harness defaults. The returned points are
+// identical — field for field — to the local sweep of the same
+// workload and axes; the stats are the sweep's transport and failover
+// accounting.
 func (c *Coordinator) GeometrySweepWithStats(ctx context.Context, wl harness.Workload, l1s []cache.Config, l2Sizes []int) ([]harness.GeometryPoint, SweepStats, error) {
 	var stats SweepStats
-	if len(c.Workers) == 0 {
-		return nil, stats, fmt.Errorf("dist: no workers configured")
-	}
-	points, err := harness.RunGeometrySweepOn(ctx, nil, wl, l1s, l2Sizes,
-		func(ctx context.Context, _ *farm.Pool, tr *trace.Trace, rows []harness.SweepRow, l2Sizes []int) error {
-			var err error
-			stats, err = c.replayRows(ctx, tr, rows, l2Sizes)
-			return err
-		})
+	ctx = harness.WithRowReplayer(ctx, c.Replayer(func(s SweepStats) { stats = s }))
+	points, err := harness.RunGeometrySweepPool(ctx, nil, wl, l1s, l2Sizes)
 	return points, stats, err
 }
 
-// batch is one dispatchable unit of work: one row's filtered M4L2
-// stream and the row's shards left to replay, plus its failover
+// Replayer returns the fleet as a harness.RowReplayer, for
+// harness.WithRowReplayer: each sweep it replays filters and
+// serializes each row with a missing cell into one batch
+// (buildBatches), streams the fully memoized rows, and has the workers
+// pull the batches from one queue, retrying, failing over and falling
+// back as configured. report receives each sweep's stats, a failed
+// sweep's included.
+func (c *Coordinator) Replayer(report func(SweepStats)) harness.RowReplayer {
+	return func(ctx context.Context, _ *farm.Pool, tr *trace.Trace, rows []harness.SweepRow, l2Sizes []int) error {
+		if len(c.Workers) == 0 {
+			return fmt.Errorf("dist: no workers configured")
+		}
+		stats, err := c.replayRows(ctx, tr, rows, l2Sizes)
+		report(stats)
+		return err
+	}
+}
+
+// batch is one row with a missing cell as the fleet ships it: the
+// row's filtered M4L2 stream and its one shard, plus its failover
 // accounting. key is a human label for logs; hash is the stream's
 // content hash — its identity on every worker, this sweep or any
 // other.
@@ -239,45 +251,24 @@ type batch struct {
 	key      string
 	hash     string
 	wire     []byte
-	shards   []Shard
+	shard    Shard
 	attempts int
 	lastErr  error
 }
 
-func (b *batch) label() string {
-	lo, hi := b.shards[0].Index, b.shards[len(b.shards)-1].Index
-	return fmt.Sprintf("shards %d-%d (%s)", lo, hi, b.key)
-}
+func (b *batch) label() string { return fmt.Sprintf("row %d (%s)", b.shard.Index, b.key) }
 
-// replayRows is the fleet's harness.RowReplayer: it filters and
-// serializes each row with a missing cell into one batch
-// (buildBatches), cuts the rows into shards (cutShards), streams the
-// memo-served shards, and has the workers pull the batches from one
-// queue, retrying, failing over and falling back as configured.
+// replayRows runs one sweep's rows on the fleet (see Replayer).
 func (c *Coordinator) replayRows(ctx context.Context, tr *trace.Trace, rows []harness.SweepRow, l2Sizes []int) (SweepStats, error) {
-	byRow, err := buildBatches(ctx, tr, rows)
+	batches, err := buildBatches(ctx, tr, rows, l2Sizes)
 	if err != nil {
 		return SweepStats{}, err
 	}
-	s := newSweepState(c, cutShards(rows, l2Sizes))
-	// Each row's batch carries the row's shards left to replay, and the
-	// batches queue in row order. Who runs a batch only affects
-	// scheduling, never results: every shard's results land in its own
-	// run of its row.
-	var batches []*batch
-	for i, ps := range s.plan {
-		if ps.stats == nil {
-			s.servedBy[i] = MemoWorker
-			continue
-		}
-		b := byRow[ps.row]
-		if len(b.shards) == 0 {
-			batches = append(batches, b)
-		}
-		b.shards = append(b.shards, ps.Shard)
-	}
+	s := newSweepState(c, rows, l2Sizes)
 	// Worker i starts on batch i, so the first assignment is
-	// deterministic; the rest wait on the queue.
+	// deterministic; the rest wait on the queue, in row order. Who runs
+	// a batch only affects scheduling, never results: every row's
+	// results land in its own cells.
 	first := min(len(batches), len(c.Workers))
 	s.queue = batches[first:]
 	s.pendingN = len(batches)
@@ -286,10 +277,10 @@ func (c *Coordinator) replayRows(ctx context.Context, tr *trace.Trace, rows []ha
 	mWorkersAlive.Add(int64(s.aliveN))
 	mBatchesPend.Add(int64(s.pendingN))
 	distLog.Info("sweep started",
-		"workers", len(c.Workers), "shards", len(s.plan), "batches", s.pendingN)
+		"workers", len(c.Workers), "rows", len(rows), "batches", s.pendingN)
 	// Stream the memo-served prefix before any worker runs: emission is
-	// strict shard-index order, and a fully memoized sweep must deliver
-	// every event even though no worker goroutine ever completes a batch.
+	// strict row order, and a fully memoized sweep must deliver every
+	// event even though no worker goroutine ever completes a batch.
 	s.mu.Lock()
 	s.emitReadyLocked()
 	s.mu.Unlock()
@@ -338,84 +329,38 @@ func (c *Coordinator) replayRows(ctx context.Context, tr *trace.Trace, rows []ha
 	// failing sweeps cannot fill a store.
 	if s.fatal != nil {
 		// Graceful degradation: with FallbackLocal, a fleet-fatal sweep
-		// replays its undelivered shards in-process — byte-identical
+		// replays its undelivered rows in-process — byte-identical
 		// output, degraded wall-clock. Caller cancellation is never
 		// rescued: the caller asked the whole sweep to stop.
 		if c.FallbackLocal && ctx.Err() == nil {
 			n, ferr := s.fallbackLocal(batches)
 			if ferr != nil {
-				return s.stats, fmt.Errorf("%w (local fallback failed after %d shards: %v)", s.fatal, n, ferr)
+				return s.stats, fmt.Errorf("%w (local fallback failed after %d rows: %v)", s.fatal, n, ferr)
 			}
 			distLog.Warn("sweep completed via local fallback",
-				"shards", n, "fleet_error", s.fatal)
+				"rows", n, "fleet_error", s.fatal)
 			return s.stats, nil
 		}
 		return s.stats, s.fatal
 	}
 	for i, w := range s.servedBy {
 		if w == "" {
-			return s.stats, fmt.Errorf("dist: shard %d missing from worker responses", i)
+			return s.stats, fmt.Errorf("dist: row %d missing from worker responses", i)
 		}
 	}
 	return s.stats, nil
 }
 
-// plannedShard is one shard of a sweep's plan and the run of its row it
-// fills: points and stats are sliced from the row's Points and Stats,
-// not copied. A shard the memo served has its points already and nil
-// stats; it never reaches a worker.
-type plannedShard struct {
-	Shard
-	row    int
-	points []harness.GeometryPoint
-	stats  []cache.Stats
-}
-
-// cutShards cuts a sweep's rows into shards. In each row, every
-// maximal run of memo-served cells becomes one prefilled shard, and
-// every maximal run of missing cells one shard to replay. Flattening
-// shard results by Index reproduces the local sweep's (L1 outer, L2
-// inner) point order exactly, independent of which worker ran what or
-// when it finished.
-func cutShards(rows []harness.SweepRow, l2Sizes []int) []plannedShard {
-	var plan []plannedShard
-	for ri, r := range rows {
-		missing := r.Missing // ascending: the next missing cell is missing[0]
-		for lo := 0; lo < len(l2Sizes); {
-			hi := lo
-			var stats []cache.Stats
-			if len(missing) > 0 && missing[0] == lo {
-				for len(missing) > 0 && missing[0] == hi {
-					missing, hi = missing[1:], hi+1
-				}
-				stats = r.Stats[lo:hi:hi]
-			} else {
-				hi = len(l2Sizes)
-				if len(missing) > 0 {
-					hi = missing[0]
-				}
-			}
-			plan = append(plan, plannedShard{
-				Shard:  Shard{Index: len(plan), L1: r.L1, L2Sizes: l2Sizes[lo:hi:hi]},
-				row:    ri,
-				points: r.Points[lo:hi:hi],
-				stats:  stats,
-			})
-			lo = hi
-		}
-	}
-	return plan
-}
-
 // buildBatches serializes what the sweep will ship: one batch per row
-// with a missing cell, indexed by row (nil for a fully memoized row),
-// holding the M4L2 stream made by replaying the capture through the
-// row's L1 filter exactly once (the same FilterGeometryL1 seam the
-// local replayer uses, so a worker replaying the stream cannot diverge
-// from a local run). Rows filter concurrently, one goroutine each;
-// fully memoized rows cost neither a filter replay nor an upload.
-func buildBatches(ctx context.Context, tr *trace.Trace, rows []harness.SweepRow) ([]*batch, error) {
-	batches := make([]*batch, len(rows))
+// with a missing cell, in row order, holding the M4L2 stream made by
+// replaying the capture through the row's L1 filter exactly once (the
+// same FilterGeometryL1 seam the local replayer uses, so a worker
+// replaying the stream cannot diverge from a local run) and the row's
+// one shard: its missing L2 sizes, in axis order. Rows filter
+// concurrently, one goroutine each; fully memoized rows cost neither a
+// filter replay nor an upload.
+func buildBatches(ctx context.Context, tr *trace.Trace, rows []harness.SweepRow, l2Sizes []int) ([]*batch, error) {
+	byRow := make([]*batch, len(rows))
 	errs := make([]error, len(rows))
 	var wg sync.WaitGroup
 	for ri, r := range rows {
@@ -435,14 +380,21 @@ func buildBatches(ctx context.Context, tr *trace.Trace, rows []harness.SweepRow)
 			if l1.Policy != "" && l1.Policy != cache.PolicyLRU {
 				key += "-" + string(l1.Policy)
 			}
-			batches[ri] = &batch{
-				key:  fmt.Sprintf("%s#%d", key, ri),
-				hash: lt.Hash().String(), // cached by WriteTo above
-				wire: wire.Bytes(),
+			byRow[ri] = &batch{
+				key:   key,
+				hash:  lt.Hash().String(), // cached by WriteTo above
+				wire:  wire.Bytes(),
+				shard: Shard{Index: ri, L1: l1, L2Sizes: rows[ri].MissingSizes(l2Sizes)},
 			}
 		}(ri, r.L1)
 	}
 	wg.Wait()
+	var batches []*batch
+	for _, b := range byRow {
+		if b != nil {
+			batches = append(batches, b)
+		}
+	}
 	return batches, errors.Join(errs...)
 }
 
@@ -481,17 +433,19 @@ type sweepState struct {
 	fatal     error
 	stats     SweepStats
 
-	// plan is indexed by shard index; each shard's cells are written by
-	// exactly one in-flight batch at a time, under mu. servedBy records,
-	// per shard index, which worker's replay filled them — "" until the
-	// shard is done. emitted is the length of the contiguous completed
+	// rows are the planner's rows over the L2 axis l2Sizes; a row's
+	// missing cells are written by exactly one in-flight batch at a
+	// time, under mu. servedBy records, per row, which worker's replay
+	// filled them (MemoWorker for a fully memoized row) — "" until the
+	// row is done. emitted is the length of the contiguous completed
 	// prefix already streamed to OnShard.
-	plan     []plannedShard
+	rows     []harness.SweepRow
+	l2Sizes  []int
 	servedBy []string
 	emitted  int
 }
 
-func newSweepState(c *Coordinator, plan []plannedShard) *sweepState {
+func newSweepState(c *Coordinator, rows []harness.SweepRow, l2Sizes []int) *sweepState {
 	seed := c.Seed
 	if seed == 0 {
 		seed = 1
@@ -505,36 +459,42 @@ func newSweepState(c *Coordinator, plan []plannedShard) *sweepState {
 		downSince:  make([]time.Time, len(c.Workers)),
 		noReadmit:  make([]bool, len(c.Workers)),
 		rng:        seed,
-		plan:       plan,
-		servedBy:   make([]string, len(plan)),
+		rows:       rows,
+		l2Sizes:    l2Sizes,
+		servedBy:   make([]string, len(rows)),
 	}
 	s.stats.ShardsByWorker = map[string]int{}
 	s.cond = sync.NewCond(&s.mu)
 	for i := range s.alive {
 		s.alive[i] = true
 	}
+	for ri, r := range rows {
+		if len(r.Missing) == 0 {
+			s.servedBy[ri] = MemoWorker
+		}
+	}
 	return s
 }
 
 // emitReadyLocked (mu held) streams the contiguous prefix of completed
-// shards to OnShard. Emission order is shard-index order — the exact
-// discipline the merged return value uses — so however completion
-// interleaves across workers, failovers and fallbacks, a consumer
-// appending Points event by event ends up byte-identical to the batch
-// result.
+// rows to OnShard, one event per row. Emission order is row order —
+// the exact discipline the merged return value uses — so however
+// completion interleaves across workers, failovers and fallbacks, a
+// consumer appending Points event by event ends up byte-identical to
+// the batch result.
 func (s *sweepState) emitReadyLocked() {
 	if s.c.OnShard == nil {
 		return
 	}
-	for s.emitted < len(s.plan) && s.servedBy[s.emitted] != "" {
+	for s.emitted < len(s.rows) && s.servedBy[s.emitted] != "" {
 		i := s.emitted
 		s.emitted++
 		s.c.OnShard(ShardEvent{
-			Shard:  s.plan[i].Shard,
-			Points: s.plan[i].points,
+			Shard:  Shard{Index: i, L1: s.rows[i].L1, L2Sizes: s.l2Sizes},
+			Points: s.rows[i].Points,
 			Worker: s.servedBy[i],
 			Done:   s.emitted,
-			Total:  len(s.plan),
+			Total:  len(s.rows),
 		})
 	}
 }
@@ -577,7 +537,7 @@ func (s *sweepState) runWorker(ctx context.Context, wi int, b *batch) {
 			s.breakers[wi].halfOpen = false
 			s.pendingN--
 			s.stats.Replays++
-			s.stats.ShardsByWorker[s.c.Workers[wi]] += len(b.shards)
+			s.stats.ShardsByWorker[s.c.Workers[wi]]++
 			s.emitReadyLocked()
 			mBatchesPend.Dec()
 			s.mu.Unlock()
@@ -699,8 +659,8 @@ func (s *sweepState) setFatal(err error) {
 // runBatch executes one batch on worker wi: probe whether the worker
 // holds the batch's trace and upload it on a miss (requeued batches
 // and restarted workers land here with the trace absent), then replay
-// the shards — each step under its own deadline — and write the
-// returned points and stats into the shards' cells.
+// the row's shard — each step under its own deadline — and write the
+// returned points and stats into the row's missing cells.
 func (s *sweepState) runBatch(ctx context.Context, wi int, b *batch) error {
 	base := s.c.Workers[wi]
 	id := b.hash
@@ -737,52 +697,40 @@ func (s *sweepState) runBatch(ctx context.Context, wi int, b *batch) error {
 
 	rctx, cancel := context.WithTimeout(ctx, s.c.replayTimeout())
 	replayStart := time.Now()
-	resp, err := s.c.replay(rctx, base, ReplayRequest{TraceID: id, Shards: b.shards})
+	resp, err := s.c.replay(rctx, base, ReplayRequest{TraceID: id, Shards: []Shard{b.shard}})
 	cancel()
 	if err != nil {
 		return fmt.Errorf("replay %s: %w", b.label(), err)
 	}
 	mReplaySecs.ObserveSince(replayStart)
 	mBatchReplays.Inc()
-	mReplayShards.Add(uint64(len(b.shards)))
+	mReplayShards.Inc()
 	distLog.Debug("batch replayed",
-		"worker", base, "batch", b.label(), "shards", len(b.shards),
+		"worker", base, "batch", b.label(),
 		"duration", time.Since(replayStart).Round(time.Millisecond).String())
 
-	// Only the cells of shards this batch carries may be written: the
-	// rows are shared across workers, so an index echoed back wrong
+	// Only this batch's row may be written: an index echoed back wrong
 	// (buggy or stale worker) must be an error — and a failover — not a
-	// silent overwrite of another shard's cells. So must a result whose
-	// points do not cover its shard, or that lacks the stats the sweep
-	// memoizes. Validate the whole response first, then commit under
-	// the sweep lock: emitReadyLocked reads done shards from other
-	// workers' goroutines, so every write must be synchronized.
-	mine := make(map[int]bool, len(b.shards))
-	for _, sh := range b.shards {
-		mine[sh.Index] = true
+	// silent overwrite of another row's cells. So must a result whose
+	// points do not cover the shard, or that lacks the stats the sweep
+	// memoizes. Validate the response first, then commit under the
+	// sweep lock: emitReadyLocked reads done rows from other workers'
+	// goroutines, so every write must be synchronized.
+	if len(resp.Results) != 1 {
+		return violationf("returned %d results for one shard", len(resp.Results))
 	}
-	for _, res := range resp.Results {
-		if !mine[res.Index] {
-			return violationf("returned shard index %d it was not assigned", res.Index)
-		}
-		if n := len(s.plan[res.Index].L2Sizes); len(res.Points) != n {
-			return violationf("shard %d returned %d points for %d L2 sizes", res.Index, len(res.Points), n)
-		}
-		if len(res.Stats) != len(res.Points) {
-			return violationf("shard %d returned %d stats for %d points", res.Index, len(res.Stats), len(res.Points))
-		}
-		delete(mine, res.Index)
-	}
-	if len(mine) > 0 {
-		return violationf("response missing %d of %d shards", len(mine), len(b.shards))
+	res := resp.Results[0]
+	switch {
+	case res.Index != b.shard.Index:
+		return violationf("returned shard index %d it was not assigned", res.Index)
+	case len(res.Points) != len(b.shard.L2Sizes):
+		return violationf("shard %d returned %d points for %d L2 sizes", res.Index, len(res.Points), len(b.shard.L2Sizes))
+	case len(res.Stats) != len(res.Points):
+		return violationf("shard %d returned %d stats for %d points", res.Index, len(res.Stats), len(res.Points))
 	}
 	s.mu.Lock()
-	for _, res := range resp.Results {
-		ps := s.plan[res.Index]
-		copy(ps.points, res.Points)
-		copy(ps.stats, res.Stats)
-		s.servedBy[res.Index] = base
-	}
+	s.rows[res.Index].Fill(res.Points, res.Stats)
+	s.servedBy[res.Index] = base
 	s.mu.Unlock()
 	return nil
 }
@@ -797,7 +745,7 @@ func (c *Coordinator) headTrace(ctx context.Context, base, hash string) bool {
 	}
 	hctx, cancel := context.WithTimeout(ctx, c.uploadTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(hctx, http.MethodHead, base+"/v1/traces/"+hash, nil)
+	req, err := http.NewRequestWithContext(hctx, http.MethodHead, endpoint(base, "/v1/traces/"+hash), nil)
 	if err != nil {
 		return false
 	}
@@ -806,7 +754,7 @@ func (c *Coordinator) headTrace(ctx context.Context, base, hash string) bool {
 
 // upload ships one serialized trace to a worker.
 func (c *Coordinator) upload(ctx context.Context, base string, wire []byte) (*TraceInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/traces", bytes.NewReader(wire))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint(base, "/v1/traces"), bytes.NewReader(wire))
 	if err != nil {
 		return nil, err
 	}
@@ -821,13 +769,13 @@ func (c *Coordinator) upload(ctx context.Context, base string, wire []byte) (*Tr
 	return &info, nil
 }
 
-// replay posts one shard batch.
+// replay posts one replay request.
 func (c *Coordinator) replay(ctx context.Context, base string, rr ReplayRequest) (*ReplayResponse, error) {
 	body, err := json.Marshal(rr)
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/replay", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint(base, "/v1/replay"), bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -838,6 +786,12 @@ func (c *Coordinator) replay(ctx context.Context, base string, rr ReplayRequest)
 	}
 	return &resp, nil
 }
+
+// endpoint is the URL of path on the worker at base. A base configured
+// with a trailing slash would otherwise make "//v1/…", which a
+// worker's mux answers with a redirect that the client follows as a
+// GET, failing every upload.
+func endpoint(base, path string) string { return strings.TrimRight(base, "/") + path }
 
 // httpError is a non-expected-status response, keeping the code
 // inspectable for failure classification.

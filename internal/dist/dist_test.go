@@ -711,6 +711,18 @@ func TestPlanShardsCoversGridInOrder(t *testing.T) {
 	}
 }
 
+// TestSweepOnWorkerURLWithTrailingSlash: a worker configured with a
+// trailing slash serves the sweep as its bare URL does (the coordinator
+// does not request "//v1/..." paths), and the stats keep the URL as
+// configured.
+func TestSweepOnWorkerURLWithTrailingSlash(t *testing.T) {
+	base := goodWorker(t).URL + "/"
+	stats := assertSweepMatchesLocal(t, faultCoordinator(base))
+	if stats.DeadWorkers != 0 || stats.ShardsByWorker[base] == 0 {
+		t.Fatalf("%d workers lost, rows by worker %v; want none lost and every row on %s", stats.DeadWorkers, stats.ShardsByWorker, base)
+	}
+}
+
 // TestCoordinatorSurfacesWorkerErrors: a worker returning an error
 // fails the sweep with the worker's diagnostic attached.
 func TestCoordinatorSurfacesWorkerErrors(t *testing.T) {

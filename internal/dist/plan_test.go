@@ -1,8 +1,14 @@
 package dist
 
 import (
-	"fmt"
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
@@ -10,8 +16,8 @@ import (
 )
 
 // planShards is the reference grid cut: one shard per L1, over the
-// whole L2-size axis. The coordinator's shard cut, cutShards, must
-// reproduce it exactly over rows the memo served nothing of.
+// whole L2-size axis — what the coordinator ships for rows the memo
+// served nothing of.
 func planShards(l1s []cache.Config, l2Sizes []int) []Shard {
 	shards := make([]Shard, len(l1s))
 	for i, l1 := range l1s {
@@ -20,84 +26,88 @@ func planShards(l1s []cache.Config, l2Sizes []int) []Shard {
 	return shards
 }
 
-// sweepRows builds the rows a planner hands the coordinator over l1s
-// and nl2 L2 sizes, each missing the given cells.
-func sweepRows(l1s []cache.Config, nl2 int, missing []int) []harness.SweepRow {
-	rows := make([]harness.SweepRow, len(l1s))
-	for i, l1 := range l1s {
-		rows[i] = harness.SweepRow{L1: l1, Points: make([]harness.GeometryPoint, nl2), Missing: missing}
-		if len(missing) > 0 {
-			rows[i].Stats = make([]cache.Stats, nl2)
-		}
+// TestRowShardHoldsItsMissingSizes: a row the memo served partly goes
+// out as one shard holding exactly its missing L2 sizes, in axis order,
+// a row it served none of as the reference grid cut's shard (the whole
+// axis), and a row it served whole not at all. Each row streams as one
+// event carrying the whole row, and the sweep equals the local one.
+func TestRowShardHoldsItsMissingSizes(t *testing.T) {
+	l1s, l2Sizes := harness.GeometryL1Configs(), []int{256 << 10, 512 << 10, 1 << 20, 2 << 20}
+	ctx, _, mc := memoStudy(t)
+	// Memoize the middle two cells of row 0 and all of row 2.
+	if _, err := harness.RunGeometrySweepPool(ctx, nil, faultWorkload, l1s[:1], l2Sizes[1:3]); err != nil {
+		t.Fatal(err)
 	}
-	return rows
-}
+	if _, err := harness.RunGeometrySweepPool(ctx, nil, faultWorkload, l1s[2:], l2Sizes); err != nil {
+		t.Fatal(err)
+	}
 
-// TestCutShardsWithoutHitsMatchesGridCut: over rows the memo served
-// nothing of, the coordinator's cut is exactly the reference grid cut,
-// and every shard is dispatched.
-func TestCutShardsWithoutHitsMatchesGridCut(t *testing.T) {
-	allL1s, allL2s := harness.GeometryL1Configs(), harness.GeometryL2Sizes()
-	for nl1 := 1; nl1 <= len(allL1s); nl1++ {
-		for nl2 := 1; nl2 <= len(allL2s); nl2++ {
-			l1s, l2s := allL1s[:nl1], allL2s[:nl2]
-			name := fmt.Sprintf("l1s=%d l2s=%d", nl1, nl2)
-			all := make([]int, nl2)
-			for j := range all {
-				all[j] = j
+	var mu sync.Mutex
+	var requests []ReplayRequest
+	worker := NewWorker(WorkerConfig{Workers: 1}).Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/replay" {
+			body, _ := io.ReadAll(r.Body)
+			var req ReplayRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Errorf("replay request: %v", err)
 			}
-			plan := cutShards(sweepRows(l1s, nl2, all), l2s)
-			got := make([]Shard, len(plan))
-			for i, ps := range plan {
-				got[i] = ps.Shard
-				if ps.stats == nil {
-					t.Fatalf("%s: shard %d is memo-served, but the memo served nothing", name, i)
-				}
-			}
-			if want := planShards(l1s, l2s); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: shards\n got  %+v\n want %+v", name, got, want)
-			}
+			mu.Lock()
+			requests = append(requests, req)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
 		}
-	}
-}
+		worker.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
 
-// TestCutShardsSlicesMemoRuns: each maximal run of memo-served cells is
-// one shard, so is each maximal run of missing cells, and every shard's
-// points and stats are its run of its row's, not copies — so the cells
-// a worker fills are the row's.
-func TestCutShardsSlicesMemoRuns(t *testing.T) {
-	l1s, l2s := harness.GeometryL1Configs(), harness.GeometryL2Sizes()
-	rows := sweepRows(l1s[:2], len(l2s), []int{1, 2, 3, 5})
-	rows = append(rows, sweepRows(l1s[2:], len(l2s), nil)...)
-	type run struct {
-		row, lo, hi int
-		memo        bool
+	var events []ShardEvent
+	coord := &Coordinator{Workers: []string{srv.URL}, OnShard: func(ev ShardEvent) { events = append(events, ev) }}
+	study := harness.NewStudy(true)
+	study.SetMemo(mc)
+	points, stats, err := coord.GeometrySweepWithStats(harness.WithStudy(context.Background(), study), faultWorkload, l1s, l2Sizes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var want []run
-	for row := 0; row < 2; row++ {
-		want = append(want, run{row, 0, 1, true}, run{row, 1, 4, false},
-			run{row, 4, 5, true}, run{row, 5, 6, false})
-	}
-	want = append(want, run{2, 0, 6, true})
 
-	plan := cutShards(rows, l2s)
-	if len(plan) != len(want) {
-		t.Fatalf("%d shards, want %d", len(plan), len(want))
+	want := [][]Shard{
+		{{Index: 0, L1: l1s[0], L2Sizes: []int{l2Sizes[0], l2Sizes[3]}}},
+		{planShards(l1s, l2Sizes)[1]},
 	}
-	for i, ps := range plan {
-		w := want[i]
-		r := rows[w.row]
-		if ps.Index != i || ps.row != w.row || ps.L1 != r.L1 || !reflect.DeepEqual(ps.L2Sizes, l2s[w.lo:w.hi]) {
-			t.Fatalf("shard %d = %+v (row %d), want row %d cells [%d, %d)", i, ps.Shard, ps.row, w.row, w.lo, w.hi)
+	if len(requests) != len(want) {
+		t.Fatalf("%d replay calls, want one per row with a missing cell (%d)", len(requests), len(want))
+	}
+	for i, req := range requests {
+		if !reflect.DeepEqual(req.Shards, want[i]) {
+			t.Errorf("replay call %d shards %+v, want %+v", i, req.Shards, want[i])
 		}
-		if len(ps.points) != w.hi-w.lo || &ps.points[0] != &r.Points[w.lo] {
-			t.Errorf("shard %d: points are not the row's cells [%d, %d)", i, w.lo, w.hi)
+	}
+	if stats.Replays != 2 || stats.ShardsByWorker[srv.URL] != 2 {
+		t.Errorf("stats: %d replay calls, %d rows by the worker; want 2 and 2", stats.Replays, stats.ShardsByWorker[srv.URL])
+	}
+
+	if len(events) != len(l1s) {
+		t.Fatalf("%d shard events, want one per row (%d)", len(events), len(l1s))
+	}
+	var streamed []harness.GeometryPoint
+	for ri, ev := range events {
+		worker := srv.URL
+		if ri == 2 {
+			worker = MemoWorker
 		}
-		switch {
-		case w.memo && ps.stats != nil:
-			t.Errorf("shard %d: memo-served shard has stats to fill", i)
-		case !w.memo && (len(ps.stats) != w.hi-w.lo || &ps.stats[0] != &r.Stats[w.lo]):
-			t.Errorf("shard %d: stats are not the row's cells [%d, %d)", i, w.lo, w.hi)
+		if ev.Shard.Index != ri || ev.Shard.L1 != l1s[ri] || !reflect.DeepEqual(ev.Shard.L2Sizes, l2Sizes) ||
+			len(ev.Points) != len(l2Sizes) || ev.Worker != worker || ev.Done != ri+1 || ev.Total != len(l1s) {
+			t.Errorf("event %d = shard %+v, %d points, worker %q, %d/%d; want row %d whole, worker %q",
+				ri, ev.Shard, len(ev.Points), ev.Worker, ev.Done, ev.Total, ri, worker)
 		}
+		streamed = append(streamed, ev.Points...)
+	}
+
+	local, err := harness.RunGeometrySweep(faultWorkload, l1s, l2Sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(points, local) || !reflect.DeepEqual(streamed, local) {
+		t.Fatal("fleet sweep or its event stream differs from the local sweep")
 	}
 }

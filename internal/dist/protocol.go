@@ -1,22 +1,24 @@
-// Package dist shards trace-replay sweeps across worker processes.
+// Package dist replays the rows of trace-replay sweeps on worker
+// processes.
 //
 // The paper's methodology — simulate one workload on many machines —
-// distributes along its natural seam. The harness sweep planner
-// (harness.RunGeometrySweepOn) decides: it looks every (L1, L2) cell
-// up in the study's memo, takes the study's capture only if a cell
-// misses, and hands every L1 row to a row replayer. The Coordinator is
-// the fleet's replayer and only executes: because every cell of one L1
-// row shares that L1, it does not ship the full capture, but replays
-// the capture through the L1 filter once per row with a missing cell
-// and uploads the ~40× smaller L2-bound M4L2 trace the row needs, to
-// one worker. Each such row is one batch: its trace plus one replay
-// shard per run of missing cells. The batches wait in one queue in row
-// order; worker i starts on batch i, and after that every free worker
-// takes the head of the queue. Workers execute shards through the same
-// farm.Run engine and the same cell-replay loop
+// distributes along its natural seam, the L1 row. The harness sweep
+// planner decides: it looks every (L1, L2) cell up in the study's
+// memo, takes the study's capture only if a cell misses, and hands
+// every L1 row to the context's row replayer (harness.WithRowReplayer).
+// Coordinator.Replayer makes the fleet that replayer, and it only
+// executes: because every cell of one L1 row shares that L1, it does
+// not ship the full capture, but replays the capture through the L1
+// filter once per row with a missing cell and uploads the ~40× smaller
+// L2-bound M4L2 trace the row needs, to one worker. Each such row is
+// one batch: its trace plus one replay shard holding the row's missing
+// L2 sizes, which the worker replays in one fused pass. The batches
+// wait in one queue in row order; worker i starts on batch i, and
+// after that every free worker takes the head of the queue. Workers
+// execute shards through the same cell-replay loop
 // (harness.ReplayL2Cells) local sweeps use, so a distributed sweep is
 // the local sweep with the replay loop stretched across processes;
-// results merge in deterministic shard order and are identical to
+// each row's results land in its own cells, identical to
 // harness.RunGeometrySweep (asserted end-to-end by the tests, across
 // real worker subprocesses), and the planner memoizes and accounts
 // them as it would the local sweep's.
@@ -44,8 +46,12 @@
 // from re-admission. Only when every worker is lost, or one batch
 // exhausts its budget (which drops the worker it last failed on too),
 // does the sweep fail — and with Coordinator.FallbackLocal even that
-// degrades gracefully: each undelivered batch's trace is decoded once
-// and its shards replay in-process, byte-identical to a local sweep.
+// degrades gracefully: each undelivered batch's trace is decoded and
+// its shard replays in-process, byte-identical to a local sweep.
+//
+// Request URLs are built from each worker's base URL with trailing
+// slashes trimmed, so "http://w:8375/" and "http://w:8375" name the
+// same worker; stats report the URL as configured.
 //
 // Protocol (worker side, all JSON unless noted):
 //
@@ -91,15 +97,16 @@ type TraceInfo struct {
 	Bytes   int64  `json:"bytes"` // wire size as received
 }
 
-// Shard is one replay job: a single L1 configuration with a contiguous
-// run of the L2-size axis (a row's whole axis when the memo served none
-// of it). The replacement-policy axis rides inside
-// the L1 config (cache.Config.Policy; the simulated L2 inherits it,
-// see harness.GeometryL2For) — no extra protocol field or trace kind
-// is needed, and pre-policy shards decode with the LRU default. Index
-// is the shard's position in the coordinator's deterministic cut of
-// the planner's rows (see cutShards); results are merged by it, never
-// by arrival order.
+// Shard is one replay job: a single L1 configuration and a list of L2
+// sizes. The coordinator sends one per row with a missing cell, whose
+// L2Sizes are the row's missing sizes in axis order (the whole axis
+// when the memo served none of the row) and whose Index is the row's
+// position in the sweep; results land in the row by it, never by
+// arrival order. A worker replays any list of sizes, and any number of
+// shards per request. The replacement-policy axis rides inside the L1
+// config (cache.Config.Policy; the simulated L2 inherits it, see
+// harness.GeometryL2For) — no extra protocol field or trace kind is
+// needed, and pre-policy shards decode with the LRU default.
 type Shard struct {
 	Index   int          `json:"index"`
 	L1      cache.Config `json:"l1"`
@@ -156,29 +163,31 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// FallbackWorker is the ShardEvent.Worker value of shards the
+// FallbackWorker is the ShardEvent.Worker value of rows the
 // coordinator's local fallback replayed instead of the fleet.
 const FallbackWorker = "local"
 
-// MemoWorker is the ShardEvent.Worker value of shards served entirely
+// MemoWorker is the ShardEvent.Worker value of rows served entirely
 // from the study's result memo — no worker ever saw them.
 const MemoWorker = "memo"
 
-// ShardEvent is one completed shard, delivered to Coordinator.OnShard.
-// Events arrive in strict shard-index order: a shard is emitted as
-// soon as it AND every lower-indexed shard have results, so a consumer
-// that appends Points as events arrive reconstructs exactly the merged
-// point order GeometrySweepWithStats returns. Failovers, retries and
-// re-admissions reorder completion, never emission.
+// ShardEvent is one completed row of a sweep, delivered to
+// Coordinator.OnShard. Shard names the row: Index is its position, L1
+// its L1 and L2Sizes the whole axis; Points is the whole row, the cells
+// the memo served included. Events arrive in strict row order: a row
+// is emitted as soon as it AND every earlier row have results, so a
+// consumer that appends Points as events arrive reconstructs exactly
+// the merged point order GeometrySweepWithStats returns. Failovers,
+// retries and re-admissions reorder completion, never emission.
 type ShardEvent struct {
 	Shard  Shard
 	Points []harness.GeometryPoint
 	// Worker is the base URL of the worker whose replay produced the
-	// points, FallbackWorker for shards the local fallback recovered, or
-	// MemoWorker for shards the memo served.
+	// row's missing cells, FallbackWorker for rows the local fallback
+	// recovered, or MemoWorker for rows the memo served whole.
 	Worker string
-	// Done counts shards emitted so far (this one included); Total is
-	// the sweep's shard count. Done == Total marks the final event.
+	// Done counts rows emitted so far (this one included); Total is the
+	// sweep's row count. Done == Total marks the final event.
 	Done  int
 	Total int
 }

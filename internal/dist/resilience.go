@@ -282,7 +282,7 @@ func (s *sweepState) runProber(ctx context.Context) {
 func (s *sweepState) probeWorker(ctx context.Context, wi int) (*HealthStatus, error) {
 	pctx, cancel := context.WithTimeout(ctx, s.c.probeTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, s.c.Workers[wi]+"/v1/healthz", nil)
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, endpoint(s.c.Workers[wi], "/v1/healthz"), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -327,38 +327,35 @@ func (s *sweepState) readmit(wi int, hs *HealthStatus) {
 	go s.runWorker(ctx, wi, nil)
 }
 
-// fallbackLocal replays every batch the fleet never delivered
-// in-process, as a worker would: it decodes the batch's trace once and
-// replays each of its shards through harness.ReplayL2Cells, the
-// workers' own loop, so the output is byte-identical to a local sweep
-// and no row is filtered twice. Called after the fleet goroutines have
-// joined on a fatal sweep (never on caller cancellation). Returns the
-// number of shards recovered, or the decode error.
+// fallbackLocal replays every row the fleet never delivered
+// in-process, as a worker would: it decodes the batch's trace and
+// replays its shard through harness.ReplayL2Cells, the workers' own
+// loop, so the output is byte-identical to a local sweep and no row is
+// filtered twice. Called after the fleet goroutines have joined on a
+// fatal sweep (never on caller cancellation). Returns the number of
+// rows recovered, or the decode error.
 func (s *sweepState) fallbackLocal(batches []*batch) (int, error) {
 	done := 0
 	for _, b := range batches {
-		if s.servedBy[b.shards[0].Index] != "" {
-			continue // delivered: a batch's shards commit together
+		ri := b.shard.Index
+		if s.servedBy[ri] != "" {
+			continue // delivered
 		}
 		lt := &trace.L2Trace{}
 		if _, err := lt.ReadFrom(bytes.NewReader(b.wire)); err != nil {
 			return done, fmt.Errorf("%s: %w", b.label(), err)
 		}
-		for _, sh := range b.shards {
-			ps := s.plan[sh.Index]
-			points, stats := harness.ReplayL2Cells(lt, ps.L2Sizes)
-			// The fleet goroutines have joined, but emission keeps the
-			// same lock-held discipline so the OnShard ordering
-			// invariant has a single owner.
-			s.mu.Lock()
-			copy(ps.points, points)
-			copy(ps.stats, stats)
-			s.servedBy[sh.Index] = FallbackWorker
-			s.emitReadyLocked()
-			s.mu.Unlock()
-			done++
-			mFallbackSh.Inc()
-		}
+		points, stats := harness.ReplayL2Cells(lt, b.shard.L2Sizes)
+		// The fleet goroutines have joined, but emission keeps the same
+		// lock-held discipline so the OnShard ordering invariant has a
+		// single owner.
+		s.mu.Lock()
+		s.rows[ri].Fill(points, stats)
+		s.servedBy[ri] = FallbackWorker
+		s.emitReadyLocked()
+		s.mu.Unlock()
+		done++
+		mFallbackSh.Inc()
 	}
 	s.stats.FallbackShards = done
 	return done, nil

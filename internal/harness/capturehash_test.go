@@ -69,6 +69,14 @@ var captureHashPins = []struct {
 		enc:  "0205bb80d6652f380c43a7b36e47ed0c8d2208b0781450cb2fc4cc1609d1be4e",
 		dec:  "417a7852316677e36b7874f13e22015111042ba5fa698c0d0e9672f0a73448dc",
 	},
+	{
+		// The capture every service and fleet sweep memoizes: CIF at the
+		// default six frames, seed 1 (renderSweep's workload).
+		name: "CIF sweep capture",
+		wl:   Workload{W: 352, H: 288, Frames: 6},
+		enc:  "56dccf4e0d65d46e83ffae8d6135f0b81aedc82f8bac5796fa4a89459aa1d95a",
+		dec:  "d819180411637e3418fd2655aeece6dc8c554ad7df95bc7c8174e01f056d5695",
+	},
 }
 
 // TestCaptureHashPins records the encode and decode traces of each

@@ -242,8 +242,8 @@ func (e ExperimentSpec) Validate() error {
 
 // SweepTitle names the geometry/policy sweep report for the given
 // simulation strategy. It is shared by renderSweep and cmd/mp4study's
-// trace-file and fleet paths, whose outputs are documented as
-// identical to the plain sweep — one source keeps them so.
+// trace-file path, whose output is documented as identical to the
+// plain sweep — one source keeps them so.
 func SweepTitle(sweep string, replayed bool) string {
 	kind := "cache geometry"
 	if sweep == "policy" {

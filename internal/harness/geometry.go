@@ -186,34 +186,29 @@ func RunGeometrySweep(wl Workload, l1s []cache.Config, l2Sizes []int) ([]Geometr
 }
 
 // RunGeometrySweepPool simulates every (L1, L2 size) combination of
-// the workload from one encode capture: RunGeometrySweepOn with the
-// local row replayer, one farm job per row on p.
-func RunGeometrySweepPool(ctx context.Context, p *farm.Pool, wl Workload, l1s []cache.Config, l2Sizes []int) ([]GeometryPoint, error) {
-	return RunGeometrySweepOn(ctx, p, wl, l1s, l2Sizes, replayRows)
-}
-
-// RunGeometrySweepOn is the geometry sweep's one planner. Points return
-// in (L1 outer, L2 inner) order; nil/empty axes use the defaults, and
-// every (L1, L2) pair is validated before anything runs (axes arrive
-// from flags, manifests and the network). With a memo on the context's
-// Study, every cell is looked up under the capture's provenance
+// the workload from one encode capture. Points return in (L1 outer, L2
+// inner) order; nil/empty axes use the defaults, and every (L1, L2)
+// pair is validated before anything runs (axes arrive from flags,
+// manifests and the network). With a memo on the context's Study,
+// every cell is looked up under the capture's provenance
 // (CaptureProvenance) before anything is captured; only if a cell
 // misses does the sweep take the study's shared capture
-// (Study.EncodeTrace). replay then gets every row and fills the missing
-// cells; once it succeeds, each replayed cell is counted and memoized.
-// A sweep whose cells are all memoized runs no codec.
-func RunGeometrySweepOn(ctx context.Context, p *farm.Pool, wl Workload, l1s []cache.Config, l2Sizes []int, replay RowReplayer) ([]GeometryPoint, error) {
+// (Study.EncodeTrace). The rows then replay on the context's row
+// replayer (WithRowReplayer), or one farm job per row on p without
+// one; each replayed cell is counted and memoized. A sweep whose cells
+// are all memoized runs no codec.
+func RunGeometrySweepPool(ctx context.Context, p *farm.Pool, wl Workload, l1s []cache.Config, l2Sizes []int) ([]GeometryPoint, error) {
 	s := StudyFrom(ctx)
 	return geometrySweep(ctx, p, s, CaptureProvenance(wl),
-		func() (*trace.Trace, error) { return s.EncodeTrace(wl) }, l1s, l2Sizes, replay)
+		func() (*trace.Trace, error) { return s.EncodeTrace(wl) }, l1s, l2Sizes)
 }
 
 // RunGeometrySweepFromTrace runs the geometry sweep against an existing
 // capture — recorded in-process or decoded from a trace file (mp4study
-// -trace-in) — with the local row replayer. Points return in (L1 outer,
-// L2 inner) order, identical to RunGeometrySweepPool on the workload
-// the trace captures. Memo cells are keyed by the trace's content hash,
-// computed only when the study has a memo.
+// -trace-in). Points return in (L1 outer, L2 inner) order, identical to
+// RunGeometrySweepPool on the workload the trace captures, and the rows
+// replay as they do there. Memo cells are keyed by the trace's content
+// hash, computed only when the study has a memo.
 func RunGeometrySweepFromTrace(ctx context.Context, p *farm.Pool, tr *trace.Trace, l1s []cache.Config, l2Sizes []int) ([]GeometryPoint, error) {
 	s := StudyFrom(ctx)
 	var id trace.Hash
@@ -221,7 +216,7 @@ func RunGeometrySweepFromTrace(ctx context.Context, p *farm.Pool, tr *trace.Trac
 		id = tr.Hash()
 	}
 	return geometrySweep(ctx, p, s, id,
-		func() (*trace.Trace, error) { return tr, nil }, l1s, l2Sizes, replayRows)
+		func() (*trace.Trace, error) { return tr, nil }, l1s, l2Sizes)
 }
 
 // SweepRow is one L1 row of a geometry sweep as the planner hands it to
@@ -236,19 +231,48 @@ type SweepRow struct {
 	Missing []int
 }
 
+// MissingSizes returns the L2 sizes of the row's missing cells, in axis
+// order.
+func (r SweepRow) MissingSizes(l2Sizes []int) []int {
+	sizes := make([]int, len(r.Missing))
+	for k, j := range r.Missing {
+		sizes[k] = l2Sizes[j]
+	}
+	return sizes
+}
+
+// Fill writes the replayed points and stats of the row's missing cells,
+// given in the order of MissingSizes.
+func (r SweepRow) Fill(points []GeometryPoint, stats []cache.Stats) {
+	for k, j := range r.Missing {
+		r.Points[j], r.Stats[j] = points[k], stats[k]
+	}
+}
+
 // RowReplayer replays the missing cells of a sweep's rows from the
 // capture tr, which is nil when no cell misses. It gets every row, the
 // fully memoized ones included, and must fill Points[j] and Stats[j]
 // for every missing j of every row, or return an error. The local
-// replayer runs one farm job per row on p; the dist coordinator ships
-// the rows to a worker fleet.
+// replayer runs one farm job per row on p; a dist.Coordinator's
+// Replayer ships the rows to a worker fleet. WithRowReplayer puts one
+// on a context.
 type RowReplayer func(ctx context.Context, p *farm.Pool, tr *trace.Trace, rows []SweepRow, l2Sizes []int) error
+
+type rowReplayerKey struct{}
+
+// WithRowReplayer returns a context whose geometry and policy sweeps —
+// RunGeometrySweepPool, RunGeometrySweepFromTrace and so
+// RenderExperiment — replay their rows on r instead of the local farm.
+// The planner, its memo and its accounting stay the same.
+func WithRowReplayer(ctx context.Context, r RowReplayer) context.Context {
+	return context.WithValue(ctx, rowReplayerKey{}, r)
+}
 
 // geometrySweep is the planner behind every entry point. id names the
 // capture in memo keys; capture supplies the trace and is called only
 // if some cell misses the memo. Without a memo every cell misses and no
 // lookup runs.
-func geometrySweep(ctx context.Context, p *farm.Pool, s *Study, id trace.Hash, capture func() (*trace.Trace, error), l1s []cache.Config, l2Sizes []int, replay RowReplayer) ([]GeometryPoint, error) {
+func geometrySweep(ctx context.Context, p *farm.Pool, s *Study, id trace.Hash, capture func() (*trace.Trace, error), l1s []cache.Config, l2Sizes []int) ([]GeometryPoint, error) {
 	defer obs.Span("harness.geometry_sweep")()
 	if len(l1s) == 0 {
 		l1s = GeometryL1Configs()
@@ -298,6 +322,10 @@ func geometrySweep(ctx context.Context, p *farm.Pool, s *Study, id trace.Hash, c
 			return nil, err
 		}
 	}
+	replay, ok := ctx.Value(rowReplayerKey{}).(RowReplayer)
+	if !ok {
+		replay = replayRows
+	}
 	if err := replay(ctx, p, tr, rows, l2Sizes); err != nil {
 		return nil, err
 	}
@@ -334,14 +362,7 @@ func replayRows(ctx context.Context, p *farm.Pool, tr *trace.Trace, rows []Sweep
 			return label
 		},
 		func(ctx context.Context, env farm.Env, r SweepRow) (struct{}, error) {
-			sizes := make([]int, len(r.Missing))
-			for k, j := range r.Missing {
-				sizes[k] = l2Sizes[j]
-			}
-			points, stats := ReplayL2Cells(FilterGeometryL1(ctx, tr, r.L1), sizes)
-			for k, j := range r.Missing {
-				r.Points[j], r.Stats[j] = points[k], stats[k]
-			}
+			r.Fill(ReplayL2Cells(FilterGeometryL1(ctx, tr, r.L1), r.MissingSizes(l2Sizes)))
 			return struct{}{}, nil
 		})
 	return err

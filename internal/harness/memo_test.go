@@ -5,8 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/farm"
 	"repro/internal/memo"
 	"repro/internal/simmem"
+	"repro/internal/trace"
 )
 
 // TestGeometrySweepMemoized pins the memo acceptance contract: a
@@ -97,5 +100,86 @@ func TestGeometrySweepMemoized(t *testing.T) {
 	}
 	if u := study.Usage(); u.MemoHits != 0 || u.MemoMisses != cells {
 		t.Fatalf("different trace usage = %+v, want all misses", u)
+	}
+}
+
+// TestRenderExperimentReplaysOnContextReplayer: a geometry sweep
+// rendered under WithRowReplayer hands its rows to that replayer — the
+// pool runs no job — and memoizes the cells the replayer fills, under
+// the capture's provenance. Rendering it again in a fresh study on the
+// same memo hands the replayer rows with nothing missing and no
+// capture, and prints the same bytes as the local render.
+func TestRenderExperimentReplaysOnContextReplayer(t *testing.T) {
+	const frames = 1
+	spec := ExperimentSpec{Sweep: "geometry", L1s: GeometryL1Configs()[:2], L2KB: []int{512, 1024}}
+	l1s, sizes := spec.GeometryAxes()
+	cells := uint64(len(l1s) * len(sizes))
+	local, err := RenderExperiment(WithStudy(context.Background(), NewStudy(true)), nil, spec, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mc, err := memo.New(memo.Config{Version: CodeVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls, missing int
+	var captured bool
+	filled := map[memo.Key]cache.Stats{}
+	replay := func(ctx context.Context, p *farm.Pool, tr *trace.Trace, rows []SweepRow, l2Sizes []int) error {
+		calls++
+		captured = tr != nil
+		for _, r := range rows {
+			missing += len(r.Missing)
+			if len(r.Missing) > 0 {
+				r.Fill(ReplayL2Cells(FilterGeometryL1(ctx, tr, r.L1), r.MissingSizes(l2Sizes)))
+			}
+			for _, j := range r.Missing {
+				filled[GeometryMemoKey(CaptureProvenance(Workload{W: 352, H: 288, Frames: frames}), r.L1, l2Sizes[j])] = r.Stats[j]
+			}
+		}
+		return nil
+	}
+	jobs := 0
+	pool := farm.New(farm.Config{Workers: 1, Progress: func(farm.Event) { jobs++ }})
+	render := func() (string, TraceUsage) {
+		t.Helper()
+		study := NewStudy(true)
+		study.SetMemo(mc)
+		calls, missing = 0, 0
+		out, err := RenderExperiment(WithRowReplayer(WithStudy(context.Background(), study), replay), pool, spec, frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, study.Usage()
+	}
+
+	cold, u := render()
+	if calls != 1 || missing != int(cells) || !captured || jobs != 0 {
+		t.Fatalf("cold render: %d replayer calls, %d missing cells, capture handed over %v, %d pool jobs; want 1, %d, true, 0",
+			calls, missing, captured, jobs, cells)
+	}
+	if u.Replays != cells || u.MemoMisses != cells {
+		t.Fatalf("cold render usage %+v, want %d replays and misses", u, cells)
+	}
+	if len(filled) != int(cells) {
+		t.Fatalf("replayer filled %d distinct cells, want %d", len(filled), cells)
+	}
+	for k, want := range filled {
+		if got, ok := mc.Get(k); !ok || got != want {
+			t.Fatalf("memo cell %+v = %+v (present %v), want the replayer's %+v", k, got, ok, want)
+		}
+	}
+
+	warm, u := render()
+	if calls != 1 || missing != 0 || captured || jobs != 0 {
+		t.Fatalf("warm render: %d replayer calls, %d missing cells, capture handed over %v, %d pool jobs; want 1, 0, false, 0",
+			calls, missing, captured, jobs)
+	}
+	if u.Traces != 0 || u.Replays != 0 || u.MemoHits != cells {
+		t.Fatalf("warm render usage %+v, want no capture, no replay and %d hits", u, cells)
+	}
+	if cold != local || warm != local {
+		t.Fatalf("renders on the replayer differ from the local render\n--- cold ---\n%s--- warm ---\n%s--- local ---\n%s", cold, warm, local)
 	}
 }

@@ -299,7 +299,7 @@ func TestChaosServiceFleetFaultSoup(t *testing.T) {
 		}
 	}
 	if ft.InjectedTotal() == 0 {
-		t.Error("fleet fault soup injected nothing — rates are not exercising the runner")
+		t.Error("fleet fault soup injected nothing — rates are not exercising the fleet")
 	}
 
 	// Every session's quota slots drained back.

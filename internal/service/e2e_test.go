@@ -203,7 +203,7 @@ func TestE2EServiceFleetStudySurvivesWorkerDeath(t *testing.T) {
 
 // TestE2EServiceFleetMatchesLocalService: the same study through a
 // fleet-backed service and a plain local service produces identical
-// bytes — the Runner seam is invisible in outputs.
+// bytes — the fleet's row replayer is invisible in outputs.
 func TestE2EServiceFleetMatchesLocalService(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes and encodes workloads")

@@ -22,7 +22,7 @@ import (
 // terminal event: EventDone for a study that rendered everything, or
 // EventError for one that failed or was cancelled.
 const (
-	EventShard      = "shard"      // one fleet shard's sweep points
+	EventShard      = "shard"      // one fleet sweep row's points
 	EventExperiment = "experiment" // one experiment's rendered output
 	EventDone       = "done"       // terminal: study done
 	EventError      = "error"      // terminal: study failed/cancelled
@@ -50,10 +50,11 @@ type StudyEvent struct {
 	Error string `json:"error,omitempty"`
 }
 
-// ShardProgress is one completed fleet shard: which worker served it,
-// the stream position, and the shard's sweep points in merge order.
-// Appending Points across a study's shard events reproduces the
-// experiment's full point list exactly.
+// ShardProgress is one completed row of a fleet sweep: its index,
+// which worker served it (dist.MemoWorker for a row the memo served
+// whole), the stream position, and the whole row's sweep points.
+// Appending Points across an experiment's shard events reproduces its
+// full point list exactly.
 type ShardProgress struct {
 	Index  int                     `json:"index"`
 	Worker string                  `json:"worker"`
@@ -87,8 +88,8 @@ func (j *job) appendEvent(ev StudyEvent) {
 	j.appendEventLocked(ev)
 }
 
-// sinkFor returns the EventSink for experiment i: every runner
-// progress event is stamped with the experiment's identity and
+// sinkFor returns the EventSink for experiment i: every progress
+// event is stamped with the experiment's identity and
 // appended to the job's log.
 func (j *job) sinkFor(i int, label string) EventSink {
 	return func(ev StudyEvent) {

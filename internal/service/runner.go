@@ -1,48 +1,31 @@
 package service
 
-// The Runner seam: the service renders experiments through an
-// interface, not a hard-wired call, so execution is pluggable. Two
-// implementations exist — the in-process farm path the service always
-// had, and the fleet path that fans replayed geometry/policy sweeps
-// out to dist workers with the coordinator's full self-healing
-// machinery (retries, breakers, re-admission, optional local
-// fallback). Both produce byte-identical reports for the same spec;
-// the fleet path additionally streams per-shard results into the
-// study's event log as they complete.
+// Fleet mode: with Config.Fleet, every study renders its experiments
+// through harness.RenderExperiment exactly as the local path does, on
+// a context whose row replayer (harness.WithRowReplayer) is a fresh
+// dist.Coordinator per experiment. The geometry and policy sweeps then
+// replay their rows on the worker fleet, with the coordinator's full
+// self-healing machinery (retries, breakers, re-admission, optional
+// local fallback), and stream one shard event per row into the study's
+// event log; every other experiment never asks for a replayer. Output
+// is byte-identical either way. This file also holds the fleet
+// liveness monitor behind /v1/healthz.
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/farm"
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
 
-// EventSink receives a study's progress events. Runners may call it
-// from internal goroutines; it is never nil and must be cheap (the
-// service's sink appends to a buffered per-job log).
+// EventSink receives a study's progress events. The fleet's row
+// replayer calls it from internal goroutines; it is never nil and must
+// be cheap (the service's sink appends to a buffered per-job log).
 type EventSink func(StudyEvent)
-
-// Runner renders one experiment. Implementations must return the same
-// bytes for the same (spec, frames) — the execution backend is an
-// operational choice, never an output one.
-type Runner interface {
-	Render(ctx context.Context, pool *farm.Pool, e harness.ExperimentSpec, frames int, sink EventSink) (string, error)
-}
-
-// localRunner is the in-process path: harness.RenderExperiment on the
-// shared farm pool. It emits no shard events — the farm's fan-out is
-// internal to the experiment.
-type localRunner struct{}
-
-func (localRunner) Render(ctx context.Context, pool *farm.Pool, e harness.ExperimentSpec, frames int, _ EventSink) (string, error) {
-	return harness.RenderExperiment(ctx, pool, e, frames)
-}
 
 // FleetConfig points the service at a dist worker fleet. Zero-valued
 // tuning fields inherit the dist.Coordinator defaults.
@@ -70,8 +53,9 @@ type FleetConfig struct {
 	HealthInterval time.Duration
 }
 
-// coordinator builds a fresh Coordinator per sweep: coordinators carry
-// per-sweep callback state (OnShard), so they are never shared.
+// coordinator builds a fresh Coordinator per experiment: coordinators
+// carry per-experiment callback state (OnShard), so they are never
+// shared.
 func (fc *FleetConfig) coordinator() *dist.Coordinator {
 	return &dist.Coordinator{
 		Workers:          append([]string(nil), fc.Workers...),
@@ -97,59 +81,13 @@ func (fc *FleetConfig) healthInterval() time.Duration {
 	return 15 * time.Second
 }
 
-// fleetRunner fans geometry/policy sweeps out to the worker fleet;
-// every other experiment shape (tables, figures, ablations) delegates
-// to the local path unchanged. The
-// report is assembled with the same SweepTitle/GeometrySweepReport
-// seam renderSweep uses, over points merged in the same shard order,
-// so fleet output is byte-identical to local output.
-type fleetRunner struct {
-	cfg     FleetConfig
-	local   localRunner
-	monitor *fleetMonitor // nil-safe stats hook
-}
-
-func (f *fleetRunner) Render(ctx context.Context, pool *farm.Pool, e harness.ExperimentSpec, frames int, sink EventSink) (string, error) {
-	if !e.ReplaysCapture() {
-		return f.local.Render(ctx, pool, e, frames, sink)
-	}
-	l1s, l2Sizes, err := e.SweepAxes()
-	if err != nil {
-		return "", err
-	}
-	coord := f.cfg.coordinator()
-	// The sweep runs in the study's context, so the harness planner
-	// consults the study's memo (the server-wide one, attached at
-	// submission): memo-covered cells never dispatch, and every replayed
-	// cell is memoized for the next study. Shard events for memo-served
-	// cells carry Worker == dist.MemoWorker.
-	coord.OnShard = func(ev dist.ShardEvent) {
-		sink(StudyEvent{Type: EventShard, Shard: &ShardProgress{
-			Index:  ev.Shard.Index,
-			Worker: ev.Worker,
-			Done:   ev.Done,
-			Total:  ev.Total,
-			Points: ev.Points,
-		}})
-	}
-	// The same workload renderSweep simulates (CIF), so the fleet and
-	// local paths replay the identical capture.
-	wl := harness.Workload{W: 352, H: 288, Frames: frames}
-	points, stats, err := coord.GeometrySweepWithStats(ctx, wl, l1s, l2Sizes)
-	f.monitor.record(stats)
-	if err != nil {
-		return "", fmt.Errorf("fleet sweep: %w", err)
-	}
-	return harness.GeometrySweepReport(harness.SweepTitle(e.Sweep, true), points), nil
-}
-
 // Fleet liveness gauge, delta-maintained like every service gauge so
 // concurrent Servers compose.
 var mFleetAlive = obs.Default().Gauge("service_fleet_workers_alive")
 
 // fleetMonitor tracks worker liveness for healthz: a background loop
-// probes each worker's /v1/healthz on HealthInterval, and sweep stats
-// flowing back through the runner mark protocol violators barred.
+// probes each worker's /v1/healthz on HealthInterval, and the stats of
+// the sweeps its replayers run mark protocol violators barred.
 type fleetMonitor struct {
 	cfg    FleetConfig
 	client *http.Client
@@ -227,12 +165,26 @@ func (m *fleetMonitor) probeAll(ctx context.Context) {
 	m.mu.Unlock()
 }
 
-// record folds one sweep's stats into the liveness picture. Nil-safe:
-// a fleetRunner without a monitor (tests) records nowhere.
-func (m *fleetMonitor) record(stats dist.SweepStats) {
-	if m == nil {
-		return
+// replayer returns the row replayer of one experiment: a fresh
+// coordinator over the fleet whose rows stream to sink as shard events
+// (Worker dist.MemoWorker for a row the memo served) and whose sweep
+// stats go to record.
+func (m *fleetMonitor) replayer(sink EventSink) harness.RowReplayer {
+	coord := m.cfg.coordinator()
+	coord.OnShard = func(ev dist.ShardEvent) {
+		sink(StudyEvent{Type: EventShard, Shard: &ShardProgress{
+			Index:  ev.Shard.Index,
+			Worker: ev.Worker,
+			Done:   ev.Done,
+			Total:  ev.Total,
+			Points: ev.Points,
+		}})
 	}
+	return coord.Replayer(m.record)
+}
+
+// record folds one sweep's stats into the liveness picture.
+func (m *fleetMonitor) record(stats dist.SweepStats) {
 	m.mu.Lock()
 	for _, w := range stats.BarredWorkers {
 		m.barred[w] = true

@@ -2,10 +2,10 @@
 // accepts experiment submissions (the same experiment specs mp4study's
 // batch manifests use), validates them at the door, schedules them
 // through priority admission control, executes them on a bounded
-// experiment farm or fans them out to a dist worker fleet (the Runner
-// seam — see runner.go), and serves polling, incremental result
-// streaming, and a per-study SSE event stream to many concurrent
-// clients.
+// experiment farm, with the geometry and policy sweeps' rows replayed
+// on a dist worker fleet in fleet mode (see runner.go), and serves
+// polling, incremental result streaming, and a per-study SSE event
+// stream to many concurrent clients.
 //
 // Each submission becomes one job with its own replay harness.Study, so
 // the trace-usage accounting and the shared paper-machine measurements
@@ -341,10 +341,10 @@ type Config struct {
 	// 429 queue-full responses. <= 0 means 5s.
 	RetryAfter time.Duration
 
-	// Fleet, when non-nil, routes replayed geometry/policy sweeps
-	// through the dist worker fleet instead of the in-process farm —
-	// service-side fan-out with the coordinator's full self-healing
-	// machinery (see runner.go). Everything else still runs locally.
+	// Fleet, when non-nil, replays the rows of geometry/policy sweeps
+	// on the dist worker fleet instead of the in-process farm, with the
+	// coordinator's full self-healing machinery (see runner.go).
+	// Everything else still runs locally.
 	Fleet *FleetConfig
 	// MemoDir persists the server's result memo to a directory, so
 	// memoized cells survive restarts (mp4served -memo-dir). Empty
@@ -383,9 +383,12 @@ type Config struct {
 // bounded farm pool or worker fleet. Create with New, mount via
 // Handler, stop with Shutdown.
 type Server struct {
-	cfg    Config
-	pool   *farm.Pool
-	runner Runner
+	cfg  Config
+	pool *farm.Pool
+	// render renders one experiment of a study, feeding the study's
+	// events to sink: harness.RenderExperiment, on the fleet's row
+	// replayer in fleet mode. Scheduling tests swap it out.
+	render func(ctx context.Context, e harness.ExperimentSpec, frames int, sink EventSink) (string, error)
 	fleet  *fleetMonitor // nil without Config.Fleet
 	memo   *memo.Cache   // shared across studies; nil when disabled
 	base   context.Context
@@ -441,11 +444,15 @@ func New(cfg Config) *Server {
 		jobs:     map[string]*job{},
 		sessions: map[string]*session{},
 	}
-	s.runner = localRunner{}
 	if cfg.Fleet != nil {
 		s.fleet = newFleetMonitor(*cfg.Fleet)
-		s.runner = &fleetRunner{cfg: *cfg.Fleet, monitor: s.fleet}
 		go s.fleet.run(base)
+	}
+	s.render = func(ctx context.Context, e harness.ExperimentSpec, frames int, sink EventSink) (string, error) {
+		if s.fleet != nil {
+			ctx = harness.WithRowReplayer(ctx, s.fleet.replayer(sink))
+		}
+		return harness.RenderExperiment(ctx, s.pool, e, frames)
 	}
 	if !cfg.DisableMemo {
 		mc, err := memo.New(memo.Config{Version: harness.CodeVersion, Dir: cfg.MemoDir})
@@ -673,9 +680,8 @@ func (s *Server) releaseSession(j *job) {
 }
 
 // run executes one started job: harness.RunExperiments renders the
-// experiments in order through the Runner seam (local farm or worker
-// fleet), publishing outputs and events as they complete; then the job
-// hands its place to the next queued study.
+// experiments in order (render), publishing outputs and events as they
+// complete; then the job hands its place to the next queued study.
 func (s *Server) run(j *job) {
 	defer s.wg.Done()
 	defer j.cancel()
@@ -695,7 +701,7 @@ func (s *Server) run(j *job) {
 	ctx := harness.WithStudy(j.ctx, j.study)
 	err := harness.RunExperiments(ctx, s.pool, j.spec.Experiments, j.spec.Frames,
 		func(ctx context.Context, i int, e harness.ExperimentSpec) (string, error) {
-			return s.runner.Render(ctx, s.pool, e, j.spec.Frames, j.sinkFor(i, e.Label()))
+			return s.render(ctx, e, j.spec.Frames, j.sinkFor(i, e.Label()))
 		},
 		func(i int, out string) {
 			mExperimentsDone.Inc()

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/dist"
 	"repro/internal/harness"
 )
 
@@ -205,7 +206,7 @@ func TestServiceMemoDirRestartRunsNoCodec(t *testing.T) {
 
 // TestServiceReleasesCaptureAfterLastSweep: a study keeps its shared
 // capture while a sweep is left to replay it and releases it after its
-// last sweep. The runner stands in for the sweeps (each asks the study
+// last sweep. The render stands in for the sweeps (each asks the study
 // for the capture) and, at each table, records whether asking again
 // captures anew.
 func TestServiceReleasesCaptureAfterLastSweep(t *testing.T) {
@@ -213,7 +214,7 @@ func TestServiceReleasesCaptureAfterLastSweep(t *testing.T) {
 	wl := harness.Workload{W: 96, H: 80, Frames: 1}
 	var mu sync.Mutex
 	var recaptured []bool
-	svc.runner = runnerFunc(func(ctx context.Context, e harness.ExperimentSpec) (string, error) {
+	svc.render = func(ctx context.Context, e harness.ExperimentSpec, _ int, _ EventSink) (string, error) {
 		s := harness.StudyFrom(ctx)
 		before := s.Usage().Traces
 		if _, err := s.EncodeTrace(wl); err != nil {
@@ -225,7 +226,7 @@ func TestServiceReleasesCaptureAfterLastSweep(t *testing.T) {
 			mu.Unlock()
 		}
 		return e.Label() + "\n", nil
-	})
+	}
 	st := submit(t, ts, `{"frames": 1, "experiments": [`+smallGeometry+`, {"table": 1}, {"sweep": "policy"}, {"table": 1}]}`)
 	if fin := waitTerminal(t, ts, st.ID); fin.State != StateDone {
 		t.Fatalf("study ended %s: %s", fin.State, fin.Error)
@@ -234,6 +235,59 @@ func TestServiceReleasesCaptureAfterLastSweep(t *testing.T) {
 	defer mu.Unlock()
 	if want := []bool{false, true}; !reflect.DeepEqual(recaptured, want) {
 		t.Fatalf("tables recaptured %v, want %v: held before the last sweep, released after it", recaptured, want)
+	}
+}
+
+// TestServiceFleetStudyStreamsOneShardEventPerRow: in fleet mode a
+// sweep streams one shard event per L1 row, in row order, carrying the
+// whole row — rows the server's memo served partly included — and the
+// rows' points append to the local sweep's. An experiment that replays
+// nothing streams no shard event.
+func TestServiceFleetStudyStreamsOneShardEventPerRow(t *testing.T) {
+	worker := httptest.NewServer(dist.NewWorker(dist.WorkerConfig{Workers: 1}).Handler())
+	t.Cleanup(worker.Close)
+	_, ts := newTestServer(t, Config{Fleet: &FleetConfig{Workers: []string{worker.URL}}})
+	const l1 = `"l1": [{"size": 32768, "line": 32, "ways": 2}, {"size": 16384, "line": 32, "ways": 2}]`
+	first := submit(t, ts, `{"frames": 1, "experiments": [{"sweep": "geometry", `+l1+`, "l2_kb": [512]}]}`)
+	if fin := waitTerminal(t, ts, first.ID); fin.State != StateDone {
+		t.Fatalf("first study ended %s: %s", fin.State, fin.Error)
+	}
+
+	st := submit(t, ts, `{"frames": 1, "experiments": [{"table": 1}, {"sweep": "geometry", `+l1+`, "l2_kb": [256, 512, 1024]}]}`)
+	resp := openStream(t, ts, st.ID, 0)
+	events, _ := readStream(t, resp.Body, 0)
+	resp.Body.Close()
+	if fin := getStatus(t, ts, st.ID); fin.State != StateDone {
+		t.Fatalf("study ended %s: %s", fin.State, fin.Error)
+	}
+	var streamed []harness.GeometryPoint
+	rows := 0
+	for _, ev := range events {
+		if ev.Type != EventShard {
+			continue
+		}
+		sh := ev.Shard
+		if ev.ExperimentIndex != 1 || sh.Index != rows || sh.Done != rows+1 || sh.Total != 2 ||
+			sh.Worker != worker.URL || len(sh.Points) != 3 {
+			t.Errorf("shard event %d: experiment %d, index %d, %d/%d, worker %q, %d points; want the sweep's row %d, %d/2, %q, 3 points",
+				rows, ev.ExperimentIndex, sh.Index, sh.Done, sh.Total, sh.Worker, len(sh.Points), rows, rows+1, worker.URL)
+		}
+		streamed = append(streamed, sh.Points...)
+		rows++
+	}
+	if rows != 2 {
+		t.Fatalf("%d shard events, want one per row (2)", rows)
+	}
+	l1s, sizes := harness.ExperimentSpec{
+		L1s:  []cache.Config{{SizeBytes: 32 << 10, LineBytes: 32, Ways: 2}, {SizeBytes: 16 << 10, LineBytes: 32, Ways: 2}},
+		L2KB: []int{256, 512, 1024},
+	}.GeometryAxes()
+	local, err := harness.RunGeometrySweep(harness.Workload{W: 352, H: 288, Frames: 1}, l1s, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(streamed, local) {
+		t.Fatal("the shard events' points differ from the local sweep")
 	}
 }
 

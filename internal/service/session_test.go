@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/farm"
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
@@ -194,20 +193,16 @@ func TestServiceSessionTableBounded(t *testing.T) {
 	}
 }
 
-// runnerFunc adapts a function to the Runner seam so scheduling tests
-// can control exactly how long a study holds its slot.
-type runnerFunc func(ctx context.Context, e harness.ExperimentSpec) (string, error)
+// renderFunc is the Server's render seam, so scheduling tests can
+// control exactly how long a study holds its slot.
+type renderFunc = func(ctx context.Context, e harness.ExperimentSpec, frames int, sink EventSink) (string, error)
 
-func (f runnerFunc) Render(ctx context.Context, _ *farm.Pool, e harness.ExperimentSpec, _ int, _ EventSink) (string, error) {
-	return f(ctx, e)
-}
-
-// blockFirstRender returns a runner whose first render blocks until
-// release closes (or its study is cancelled); every other render
-// returns at once.
-func blockFirstRender(release <-chan struct{}) runnerFunc {
+// blockFirstRender returns a render whose first call blocks until
+// release closes (or its study is cancelled); every other call returns
+// at once.
+func blockFirstRender(release <-chan struct{}) renderFunc {
 	var once sync.Once
-	return func(ctx context.Context, e harness.ExperimentSpec) (string, error) {
+	return func(ctx context.Context, e harness.ExperimentSpec, _ int, _ EventSink) (string, error) {
 		block := false
 		once.Do(func() { block = true })
 		if block {
@@ -241,7 +236,7 @@ func waitRunning(t *testing.T, ts *httptest.Server, id string) {
 func TestServicePrioritySchedulesInteractiveFirst(t *testing.T) {
 	svc, ts := newTestServer(t, Config{MaxConcurrent: 1})
 	release := make(chan struct{})
-	svc.runner = blockFirstRender(release)
+	svc.render = blockFirstRender(release)
 
 	blocker := submit(t, ts, tinyStudy) // occupies the only slot, blocked
 	waitRunning(t, ts, blocker.ID)
@@ -298,7 +293,7 @@ func TestServiceQueuedCancelFreesItsPlace(t *testing.T) {
 	svc, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueued: 2})
 	release := make(chan struct{})
 	defer close(release)
-	svc.runner = blockFirstRender(release)
+	svc.render = blockFirstRender(release)
 	batchDepth := obs.Label("service_queue_depth", "priority", PriorityBatch)
 	before := obs.Default().Snapshot().Gauges[batchDepth]
 
