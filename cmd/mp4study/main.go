@@ -41,9 +41,10 @@
 // -manifest all run an experiment list the same way
 // (harness.RunExperiments; -all's list is harness.PaperExperiments):
 // one farm batch first measures every paper-machine run the list's
-// tables and figures read, one job per workload; then the experiments
-// render in list order, and each output is printed once it and every
-// earlier one are done.
+// tables and figures read, one job per workload, the largest first
+// (the order moves no output byte); then the experiments render in
+// list order, and each output is printed once it and every earlier one
+// are done.
 //
 // Multi-machine simulations use trace capture and replay: each
 // workload's reference stream is captured once (for the paper's

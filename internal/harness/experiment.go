@@ -304,8 +304,8 @@ func (e ExperimentSpec) paperRuns(frames int) []paperRun {
 // to emit, in list order; cmd/mp4study and the study service run every
 // experiment list through it. It first measures every paper-machine run
 // the list's tables and figures read in one farm batch on p
-// (measureRuns: one job per workload, in the order workloads first
-// appear). Then render renders the experiments one at a time in list
+// (measureRuns: one job per workload, the largest first). Then render
+// renders the experiments one at a time in list
 // order, each with its own fan-out on p; the paper's tables and figures
 // only read the study's measurements. Once the last experiment that
 // replays the study's capture (ReplaysCapture) has rendered, the

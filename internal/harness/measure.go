@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/codec"
@@ -144,11 +146,17 @@ func (s *Study) held(r paperRun) (runResults, bool) {
 // pool. The runs of one normalized Workload merge into one job, which
 // measures every direction any of them asks for, so a decode never
 // makes an untraced encode of a workload whose encode the batch also
-// measures, whatever the order of runs; the jobs run in the order their
-// workloads first appear. A workload whose wanted directions the study
-// already holds is read without a job. It returns each run's Results in
-// the order of runs. On failure it also returns the index of the first
-// run of the workload whose job failed, or 0 if ctx was cancelled.
+// measures, whatever the order of runs. A workload whose wanted
+// directions the study already holds is read without a job. The pool
+// gets the other jobs largest first, ties in the order their workloads
+// first appear: started last, the largest job would run on alone while
+// the other workers idle (Graham's LPT rule). A job's size is the
+// pixels its codec run moves, W·H·Frames·Objects·Layers of its
+// normalized workload; the product ranks the paper's runs close to
+// their measured times. Each job is a pure function of its workload,
+// so the order moves no result. It returns each run's Results in the
+// order of runs. On failure it also returns the index of the first run
+// of the workload whose job failed, or 0 if ctx was cancelled.
 func measureRuns(ctx context.Context, p *farm.Pool, runs []paperRun) ([]runResults, int, error) {
 	var jobs []paperRun
 	var first []int              // first[j]: the index of jobs[j]'s first run
@@ -169,14 +177,18 @@ func measureRuns(ctx context.Context, p *farm.Pool, runs []paperRun) ([]runResul
 	}
 	s := StudyFrom(ctx)
 	measured := make([]runResults, len(jobs))
-	var todo []paperRun
-	var farmed []int // farmed[k]: the job todo[k] is
+	var farmed []int // farmed[k]: the job the pool runs k-th
 	for j, r := range jobs {
 		var ok bool
 		if measured[j], ok = s.held(r); !ok {
-			todo = append(todo, r)
 			farmed = append(farmed, j)
 		}
+	}
+	size := func(j int) int { wl := jobs[j].wl; return wl.W * wl.H * wl.Frames * wl.Objects * wl.Layers }
+	slices.SortStableFunc(farmed, func(a, b int) int { return cmp.Compare(size(b), size(a)) })
+	todo := make([]paperRun, len(farmed))
+	for k, j := range farmed {
+		todo[k] = jobs[j]
 	}
 	results, err := farm.MapLabeled(ctx, p, todo,
 		func(_ int, r paperRun) string {

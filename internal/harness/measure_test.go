@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -237,4 +238,58 @@ func TestDefaultStudySimulatesEveryCall(t *testing.T) {
 		t.Fatal("two bare-context requests read one stored run")
 	}
 	requireIdentical(t, "bare-context runs", runs[0], runs[1])
+}
+
+// TestMeasureRunsLargestFirst: measureRuns hands the pool its jobs
+// largest first by W·H·Frames·Objects·Layers, ties in the order their
+// workloads first appear, and still returns each run the Results of
+// measuring it alone in a fresh study. A failing workload is charged to
+// its own first run, wherever its job ran. One worker runs the jobs,
+// and reports their progress, in the order the pool got them.
+func TestMeasureRunsLargestFirst(t *testing.T) {
+	var labels []string
+	pool := farm.New(farm.Config{Workers: 1, Progress: func(e farm.Event) { labels = append(labels, e.Label) }})
+	runs := []paperRun{
+		{Workload{W: 32, H: 32, Frames: 1}, true, false},            // 1024
+		{Workload{W: 64, H: 48, Frames: 1}, false, true},            // 3072
+		{Workload{W: 32, H: 32, Frames: 1, Layers: 2}, true, true},  // 2048
+		{Workload{W: 32, H: 32, Frames: 1}, false, true},            // the first run's workload
+		{Workload{W: 48, H: 64, Frames: 1}, true, false},            // 3072
+		{Workload{W: 48, H: 32, Frames: 1, Layers: 2}, true, false}, // 3072
+	}
+	got, _, err := measureRuns(WithStudy(context.Background(), NewStudy(true)), pool, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"paper/1obj1lay/64x48", "paper/1obj1lay/48x64", "paper/1obj2lay/48x32", "paper/1obj2lay/32x32", "paper/1obj1lay/32x32"}
+	if !reflect.DeepEqual(labels, want) {
+		t.Fatalf("jobs ran in the order\n%v\nwant largest first\n%v", labels, want)
+	}
+	for i, r := range runs {
+		enc, dec, err := measure(WithStudy(context.Background(), NewStudy(true)), simmem.NewSpace(0), r.wl, r.enc, r.dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.enc {
+			requireIdentical(t, fmt.Sprintf("run %d encode", i), enc, got[i].enc)
+		}
+		if r.dec {
+			requireIdentical(t, fmt.Sprintf("run %d decode", i), dec, got[i].dec)
+		}
+	}
+
+	failing := Workload{W: 64, H: 48, Frames: 1, Layers: 3} // the codec takes 1 or 2 layers
+	runs = []paperRun{
+		{Workload{W: 32, H: 32, Frames: 1}, true, false},
+		{Workload{W: 48, H: 32, Frames: 1}, true, false},
+		{failing, true, false}, // the largest, so the pool's first job
+		{failing, false, true},
+	}
+	labels = nil
+	if _, at, err := measureRuns(WithStudy(context.Background(), NewStudy(true)), pool, runs); err == nil || at != 2 {
+		t.Fatalf("a failing workload charged to run %d (%v), want its first run, 2", at, err)
+	}
+	if len(labels) == 0 || labels[0] != "paper/1obj3lay/64x48" {
+		t.Fatalf("jobs ran in the order %v, want the failing workload's first", labels)
+	}
 }

@@ -90,9 +90,9 @@ func RunTablePool(ctx context.Context, p *farm.Pool, spec TableSpec, frames int)
 // RunTables regenerates several of Tables 2–7 from one batch of runs
 // (measureRuns): an encode table and a decode table of one
 // configuration (2/3, 4/5, 6/7) share one job per resolution, so each
-// workload is encoded once. The measurements land in the context's
-// Study. Tables return in spec order, byte-identical to RunTablePool
-// per spec.
+// workload is encoded once, and the batch starts its largest job first.
+// The measurements land in the context's Study. Tables return in spec
+// order, byte-identical to RunTablePool per spec.
 func RunTables(ctx context.Context, p *farm.Pool, specs []TableSpec, frames int) ([]*perf.Table, error) {
 	var runs []paperRun
 	for _, spec := range specs {

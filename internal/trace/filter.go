@@ -13,7 +13,6 @@ package trace
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,13 +28,14 @@ import (
 // cache.Hierarchy's: demand references walk the same row kernel,
 // cache.AccessRows, which resolves hits inside the L1, and prefetches
 // take the same Lookup-then-Access probe. Where the hierarchy sends an
-// L1 miss to its L2, the filter records the L2-bound events instead.
+// L1 miss to its L2, the filter records the L2-bound events instead, in
+// fixed chunks (see eventChunks).
 type L2Filter struct {
 	l1        *cache.Cache
 	lineBytes uint64
 
 	base     cache.Stats // L1-determined counters; L2 fields stay zero
-	events   []uint64    // addr<<1 | 1 for writeback installs, | 0 for demand fills
+	events   eventChunks // the L2-bound stream so far
 	marks    []l2Mark
 	names    []string
 	phaseIdx map[string]uint32
@@ -74,15 +74,10 @@ func (f *L2Filter) l1Miss(addr uint64, r1 cache.Result) {
 	f.emit(addr << 1)
 }
 
-// emit appends one L2-bound event. The stream doubles when full instead
-// of taking append's 1.25x steps for large slices, so a filter pass
-// allocates about twice its final stream rather than about five times.
-func (f *L2Filter) emit(ev uint64) {
-	if len(f.events) == cap(f.events) {
-		f.events = slices.Grow(f.events, len(f.events))
-	}
-	f.events = append(f.events, ev)
-}
+// emit appends one L2-bound event: addr<<1 | 1 for a writeback
+// install, addr<<1 for a demand fill. Its stream length is unknown, so
+// each chunk it starts is a whole one.
+func (f *L2Filter) emit(ev uint64) { f.events.add(ev, fusedBlockEvents) }
 
 // Access implements simmem.Tracer (cf. cache.Hierarchy.Access).
 func (f *L2Filter) Access(addr uint64, size uint32, kind simmem.Kind) {
@@ -156,12 +151,12 @@ func (f *L2Filter) phase(name string) uint32 {
 
 // PhaseBegin implements the codec's PhaseRecorder.
 func (f *L2Filter) PhaseBegin(name string) {
-	f.marks = append(f.marks, l2Mark{pos: len(f.events), name: f.phase(name), begin: true, base: f.base})
+	f.marks = append(f.marks, l2Mark{pos: f.events.n, name: f.phase(name), begin: true, base: f.base})
 }
 
 // PhaseEnd implements the codec's PhaseRecorder.
 func (f *L2Filter) PhaseEnd(name string) {
-	f.marks = append(f.marks, l2Mark{pos: len(f.events), name: f.phase(name), base: f.base})
+	f.marks = append(f.marks, l2Mark{pos: f.events.n, name: f.phase(name), base: f.base})
 }
 
 // Filter-pass metrics: the L1's line references, and how many of them
@@ -177,39 +172,68 @@ func (f *L2Filter) Trace() *L2Trace {
 	mFilterRepeatLines.Add(f.l1.RepeatLines)
 	mFilterLineRefs.Add(f.l1.Accesses)
 	return &L2Trace{
-		L1:     f.l1.Config(),
-		base:   f.base,
-		events: f.events,
-		marks:  f.marks,
-		names:  f.names,
-		hcache: &hashCache{},
+		L1:          f.l1.Config(),
+		base:        f.base,
+		eventChunks: f.events,
+		marks:       f.marks,
+		names:       f.names,
+		hcache:      &hashCache{},
 	}
 }
 
+// eventChunks is an L2-bound event stream in chunks of
+// fusedBlockEvents, the layout Recorder uses for full traces. Every
+// chunk but the last is full, so chunk k starts at stream position
+// k*fusedBlockEvents; a stream grows one chunk at a time and never
+// copies what it holds.
+type eventChunks struct {
+	chunks [][]uint64
+	n      int // events in all chunks
+}
+
+// add appends ev. When the last chunk is full it starts a new one with
+// room for min(room, fusedBlockEvents) events, room being how many
+// events the stream may still take.
+func (s *eventChunks) add(ev, room uint64) {
+	if s.n%fusedBlockEvents == 0 {
+		s.chunks = append(s.chunks, make([]uint64, 0, min(room, fusedBlockEvents)))
+	}
+	last := &s.chunks[len(s.chunks)-1]
+	*last = append(*last, ev)
+	s.n++
+}
+
 // L2Trace is the L2-bound reference stream of one workload run behind a
-// fixed L1, replayable against any L2 geometry.
+// fixed L1, replayable against any L2 geometry. Its events live in
+// fixed chunks (see eventChunks), and a mark's position is global.
 type L2Trace struct {
-	L1     cache.Config
-	base   cache.Stats
-	events []uint64
+	L1   cache.Config
+	base cache.Stats
+	eventChunks
 	marks  []l2Mark
 	names  []string
 	hcache *hashCache // memoized content hash; nil disables caching
 }
 
 // Events returns the number of captured L2 references.
-func (t *L2Trace) Events() int { return len(t.events) }
+func (t *L2Trace) Events() int { return t.n }
 
-// SizeBytes returns the approximate in-memory footprint.
+// SizeBytes returns the in-memory footprint of the events and marks:
+// the chunks' capacity, so a stream shorter than one chunk counts the
+// whole chunk it holds.
 func (t *L2Trace) SizeBytes() int {
-	return cap(t.events)*8 + cap(t.marks)*int(l2MarkBytes)
+	size := cap(t.marks) * int(l2MarkBytes)
+	for _, c := range t.chunks {
+		size += cap(c) * 8
+	}
+	return size
 }
 
 const l2MarkBytes = 8 + 4 + 4 + 96 // pos, name+begin, pad, Stats
 
 // String summarises the trace for reports.
 func (t *L2Trace) String() string {
-	return fmt.Sprintf("l2trace{%d events, %.1f MB}", len(t.events), float64(t.SizeBytes())/(1<<20))
+	return fmt.Sprintf("l2trace{%d events, %.1f MB}", t.n, float64(t.SizeBytes())/(1<<20))
 }
 
 // Replay simulates the captured stream against one L2 geometry and
@@ -217,10 +241,12 @@ func (t *L2Trace) String() string {
 // counter-identical to running the full workload live against a
 // cache.Hierarchy{L1: t.L1, L2: l2}.
 func (t *L2Trace) Replay(l2 cache.Config) (cache.Stats, map[string]cache.Stats) {
-	defer noteL2Replay(time.Now(), len(t.events))
+	defer noteL2Replay(time.Now(), t.n)
 	var rp l2Replay
 	rp.reset(t, l2)
-	rp.run(0, len(t.events))
+	for k, chunk := range t.chunks {
+		rp.run(chunk, k*fusedBlockEvents)
+	}
 	return rp.finish()
 }
 
@@ -263,18 +289,19 @@ func (rp *l2Replay) statsAt(m *l2Mark) cache.Stats {
 	return s
 }
 
-// run replays events [lo, hi), applying marks at positions in the same
-// window. Calling run over consecutive windows is exactly the serial
-// single-window replay — the fused pass interleaves windows of several
-// configs while the window is hot in the host cache.
-func (rp *l2Replay) run(lo, hi int) {
+// run replays one chunk whose first event is at stream position base,
+// applying each mark at a position in the chunk before the event there;
+// a mark at base applies before the chunk's first event. Calling run
+// over the chunks in order is exactly the serial replay — the fused
+// pass interleaves the chunks of several configs while a chunk is hot
+// in the host cache.
+func (rp *l2Replay) run(chunk []uint64, base int) {
 	t, c := rp.t, rp.c
-	for pos := lo; pos < hi; pos++ {
-		for rp.mi < len(t.marks) && t.marks[rp.mi].pos == pos {
+	for i, ev := range chunk {
+		for rp.mi < len(t.marks) && t.marks[rp.mi].pos == base+i {
 			rp.applyMark(&t.marks[rp.mi])
 			rp.mi++
 		}
-		ev := t.events[pos]
 		addr := ev >> 1
 		if ev&1 != 0 {
 			// L1 writeback install: an L2 access that is not a demand
@@ -376,12 +403,14 @@ type L2ReplayResult struct {
 	Phases map[string]cache.Stats
 }
 
-// fusedBlockEvents is the event window the fused pass holds hot in the
-// host cache while every config replays it.
+// fusedBlockEvents is the length of an L2Trace chunk (256 KiB of
+// events): the unit a filter pass allocates its stream in, and the
+// window the fused pass holds hot in the host cache while every config
+// replays it.
 const fusedBlockEvents = 1 << 15
 
 // ReplayMany replays the stream against several L2 configs in one pass
-// over the events: each block of the stream is replayed by every
+// over the events: each chunk of the stream is replayed by every
 // config while it is hot in the host cache, instead of streaming the
 // whole trace once per config. With workers > 1 the configs split
 // across goroutines (each group still fused). Every result is
@@ -395,7 +424,7 @@ func (t *L2Trace) ReplayMany(cfgs []cache.Config, workers int) []L2ReplayResult 
 	mFusedReplays.Inc()
 	mFusedReplayConfigs.Add(uint64(len(cfgs)))
 	mL2Replays.Add(uint64(len(cfgs)))
-	mL2ReplayEvents.Add(uint64(len(cfgs) * len(t.events)))
+	mL2ReplayEvents.Add(uint64(len(cfgs) * t.n))
 	if workers > len(cfgs) {
 		workers = len(cfgs)
 	}
@@ -420,17 +449,16 @@ func (t *L2Trace) ReplayMany(cfgs []cache.Config, workers int) []L2ReplayResult 
 	return out
 }
 
-// replayFused advances one l2Replay per config across each event block
-// in turn, reusing the per-config scratch for every block.
+// replayFused advances one l2Replay per config across each chunk in
+// turn, reusing the per-config scratch for every chunk.
 func (t *L2Trace) replayFused(cfgs []cache.Config, out []L2ReplayResult) {
 	states := make([]l2Replay, len(cfgs))
 	for i := range states {
 		states[i].reset(t, cfgs[i])
 	}
-	for lo := 0; lo < len(t.events); lo += fusedBlockEvents {
-		hi := min(lo+fusedBlockEvents, len(t.events))
+	for k, chunk := range t.chunks {
 		for i := range states {
-			states[i].run(lo, hi)
+			states[i].run(chunk, k*fusedBlockEvents)
 		}
 	}
 	for i := range states {

@@ -67,13 +67,14 @@ func synthL2Trace(rng *rand.Rand, events, lineSpan int) *L2Trace {
 	}
 	t.base = cache.Stats{Loads: 123, Stores: 45, LoadBytes: 999, Ops: 7}
 	hot := uint64(rng.Intn(lineSpan))
+	var evs []uint64
 	for i := 0; i < events; i++ {
 		if rng.Intn(64) == 0 {
 			t.marks = append(t.marks, l2Mark{
-				pos:   len(t.events),
+				pos:   len(evs),
 				name:  uint32(rng.Intn(len(t.names))),
 				begin: rng.Intn(2) == 0,
-				base:  cache.Stats{Loads: uint64(i), L1Misses: uint64(len(t.events)), Ops: uint64(rng.Intn(1000))},
+				base:  cache.Stats{Loads: uint64(i), L1Misses: uint64(len(evs)), Ops: uint64(rng.Intn(1000))},
 			})
 		}
 		if rng.Intn(8) == 0 {
@@ -87,16 +88,27 @@ func synthL2Trace(rng *rand.Rand, events, lineSpan int) *L2Trace {
 		if rng.Intn(3) == 0 {
 			ev |= 1 // writeback install
 		}
-		t.events = append(t.events, ev)
+		evs = append(evs, ev)
 	}
 	for i := 0; i < rng.Intn(3); i++ {
 		t.marks = append(t.marks, l2Mark{
-			pos:  len(t.events),
+			pos:  len(evs),
 			name: uint32(rng.Intn(len(t.names))),
 			base: cache.Stats{Loads: uint64(events)},
 		})
 	}
+	t.setEvents(evs)
 	return t
+}
+
+// setEvents stores events in t as a filter pass does: in chunks of
+// fusedBlockEvents, every one but the last full.
+func (t *L2Trace) setEvents(events []uint64) {
+	t.chunks, t.n = nil, len(events)
+	for lo := 0; lo < len(events); lo += fusedBlockEvents {
+		hi := min(lo+fusedBlockEvents, len(events))
+		t.chunks = append(t.chunks, events[lo:hi:hi])
+	}
 }
 
 // filterTrace is the L1 filter pass as the harness runs it.
@@ -205,7 +217,7 @@ func TestL2FilterSharedTraceConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			got := filterTrace(tr, l1)
-			if !reflect.DeepEqual(got.events, want.events) || got.base != want.base ||
+			if !reflect.DeepEqual(got.chunks, want.chunks) || got.base != want.base ||
 				!reflect.DeepEqual(got.marks, want.marks) || !reflect.DeepEqual(got.names, want.names) {
 				t.Errorf("concurrent filter diverged")
 			}

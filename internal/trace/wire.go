@@ -677,11 +677,13 @@ func (t *L2Trace) encodeBody(ww *wireWriter) {
 	ww.uvarint(t.L1.Seed)
 	writeStatsDelta(ww, t.base, cache.Stats{})
 	writeNameTable(ww, t.names)
-	ww.uvarint(uint64(len(t.events)))
+	ww.uvarint(uint64(t.n))
 	prev := uint64(0)
-	for _, ev := range t.events {
-		ww.svarint(int64(ev - prev))
-		prev = ev
+	for _, chunk := range t.chunks {
+		for _, ev := range chunk {
+			ww.svarint(int64(ev - prev))
+			prev = ev
+		}
 	}
 	ww.uvarint(uint64(len(t.marks)))
 	prevPos, prevStats := 0, cache.Stats{}
@@ -784,9 +786,9 @@ func readL2Trace(r *wireReader) (*L2Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The count is untrusted input: pre-size at most 1<<20 events and let
-	// a longer stream grow as it proves itself.
-	t.events = make([]uint64, 0, min(nEvents, 1<<20))
+	// The count is untrusted input, so each chunk is allocated only once
+	// an event arrives for it, with room for at most the events still
+	// declared: a hostile count costs one chunk, not its claim.
 	prev := uint64(0)
 	for i := uint64(0); i < nEvents; i++ {
 		d, err := r.svarint("event delta")
@@ -797,7 +799,7 @@ func readL2Trace(r *wireReader) (*L2Trace, error) {
 		if prev>>1 > maxWireAddr {
 			return nil, badf("event address %#x exceeds the %#x bound", prev>>1, uint64(maxWireAddr))
 		}
-		t.events = append(t.events, prev)
+		t.add(prev, nEvents-i)
 	}
 	nMarks, err := r.uvarint("mark count")
 	if err != nil {

@@ -36,6 +36,22 @@ func fuzzSeedL2Trace() []byte {
 	return buf.Bytes()
 }
 
+// fuzzSeedChunkedL2Trace is the smallest body whose events fill two
+// chunks and start a third: 2×fusedBlockEvents+1 events of one line,
+// one byte each, with a phase from the second chunk's first position
+// to the third's. The fuzzer takes long to minimize inputs grown from
+// 65 KB, so fuzz with -fuzzminimizetime 2s.
+func fuzzSeedChunkedL2Trace() []byte {
+	lt := &L2Trace{L1: l1Config(), names: []string{"Vop"}}
+	lt.setEvents(make([]uint64, 2*fusedBlockEvents+1))
+	lt.marks = []l2Mark{{pos: fusedBlockEvents, begin: true}, {pos: 2 * fusedBlockEvents}}
+	var buf bytes.Buffer
+	if _, err := lt.WriteTo(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
 func FuzzReadTrace(f *testing.F) {
 	seed := fuzzSeedTrace()
 	f.Add(seed)
@@ -76,6 +92,8 @@ func FuzzReadL2Trace(f *testing.F) {
 	lcorrupt := bytes.Clone(seed)
 	lcorrupt[len(lcorrupt)-1] ^= 0xFF
 	f.Add(lcorrupt)
+	f.Add(hostileL2Body()) // an event count of 2^40, then three events
+	f.Add(fuzzSeedChunkedL2Trace())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lt, err := ReadL2Trace(bytes.NewReader(data))
 		if err != nil {

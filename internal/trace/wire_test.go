@@ -407,7 +407,8 @@ func TestTraceWireAddressBound(t *testing.T) {
 	}
 
 	hugeAddr := ^uint64(0) >> 1 // 2^63-1, above the 2^56 decode bound
-	lt := &L2Trace{L1: l1Config(), events: []uint64{hugeAddr << 1}}
+	lt := &L2Trace{L1: l1Config()}
+	lt.setEvents([]uint64{hugeAddr << 1})
 	ldata := encodeL2Trace(t, lt)
 	if _, err := ReadL2Trace(bytes.NewReader(ldata)); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("huge l2 event address decoded without error: %v", err)
