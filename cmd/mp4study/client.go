@@ -136,15 +136,9 @@ func (c *serviceClient) result(ctx context.Context, id string) (string, error) {
 // from the manifest (flags override, same precedence as local
 // manifest mode), submit, then follow or poll.
 func runServiceStudy(ctx context.Context, base, manifestPath string, frames int, priority, authToken string, follow bool) error {
-	mf, err := readManifest(manifestPath)
+	spec, err := readManifest(manifestPath)
 	if err != nil {
 		return err
-	}
-	spec := service.StudySpec{
-		Frames:      mf.Frames,
-		Parallel:    mf.Parallel,
-		Experiments: mf.Experiments,
-		Priority:    mf.Priority,
 	}
 	if frames != 0 {
 		spec.Frames = frames

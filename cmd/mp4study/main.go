@@ -121,15 +121,17 @@
 //	  ]
 //	}
 //
-// The file holds exactly one JSON object: an unknown field, or anything
-// but whitespace after the object, is an error. Flags override
-// manifest settings when given explicitly. Every experiment — including
-// cache geometries named in the manifest — is validated before
-// anything runs.
+// The file holds exactly one JSON object, decoded and validated as the
+// service decodes and validates a study spec: an unknown field,
+// anything but whitespace after the object, an unknown priority or
+// frames outside [0, 10000] is an error. Flags override manifest
+// settings when given explicitly. Every experiment — including cache
+// geometries named in the manifest — is validated before anything
+// runs.
 //
 // -service switches manifest mode from local simulation to the
-// mp4served study service: the manifest is POSTed as a study spec
-// (the schemas are identical) and the result printed — byte-identical
+// mp4served study service: the manifest is POSTed as the study spec it
+// is and the result printed — byte-identical
 // to the local run. -follow consumes the study's Server-Sent Events
 // stream instead of polling: per-shard fleet progress goes to stderr
 // live, experiment outputs to stdout in manifest order, and a dropped
@@ -140,9 +142,7 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -157,6 +157,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/memo"
 	"repro/internal/obs"
+	"repro/internal/service"
 	"repro/internal/simmem"
 	"repro/internal/trace"
 )
@@ -459,40 +460,24 @@ func newPool(workers int, progress bool) *farm.Pool {
 	return farm.New(cfg)
 }
 
-// manifestFile is the batch-manifest schema — a superset of what the
-// mp4served study service accepts, so manifests can be POSTed to the
-// service unchanged.
-type manifestFile struct {
-	Frames      int                      `json:"frames"`
-	Parallel    int                      `json:"parallel"`
-	Experiments []harness.ExperimentSpec `json:"experiments"`
-	// Priority is the service admission priority (interactive|batch);
-	// local manifest mode ignores it.
-	Priority string `json:"priority,omitempty"`
-}
-
-// readManifest reads the manifest at path: exactly one JSON object,
-// naming no unknown field and at least one experiment, with nothing
-// but whitespace after it.
-func readManifest(path string) (manifestFile, error) {
-	raw, err := os.ReadFile(path)
+// readManifest reads the study spec at path with the service's decoder
+// and checks it as the service does: exactly one JSON object, naming no
+// unknown field, with nothing but whitespace after it, and a valid
+// spec.
+func readManifest(path string) (service.StudySpec, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return manifestFile{}, err
+		return service.StudySpec{}, err
 	}
-	var mf manifestFile
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&mf); err != nil {
-		return manifestFile{}, fmt.Errorf("manifest %s: %w", path, err)
+	defer f.Close()
+	spec, err := service.DecodeStudySpec(f)
+	if err == nil {
+		err = spec.Validate()
 	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err != io.EOF {
-		return manifestFile{}, fmt.Errorf("manifest %s: data after the JSON value", path)
+	if err != nil {
+		return service.StudySpec{}, fmt.Errorf("manifest %s: %w", path, err)
 	}
-	if len(mf.Experiments) == 0 {
-		return manifestFile{}, fmt.Errorf("manifest %s: no experiments", path)
-	}
-	return mf, nil
+	return spec, nil
 }
 
 // runManifest executes a manifest and returns the pool it actually ran
@@ -500,23 +485,18 @@ func readManifest(path string) (manifestFile, error) {
 // not given explicitly (a nonzero -frames/-parallel wins), per the
 // "flags override manifest" rule.
 func runManifest(ctx context.Context, path string, frames, parallel int, progress bool) (*farm.Pool, error) {
-	mf, err := readManifest(path)
+	spec, err := readManifest(path)
 	if err != nil {
 		return nil, err
 	}
-	for i, e := range mf.Experiments {
-		if err := e.Validate(); err != nil {
-			return nil, fmt.Errorf("manifest %s: experiment %d: %w", path, i, err)
-		}
-	}
 	if frames == 0 {
-		frames = mf.Frames
+		frames = spec.Frames
 	}
 	if parallel == 0 {
-		parallel = mf.Parallel
+		parallel = spec.Parallel
 	}
 	pool := newPool(parallel, progress)
-	return pool, runExperiments(ctx, pool, mf.Experiments, frames, os.Stdout)
+	return pool, runExperiments(ctx, pool, spec.Experiments, frames, os.Stdout)
 }
 
 // runExperiments runs exps in the context's study (harness.RunExperiments)

@@ -19,6 +19,7 @@ import (
 	"repro/internal/farm"
 	"repro/internal/harness"
 	"repro/internal/memo"
+	"repro/internal/service"
 )
 
 // TestManifestRejectsReplayFieldAndTrailingData: a manifest that still
@@ -48,6 +49,48 @@ func TestManifestRejectsReplayFieldAndTrailingData(t *testing.T) {
 				t.Fatalf("a rejected manifest still simulated: %+v", u)
 			}
 
+			svc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				t.Errorf("rejected manifest reached the service: %s %s", r.Method, r.URL)
+				http.Error(w, "unexpected", http.StatusTeapot)
+			}))
+			defer svc.Close()
+			err = runServiceStudy(context.Background(), svc.URL, path, 0, "", "", false)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("-service: err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestManifestRejectsWhatTheServiceRejects: a manifest the study
+// service would reject — an unknown priority, frames outside
+// [0, 10000] — fails with the service's own message before any
+// experiment runs, in local mode and in -service mode alike.
+func TestManifestRejectsWhatTheServiceRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name, manifest, want string
+	}{
+		{"unknown priority", `{"priority": "urgent", "experiments": [{"table": 1}]}`, `unknown priority "urgent"`},
+		{"too many frames", `{"frames": 10001, "experiments": [{"table": 1}]}`, "frames 10001 out of range [0, 10000]"},
+		{"negative frames", `{"frames": -1, "experiments": [{"table": 1}]}`, "frames -1 out of range [0, 10000]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := service.DecodeStudySpec(strings.NewReader(tc.manifest))
+			if err != nil || spec.Validate() == nil {
+				t.Fatalf("the service accepts or cannot decode %s (%v)", tc.manifest, err)
+			}
+			path := filepath.Join(t.TempDir(), "m.json")
+			if err := os.WriteFile(path, []byte(tc.manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			study := harness.NewStudy(true)
+			_, err = runManifest(harness.WithStudy(context.Background(), study), path, 0, 0, false)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("local: err = %v, want %q", err, tc.want)
+			}
+			if u := study.Usage(); !u.Zero() {
+				t.Fatalf("a rejected manifest still simulated: %+v", u)
+			}
 			svc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				t.Errorf("rejected manifest reached the service: %s %s", r.Method, r.URL)
 				http.Error(w, "unexpected", http.StatusTeapot)
@@ -95,30 +138,22 @@ var manifestSeeds = []string{
 	`{"experiments": [{"sweep": "geometry", "policies": ["plru"], "l1": [{"size": 98304, "line": 32, "ways": 3}]}]}`,
 }
 
-// FuzzManifest drives readManifest and each experiment's Validate with
-// arbitrary files; no simulation runs. Neither may panic, and a
-// manifest both accept must re-marshal to a file they accept again,
-// naming the same experiments.
+// FuzzManifest drives readManifest, the service's study-spec decoder
+// and Validate, with arbitrary files; no simulation runs. It may not
+// panic, and a manifest it accepts must re-marshal to a file it accepts
+// again, naming the same experiments.
 func FuzzManifest(f *testing.F) {
 	for _, m := range manifestSeeds {
 		f.Add([]byte(m))
 	}
 	path := filepath.Join(f.TempDir(), "m.json")
-	accept := func(t *testing.T, data []byte) (manifestFile, bool) {
+	accept := func(t *testing.T, data []byte) (service.StudySpec, bool) {
 		t.Helper()
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mf, err := readManifest(path)
-		if err != nil {
-			return mf, false
-		}
-		for _, e := range mf.Experiments {
-			if e.Validate() != nil {
-				return mf, false
-			}
-		}
-		return mf, true
+		spec, err := readManifest(path)
+		return spec, err == nil
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mf, ok := accept(t, data)
@@ -139,7 +174,7 @@ func FuzzManifest(f *testing.F) {
 	})
 }
 
-func manifestLabels(mf manifestFile) []string {
+func manifestLabels(mf service.StudySpec) []string {
 	labels := make([]string, len(mf.Experiments))
 	for i, e := range mf.Experiments {
 		labels[i] = e.Label()

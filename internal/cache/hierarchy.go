@@ -70,26 +70,85 @@ func (s Stats) Instructions() uint64 {
 	return s.Loads + s.Stores + s.Prefetches + s.Ops
 }
 
-// Hierarchy is a two-level inclusive data-cache hierarchy implementing
-// simmem.Tracer. An access that misses L1 probes L2; an L2 miss goes to
-// (counted) DRAM. L1 victims that are dirty are written back into L2;
-// dirty L2 victims count as DRAM writeback traffic.
-type Hierarchy struct {
-	L1 *Cache
-	L2 *Cache
-	Stats
+// CountL2 is the L2 rule: it counts one L2 access whose result is r.
+// A writeback install (a dirty L1 victim written into L2) is an access
+// but never a demand miss: the data travels L1→L2 without a DRAM fill
+// (the victim is a full L1 line and the enclosing L2 line is present in
+// the inclusive common case). A demand access that misses is an L2
+// miss. Either way, a dirty L2 victim the access displaces is DRAM
+// writeback traffic. The Cache's own Misses counter is raw and includes
+// installs.
+func (s *Stats) CountL2(r Result, writeback bool) {
+	s.L2Accesses++
+	if r.Hit {
+		return
+	}
+	if !writeback {
+		s.L2Misses++
+	}
+	if r.EvictedDirty {
+		s.L2Writebacks++
+	}
 }
 
-// NewHierarchy builds the two-level hierarchy. Like New, it panics on
-// invalid geometry; ingress paths validate each level with
-// Config.Validate or TryNew first.
-func NewHierarchy(l1, l2 Config) *Hierarchy {
-	return &Hierarchy{L1: New(l1), L2: New(l2)}
+// Phases accumulates counter deltas per named phase: Begin snapshots
+// the counters a phase starts at, and End adds how far they moved since
+// to the phase's total. An End without an open Begin is ignored, a
+// second Begin restarts the open snapshot, and phases of different
+// names overlap independently. The zero Phases is empty.
+type Phases struct {
+	open, totals map[string]Stats
+}
+
+// Begin opens phase name at counters at.
+func (p *Phases) Begin(name string, at Stats) {
+	if p.open == nil {
+		p.open = map[string]Stats{}
+	}
+	p.open[name] = at
+}
+
+// End closes phase name at counters at, adding the delta since its
+// Begin to the phase's total.
+func (p *Phases) End(name string, at Stats) {
+	s, ok := p.open[name]
+	if !ok {
+		return
+	}
+	delete(p.open, name)
+	if p.totals == nil {
+		p.totals = map[string]Stats{}
+	}
+	p.totals[name] = p.totals[name].Add(at.Sub(s))
+}
+
+// Totals returns each ended phase's accumulated delta; nil if no phase
+// has ended.
+func (p *Phases) Totals() map[string]Stats { return p.totals }
+
+// L1Side is the first level of a hierarchy: it counts every load,
+// store, prefetch and operation, simulates the L1 and counts its
+// misses, and hands each miss on to the next level, which counts
+// whatever happens there. A Hierarchy's next level is its own L2;
+// trace.L2Filter's is the recorder of the L2-bound stream.
+type L1Side struct {
+	L1 *Cache
+	Stats
+	// next receives each L1 miss in order: the writeback install of a
+	// dirty victim's line (writeback true), then the demand fill of the
+	// missing address.
+	next func(addr uint64, writeback bool)
+}
+
+// NewL1Side returns the L1 side of a hierarchy with L1 geometry l1 that
+// sends its misses to next. Like New, it panics on invalid geometry.
+func NewL1Side(l1 Config, next func(addr uint64, writeback bool)) L1Side {
+	return L1Side{L1: New(l1), next: next}
 }
 
 var (
-	_ simmem.Tracer        = (*Hierarchy)(nil)
-	_ simmem.StridedTracer = (*Hierarchy)(nil)
+	_ simmem.Tracer        = (*L1Side)(nil)
+	_ simmem.StridedTracer = (*L1Side)(nil)
 )
 
 // Access implements simmem.Tracer. Accesses that straddle an L1 line
@@ -97,41 +156,41 @@ var (
 // separate cache references (the compiler mostly avoids such accesses;
 // the split keeps the model exact regardless). A load or store
 // references each line at its line-aligned address, and an L1 miss
-// asks L2 for that address, as L2Filter records it; a prefetch probes
-// with its own address.
-func (h *Hierarchy) Access(addr uint64, size uint32, kind simmem.Kind) {
+// asks the next level for that address; a prefetch probes with its own
+// address.
+func (s *L1Side) Access(addr uint64, size uint32, kind simmem.Kind) {
 	switch kind {
 	case simmem.Load:
-		h.Loads++
-		h.LoadBytes += uint64(size)
+		s.Loads++
+		s.LoadBytes += uint64(size)
 	case simmem.Store:
-		h.Stores++
-		h.StoreBytes += uint64(size)
+		s.Stores++
+		s.StoreBytes += uint64(size)
 	case simmem.Prefetch:
-		h.prefetch(addr)
+		s.prefetch(addr)
 		return
 	}
-	h.L1.AccessRows(addr, int(size), 0, 1, kind == simmem.Store, h.l1Miss)
+	s.L1.AccessRows(addr, int(size), 0, 1, kind == simmem.Store, s.l1Miss)
 }
 
 // prefetch probes L1 with one prefetch of addr.
-func (h *Hierarchy) prefetch(addr uint64) {
-	h.Prefetches++
+func (s *L1Side) prefetch(addr uint64) {
+	s.Prefetches++
 	// A prefetch that hits L1 is a wasted instruction slot; the R12K
 	// counts these. It does not re-reference the hierarchy.
-	if h.L1.Lookup(addr) {
-		h.PrefetchL1Hits++
+	if s.L1.Lookup(addr) {
+		s.PrefetchL1Hits++
 		return
 	}
-	if r1 := h.L1.Access(addr, false); !r1.Hit {
-		h.l1Miss(addr, r1)
+	if r1 := s.L1.Access(addr, false); !r1.Hit {
+		s.l1Miss(addr, r1)
 	}
 }
 
 // Run implements simmem.Tracer: a contiguous run of n bytes referenced
 // in unit-sized accesses, the one-row case of RunStrided.
-func (h *Hierarchy) Run(addr uint64, n int, unit uint32, kind simmem.Kind) {
-	h.RunStrided(addr, n, 0, 1, unit, kind)
+func (s *L1Side) Run(addr uint64, n int, unit uint32, kind simmem.Kind) {
+	s.RunStrided(addr, n, 0, 1, unit, kind)
 }
 
 // RunStrided implements simmem.StridedTracer: rows runs of rowBytes
@@ -140,76 +199,88 @@ func (h *Hierarchy) Run(addr uint64, n int, unit uint32, kind simmem.Kind) {
 // once per row — consecutive same-line references cannot change any
 // policy's state in between, so the hit/miss outcome is identical to
 // per-access probing at a fraction of the simulation cost. The lines go
-// through Cache.AccessRows, the row walker L2Filter shares: hits
-// resolve inside the L1, and only misses reach L2. The SAD and
-// compensation kernels deliver their blocks through this path, so it
-// carries most of the simulated stream.
-func (h *Hierarchy) RunStrided(addr uint64, rowBytes, stride, rows int, unit uint32, kind simmem.Kind) {
+// through Cache.AccessRows: hits resolve inside the L1, and only misses
+// reach the next level. The SAD and compensation kernels deliver their
+// blocks through this path, so it carries most of the simulated stream.
+func (s *L1Side) RunStrided(addr uint64, rowBytes, stride, rows int, unit uint32, kind simmem.Kind) {
 	if rowBytes <= 0 || rows <= 0 {
 		return
 	}
 	if kind == simmem.Prefetch {
 		// Prefetch runs degenerate to per-line prefetch probes.
-		h.L1.EachLine(addr, rowBytes, stride, rows, h.prefetch)
+		s.L1.EachLine(addr, rowBytes, stride, rows, s.prefetch)
 		return
 	}
 	refs := uint64(rows) * simmem.RunRefs(rowBytes, unit)
 	bytes := uint64(rows) * uint64(rowBytes)
 	write := kind == simmem.Store
 	if write {
-		h.Stores += refs
-		h.StoreBytes += bytes
+		s.Stores += refs
+		s.StoreBytes += bytes
 	} else {
-		h.Loads += refs
-		h.LoadBytes += bytes
+		s.Loads += refs
+		s.LoadBytes += bytes
 	}
-	h.L1.AccessRows(addr, rowBytes, stride, rows, write, h.l1Miss)
+	s.L1.AccessRows(addr, rowBytes, stride, rows, write, s.l1Miss)
 }
 
 // l1Miss handles one L1 reference that missed with result r1: the
-// dirty victim's writeback into L2, then the demand fill of addr.
-func (h *Hierarchy) l1Miss(addr uint64, r1 Result) {
-	h.L1Misses++
+// dirty victim's writeback install into the next level, then the demand
+// fill of addr.
+func (s *L1Side) l1Miss(addr uint64, r1 Result) {
+	s.L1Misses++
 	if r1.EvictedDirty {
-		h.L1Writebacks++
-		// The dirty L1 victim is written into L2. With an inclusive L2
-		// this is a hit that dirties the line; count it as an L2 access
-		// but not a demand miss even in the (rare, non-inclusive) case
-		// it is absent.
-		// Writeback installs are not demand misses: the data travels
-		// L1→L2 without a DRAM fill (the victim is a full L1 line and
-		// the enclosing L2 line is present in the inclusive common
-		// case). Only a dirty L2 victim displaced by the install adds
-		// DRAM traffic. Hierarchy.L2Misses (demand misses) is therefore
-		// not incremented here; the Cache's internal Misses counter is
-		// raw and includes installs.
-		wbAddr := r1.EvictedLine << h.L1.lineShift
-		h.L2Accesses++
-		r2 := h.L2.Access(wbAddr, true)
-		if !r2.Hit && r2.EvictedDirty {
-			h.L2Writebacks++
-		}
+		s.L1Writebacks++
+		s.next(r1.EvictedLine<<s.L1.lineShift, true)
 	}
-	// Demand fill from L2.
-	h.L2Accesses++
-	r2 := h.L2.Access(addr, false)
-	if !r2.Hit {
-		h.L2Misses++
-		if r2.EvictedDirty {
-			h.L2Writebacks++
-		}
-	}
+	s.next(addr, false)
 }
 
 // Ops implements simmem.Tracer.
-func (h *Hierarchy) Ops(n uint64) { h.Stats.Ops += n }
+func (s *L1Side) Ops(n uint64) { s.Stats.Ops += n }
+
+// Hierarchy is a two-level inclusive data-cache hierarchy implementing
+// simmem.Tracer and the codec's phase recorder. Its L1 side counts the
+// references and L1 misses; each miss reaches its L2, where CountL2
+// counts the access, and an L2 miss goes to (counted) DRAM. L1 victims
+// that are dirty are written back into L2; dirty L2 victims count as
+// DRAM writeback traffic.
+type Hierarchy struct {
+	L1Side
+	L2 *Cache
+	// Phases holds the per-phase Stats deltas that PhaseBegin and
+	// PhaseEnd bracket.
+	Phases Phases
+}
+
+// NewHierarchy builds the two-level hierarchy. Like New, it panics on
+// invalid geometry; ingress paths validate each level with
+// Config.Validate or TryNew first.
+func NewHierarchy(l1, l2 Config) *Hierarchy {
+	h := &Hierarchy{L2: New(l2)}
+	h.L1Side = NewL1Side(l1, h.l2Access)
+	return h
+}
+
+// l2Access is the next level of the hierarchy's L1 side: one access to
+// its L2, counted by the L2 rule.
+func (h *Hierarchy) l2Access(addr uint64, writeback bool) {
+	h.CountL2(h.L2.Access(addr, writeback), writeback)
+}
+
+// PhaseBegin implements the codec's PhaseRecorder.
+func (h *Hierarchy) PhaseBegin(name string) { h.Phases.Begin(name, h.Stats) }
+
+// PhaseEnd implements the codec's PhaseRecorder.
+func (h *Hierarchy) PhaseEnd(name string) { h.Phases.End(name, h.Stats) }
 
 // Snapshot returns a copy of the current counters.
 func (h *Hierarchy) Snapshot() Stats { return h.Stats }
 
-// Reset clears both cache levels and all counters.
+// Reset clears both cache levels, all counters and the phases.
 func (h *Hierarchy) Reset() {
 	h.L1.Reset()
 	h.L2.Reset()
 	h.Stats = Stats{}
+	h.Phases = Phases{}
 }

@@ -289,3 +289,92 @@ func TestHierarchyAllocatesNothing(t *testing.T) {
 		t.Fatalf("no misses exercised: %+v", h.Stats)
 	}
 }
+
+// TestPhasesAccumulate: the phase accumulator's begin-snapshot /
+// end-delta rule, one step list per case. Each step opens (begin) or
+// closes a phase at a counter value, carried in Loads.
+func TestPhasesAccumulate(t *testing.T) {
+	type step struct {
+		begin bool
+		name  string
+		at    uint64
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+		want  map[string]uint64 // nil: no phase ended
+	}{
+		{"end without begin is ignored", []step{{false, "a", 5}}, nil},
+		{"end after its begin closed is ignored", []step{{true, "a", 1}, {false, "a", 4}, {false, "a", 9}}, map[string]uint64{"a": 3}},
+		{"pairs of one name accumulate", []step{{true, "a", 1}, {false, "a", 4}, {true, "a", 10}, {false, "a", 12}}, map[string]uint64{"a": 5}},
+		{"a second begin restarts the snapshot", []step{{true, "a", 1}, {true, "a", 6}, {false, "a", 8}}, map[string]uint64{"a": 2}},
+		{"names overlap independently", []step{{true, "a", 1}, {true, "b", 3}, {false, "a", 7}, {false, "b", 10}}, map[string]uint64{"a": 6, "b": 7}},
+		{"an open phase has no total", []step{{true, "a", 1}, {true, "b", 2}, {false, "b", 5}}, map[string]uint64{"b": 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var p Phases
+			for _, s := range tc.steps {
+				at := Stats{Loads: s.at, L2Misses: 2 * s.at}
+				if s.begin {
+					p.Begin(s.name, at)
+				} else {
+					p.End(s.name, at)
+				}
+			}
+			got := p.Totals()
+			if len(got) != len(tc.want) || (got == nil) != (tc.want == nil) {
+				t.Fatalf("totals %v, want %v", got, tc.want)
+			}
+			for name, loads := range tc.want {
+				if want := (Stats{Loads: loads, L2Misses: 2 * loads}); got[name] != want {
+					t.Fatalf("phase %s = %+v, want %+v", name, got[name], want)
+				}
+			}
+		})
+	}
+}
+
+// TestHierarchyPhases: a hierarchy brackets its own counters as a phase
+// recorder, and Reset drops its phases with them.
+func TestHierarchyPhases(t *testing.T) {
+	h := testHier()
+	h.Access(0x1000, 4, simmem.Load)
+	h.PhaseBegin("vop")
+	h.Access(0x2000, 4, simmem.Store)
+	h.Ops(3)
+	h.PhaseEnd("vop")
+	h.Access(0x3000, 4, simmem.Load)
+	want := Stats{Stores: 1, StoreBytes: 4, Ops: 3, L1Misses: 1, L2Accesses: 1, L2Misses: 1}
+	if got := h.Phases.Totals()["vop"]; got != want {
+		t.Fatalf("phase vop = %+v, want %+v", got, want)
+	}
+	h.Reset()
+	if h.Phases.Totals() != nil {
+		t.Fatalf("phases survive Reset: %v", h.Phases.Totals())
+	}
+}
+
+// TestCountL2: the L2 rule. Every access counts; a demand miss is an
+// L2 miss and an install never is; a dirty victim either displaces is
+// a writeback.
+func TestCountL2(t *testing.T) {
+	for _, tc := range []struct {
+		r         Result
+		writeback bool
+		want      Stats
+	}{
+		{Result{Hit: true}, false, Stats{L2Accesses: 1}},
+		{Result{Hit: true}, true, Stats{L2Accesses: 1}},
+		{Result{}, false, Stats{L2Accesses: 1, L2Misses: 1}},
+		{Result{}, true, Stats{L2Accesses: 1}},
+		{Result{Evicted: true, EvictedDirty: true}, false, Stats{L2Accesses: 1, L2Misses: 1, L2Writebacks: 1}},
+		{Result{Evicted: true, EvictedDirty: true}, true, Stats{L2Accesses: 1, L2Writebacks: 1}},
+		{Result{Evicted: true}, true, Stats{L2Accesses: 1}},
+	} {
+		var s Stats
+		s.CountL2(tc.r, tc.writeback)
+		if s != tc.want {
+			t.Errorf("CountL2(%+v, %v) = %+v, want %+v", tc.r, tc.writeback, s, tc.want)
+		}
+	}
+}

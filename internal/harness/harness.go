@@ -94,42 +94,46 @@ type Result struct {
 	Bytes   int // coded stream size (encode runs)
 }
 
-// phaseTracker implements codec.PhaseRecorder over a hierarchy,
-// accumulating counter deltas per phase name.
-type phaseTracker struct {
-	h     *cache.Hierarchy
-	start map[string]cache.Stats
-	acc   map[string]cache.Stats
-}
+// hierarchies are the live path's machines, one hierarchy each: the
+// codec run's tracer feeds them all, and so does its phase recorder.
+type hierarchies []*cache.Hierarchy
 
-func newPhaseTracker(h *cache.Hierarchy) *phaseTracker {
-	return &phaseTracker{h: h, start: map[string]cache.Stats{}, acc: map[string]cache.Stats{}}
-}
-
-func (p *phaseTracker) PhaseBegin(name string) { p.start[name] = p.h.Snapshot() }
-
-func (p *phaseTracker) PhaseEnd(name string) {
-	s, ok := p.start[name]
-	if !ok {
-		return
+func newHierarchies(machines []perf.Machine) hierarchies {
+	hs := make(hierarchies, len(machines))
+	for i, m := range machines {
+		hs[i] = m.NewHierarchy()
 	}
-	delete(p.start, name)
-	p.acc[name] = p.acc[name].Add(p.h.Snapshot().Sub(s))
+	return hs
 }
 
-// multiPhases fans phase events to several trackers.
-type multiPhases []*phaseTracker
+// tracer fans the reference stream out to every hierarchy.
+func (hs hierarchies) tracer() simmem.Tracer {
+	ts := make([]simmem.Tracer, len(hs))
+	for i, h := range hs {
+		ts[i] = h
+	}
+	return simmem.Combine(ts...)
+}
 
-func (m multiPhases) PhaseBegin(n string) {
-	for _, p := range m {
-		p.PhaseBegin(n)
+func (hs hierarchies) PhaseBegin(n string) {
+	for _, h := range hs {
+		h.PhaseBegin(n)
 	}
 }
 
-func (m multiPhases) PhaseEnd(n string) {
-	for _, p := range m {
-		p.PhaseEnd(n)
+func (hs hierarchies) PhaseEnd(n string) {
+	for _, h := range hs {
+		h.PhaseEnd(n)
 	}
+}
+
+// results derives each machine's Result from its hierarchy.
+func (hs hierarchies) results(machines []perf.Machine, bytes int) []Result {
+	results := make([]Result, len(machines))
+	for i, m := range machines {
+		results[i] = makeResult(m, hs[i], bytes)
+	}
+	return results
 }
 
 // RunEncode encodes the workload once, measured on all machines, and
@@ -171,25 +175,12 @@ func RunEncodeCtx(ctx context.Context, space *simmem.Space, machines []perf.Mach
 func RunEncodeLiveIn(space *simmem.Space, machines []perf.Machine, wl Workload) ([]Result, *codec.SessionStream, error) {
 	wl = wl.normalize()
 	frames := wl.frames(space)
-
-	hiers := make([]*cache.Hierarchy, len(machines))
-	trackers := make(multiPhases, len(machines))
-	tracers := make([]simmem.Tracer, len(machines))
-	for i, m := range machines {
-		hiers[i] = m.NewHierarchy()
-		trackers[i] = newPhaseTracker(hiers[i])
-		tracers[i] = hiers[i]
-	}
-
-	ss, err := codec.EncodeSession(wl.sessionConfig(), space, simmem.Combine(tracers...), trackers, frames)
+	hs := newHierarchies(machines)
+	ss, err := codec.EncodeSession(wl.sessionConfig(), space, hs.tracer(), hs, frames)
 	if err != nil {
 		return nil, nil, err
 	}
-	results := make([]Result, len(machines))
-	for i, m := range machines {
-		results[i] = makeResult(m, hiers[i], trackers[i], ss.TotalBytes())
-	}
-	return results, ss, nil
+	return hs.results(machines, ss.TotalBytes()), ss, nil
 }
 
 // RunDecode decodes a previously encoded session on all machines as a
@@ -220,23 +211,11 @@ func RunDecodeCtx(ctx context.Context, space *simmem.Space, machines []perf.Mach
 
 // RunDecodeLiveIn is the live decode path (see RunEncodeLiveIn).
 func RunDecodeLiveIn(space *simmem.Space, machines []perf.Machine, wl Workload, ss *codec.SessionStream) ([]Result, error) {
-	hiers := make([]*cache.Hierarchy, len(machines))
-	trackers := make(multiPhases, len(machines))
-	tracers := make([]simmem.Tracer, len(machines))
-	for i, m := range machines {
-		hiers[i] = m.NewHierarchy()
-		trackers[i] = newPhaseTracker(hiers[i])
-		tracers[i] = hiers[i]
-	}
-
-	if err := streamDecode(ss, space, simmem.Combine(tracers...), trackers); err != nil {
+	hs := newHierarchies(machines)
+	if err := streamDecode(ss, space, hs.tracer(), hs); err != nil {
 		return nil, err
 	}
-	results := make([]Result, len(machines))
-	for i, m := range machines {
-		results[i] = makeResult(m, hiers[i], trackers[i], ss.TotalBytes())
-	}
-	return results, nil
+	return hs.results(machines, ss.TotalBytes()), nil
 }
 
 // streamDecode is the playback loop: per coding step it decodes one VOP
@@ -351,6 +330,8 @@ func EncodeDecode(machines []perf.Machine, wl Workload) ([]Result, []Result, err
 	return encRes, decRes, nil
 }
 
-func makeResult(m perf.Machine, h *cache.Hierarchy, tr *phaseTracker, bytes int) Result {
-	return resultFromStats(m, h.Snapshot(), tr.acc, bytes)
+// makeResult derives m's Result from its hierarchy's counters and
+// phases.
+func makeResult(m perf.Machine, h *cache.Hierarchy, bytes int) Result {
+	return resultFromStats(m, h.Stats, h.Phases.Totals(), bytes)
 }

@@ -214,9 +214,8 @@ func (c *Capture) RecordDecodeIn(space *simmem.Space) error {
 // Stats (and per-phase deltas) a live run on m would have counted.
 func ReplayOn(m perf.Machine, tr *trace.Trace, bytes int) Result {
 	h := m.NewHierarchy()
-	pt := newPhaseTracker(h)
-	tr.Replay(h, pt)
-	return makeResult(m, h, pt, bytes)
+	tr.Replay(h, h)
+	return makeResult(m, h, bytes)
 }
 
 // sameL1 reports whether all machines share one L1 configuration,

@@ -42,7 +42,7 @@ func FuzzStudySpec(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		spec, err := decodeStudySpec(bytes.NewReader(body))
+		spec, err := DecodeStudySpec(bytes.NewReader(body))
 		if err != nil || spec.Validate() != nil {
 			return
 		}
@@ -50,7 +50,7 @@ func FuzzStudySpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshal: %v", err)
 		}
-		again, err := decodeStudySpec(bytes.NewReader(raw))
+		again, err := DecodeStudySpec(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("re-marshalled spec %s does not decode: %v", raw, err)
 		}
@@ -67,7 +67,7 @@ func FuzzStudySpec(f *testing.F) {
 // valid: each must pass the submit path's decode and validation.
 func TestAcceptedSubmissionsDecode(t *testing.T) {
 	for _, body := range acceptedSubmissions {
-		spec, err := decodeStudySpec(bytes.NewReader([]byte(body)))
+		spec, err := DecodeStudySpec(bytes.NewReader([]byte(body)))
 		if err == nil {
 			err = spec.Validate()
 		}

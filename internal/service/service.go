@@ -106,8 +106,9 @@ var (
 var serviceLog = obs.Logger("service")
 
 // StudySpec is one submission: an experiment list plus run settings.
-// It is a superset of mp4study's manifest schema, so a manifest file
-// can be POSTed unchanged.
+// It is also mp4study's manifest schema: the command reads a manifest
+// with DecodeStudySpec and checks it with Validate, so a manifest runs
+// locally exactly when the service would accept it.
 type StudySpec struct {
 	Frames int `json:"frames,omitempty"`
 	// Parallel is accepted for manifest compatibility but ignored: the
@@ -571,10 +572,11 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // maxSpecBytes caps a submission body; a larger body is a 413.
 const maxSpecBytes = 1 << 20
 
-// decodeStudySpec decodes the one StudySpec r holds. Unknown fields and
-// anything but whitespace after the value are errors; a read error
-// such as *http.MaxBytesError comes back wrapped.
-func decodeStudySpec(r io.Reader) (StudySpec, error) {
+// DecodeStudySpec decodes the one StudySpec r holds, for the submit
+// path and for mp4study's manifests. Unknown fields and anything but
+// whitespace after the value are errors; a read error such as
+// *http.MaxBytesError comes back wrapped.
+func DecodeStudySpec(r io.Reader) (StudySpec, error) {
 	var spec StudySpec
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -593,7 +595,7 @@ func decodeStudySpec(r io.Reader) (StudySpec, error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeStudySpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	spec, err := DecodeStudySpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -231,21 +231,53 @@ func TestL2FilterChunkLayout(t *testing.T) {
 	requireReplay(t, "Replay", whole, wantWhole, phases, wantPhases)
 }
 
-// hostileL2Body is a 38-byte M4L2 body with a valid 32 KB 2-way LRU L1
-// header, zero counters and names, an event count of 2^40 and then
-// three events before it ends.
-func hostileL2Body() []byte {
+// hostileL2Header is the start of an M4L2 body: a valid 32 KB 2-way L1
+// header naming policy pol, then zero counters.
+func hostileL2Header(pol string) []byte {
 	b := append([]byte{}, l2Magic[:]...)
 	b = binary.AppendUvarint(b, L2WireVersion)
 	b = append(b, 0) // L1 name
 	b = binary.AppendUvarint(b, 32<<10)
-	b = append(b, 32, 2)            // line size, ways
-	b = append(b, 3, 'l', 'r', 'u') // policy
-	b = append(b, 0)                // seed
-	b = append(b, make([]byte, 12)...)
-	b = append(b, 0) // names
+	b = append(b, 32, 2) // line size, ways
+	b = append(b, byte(len(pol)))
+	b = append(b, pol...)
+	b = append(b, 0) // seed
+	return append(b, make([]byte, 12)...)
+}
+
+// hostileL2Body is a 38-byte M4L2 body with a valid 32 KB 2-way LRU L1
+// header, zero counters and names, an event count of 2^40 and then
+// three events before it ends.
+func hostileL2Body() []byte {
+	b := append(hostileL2Header("lru"), 0) // names
 	b = binary.AppendUvarint(b, 1<<40)
 	return append(b, 2, 2, 2)
+}
+
+// hostileNameTableBody is a 28-byte M4L2 body with a valid 32 KB 2-way
+// L1 header of the default policy, zero counters, and then a name count
+// of 2^20 and no name.
+func hostileNameTableBody() []byte {
+	return binary.AppendUvarint(hostileL2Header(""), maxWireNames)
+}
+
+// requireCheapRejection fails unless decoding body fails as malformed
+// after allocating at most one chunk, the reader's buffer and a few
+// small headers.
+func requireCheapRejection(t *testing.T, what string, body []byte) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := ReadL2Trace(bytes.NewReader(body))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("%s decoded with %v, want ErrBadFormat", what, err)
+	}
+	const slack = 8 << 10 // the digest, the trace header and the error
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(fusedBlockEvents*8+wireBufSize+slack); alloc > limit {
+		t.Fatalf("decoding %s allocated %d bytes, more than one chunk and the reader's buffer (%d)", what, alloc, limit)
+	}
 }
 
 // TestReadL2TraceHostileEventCount: an event count the body does not
@@ -257,16 +289,16 @@ func TestReadL2TraceHostileEventCount(t *testing.T) {
 	if len(body) != 38 {
 		t.Fatalf("hostile body is %d bytes, want 38", len(body))
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, err := ReadL2Trace(bytes.NewReader(body))
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrBadFormat) {
-		t.Fatalf("hostile event count decoded with %v, want ErrBadFormat", err)
+	requireCheapRejection(t, "a 2^40-event claim", body)
+}
+
+// TestReadL2TraceHostileNameCount: a name count the body does not back
+// costs the decoder no table of that count, under the same bound as an
+// unbacked event count.
+func TestReadL2TraceHostileNameCount(t *testing.T) {
+	body := hostileNameTableBody()
+	if len(body) != 28 {
+		t.Fatalf("hostile body is %d bytes, want 28", len(body))
 	}
-	const slack = 8 << 10 // the digest, the trace header and the error
-	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(fusedBlockEvents*8+wireBufSize+slack); alloc > limit {
-		t.Fatalf("decoding a 2^40-event claim allocated %d bytes, more than one chunk and the reader's buffer (%d)", alloc, limit)
-	}
+	requireCheapRejection(t, "a 2^20-name claim", body)
 }

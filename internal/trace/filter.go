@@ -1,6 +1,6 @@
 // L1-filtered traces: the paper's three machines (and most cache
 // sweeps) differ only in their second-level cache, while the shared L1
-// determines which references reach L2 at all. FilterL2 runs the L1
+// determines which references reach L2 at all. An L2Filter runs the L1
 // simulation once and captures just the L2-bound stream — typically two
 // to three orders of magnitude shorter than the full reference stream —
 // so sweeping L2 geometries costs microseconds per configuration
@@ -24,17 +24,14 @@ import (
 
 // L2Filter is a Tracer that simulates one L1 data cache and captures
 // the stream it sends to the next level. It implements simmem.Tracer,
-// simmem.StridedTracer and the codec's PhaseRecorder. Its L1 side is
-// cache.Hierarchy's: demand references walk the same row kernel,
-// cache.AccessRows, which resolves hits inside the L1, and prefetches
-// take the same Lookup-then-Access probe. Where the hierarchy sends an
-// L1 miss to its L2, the filter records the L2-bound events instead, in
-// fixed chunks (see eventChunks).
+// simmem.StridedTracer and the codec's PhaseRecorder. It is
+// cache.Hierarchy's L1 side, cache.L1Side, with the recorder of the
+// L2-bound events as its next level: where a hierarchy sends an L1 miss
+// to its L2, the filter records the miss instead, in fixed chunks (see
+// eventChunks). Its Stats are the L1-side counters; the L2 counters are
+// a replay's.
 type L2Filter struct {
-	l1        *cache.Cache
-	lineBytes uint64
-
-	base     cache.Stats // L1-determined counters; L2 fields stay zero
+	cache.L1Side
 	events   eventChunks // the L2-bound stream so far
 	marks    []l2Mark
 	names    []string
@@ -42,8 +39,7 @@ type L2Filter struct {
 }
 
 // l2Mark is a phase marker inside the L2 event stream, with the
-// L1-level counters at the marker (the L2-level part is recomputed per
-// replayed geometry).
+// L1-side counters at the marker; a replay adds its L2 counters there.
 type l2Mark struct {
 	pos   int
 	name  uint32
@@ -59,85 +55,10 @@ var (
 
 // NewL2Filter returns a filter simulating the given L1 geometry.
 func NewL2Filter(l1 cache.Config) *L2Filter {
-	c := cache.New(l1)
-	return &L2Filter{l1: c, lineBytes: uint64(l1.LineBytes), phaseIdx: map[string]uint32{}}
+	f := &L2Filter{phaseIdx: map[string]uint32{}}
+	f.L1Side = cache.NewL1Side(l1, f.events.record)
+	return f
 }
-
-// l1Miss mirrors cache.Hierarchy's L1 miss handling up to the L1/L2
-// boundary, emitting the L2-bound events instead of probing an L2.
-func (f *L2Filter) l1Miss(addr uint64, r1 cache.Result) {
-	f.base.L1Misses++
-	if r1.EvictedDirty {
-		f.base.L1Writebacks++
-		f.emit((r1.EvictedLine*f.lineBytes)<<1 | 1)
-	}
-	f.emit(addr << 1)
-}
-
-// emit appends one L2-bound event: addr<<1 | 1 for a writeback
-// install, addr<<1 for a demand fill. Its stream length is unknown, so
-// each chunk it starts is a whole one.
-func (f *L2Filter) emit(ev uint64) { f.events.add(ev, fusedBlockEvents) }
-
-// Access implements simmem.Tracer (cf. cache.Hierarchy.Access).
-func (f *L2Filter) Access(addr uint64, size uint32, kind simmem.Kind) {
-	switch kind {
-	case simmem.Load:
-		f.base.Loads++
-		f.base.LoadBytes += uint64(size)
-	case simmem.Store:
-		f.base.Stores++
-		f.base.StoreBytes += uint64(size)
-	case simmem.Prefetch:
-		f.prefetch(addr)
-		return
-	}
-	f.l1.AccessRows(addr, int(size), 0, 1, kind == simmem.Store, f.l1Miss)
-}
-
-// prefetch probes the L1 with one prefetch of addr (cf.
-// cache.Hierarchy's).
-func (f *L2Filter) prefetch(addr uint64) {
-	f.base.Prefetches++
-	if f.l1.Lookup(addr) {
-		f.base.PrefetchL1Hits++
-		return
-	}
-	if r1 := f.l1.Access(addr, false); !r1.Hit {
-		f.l1Miss(addr, r1)
-	}
-}
-
-// Run implements simmem.Tracer (cf. cache.Hierarchy.Run).
-func (f *L2Filter) Run(addr uint64, n int, unit uint32, kind simmem.Kind) {
-	f.RunStrided(addr, n, 0, 1, unit, kind)
-}
-
-// RunStrided implements simmem.StridedTracer (cf.
-// cache.Hierarchy.RunStrided).
-func (f *L2Filter) RunStrided(addr uint64, rowBytes, stride, rows int, unit uint32, kind simmem.Kind) {
-	if rowBytes <= 0 || rows <= 0 {
-		return
-	}
-	if kind == simmem.Prefetch {
-		f.l1.EachLine(addr, rowBytes, stride, rows, f.prefetch)
-		return
-	}
-	refs := uint64(rows) * simmem.RunRefs(rowBytes, unit)
-	bytes := uint64(rows) * uint64(rowBytes)
-	write := kind == simmem.Store
-	if write {
-		f.base.Stores += refs
-		f.base.StoreBytes += bytes
-	} else {
-		f.base.Loads += refs
-		f.base.LoadBytes += bytes
-	}
-	f.l1.AccessRows(addr, rowBytes, stride, rows, write, f.l1Miss)
-}
-
-// Ops implements simmem.Tracer.
-func (f *L2Filter) Ops(n uint64) { f.base.Ops += n }
 
 func (f *L2Filter) phase(name string) uint32 {
 	if i, ok := f.phaseIdx[name]; ok {
@@ -151,12 +72,12 @@ func (f *L2Filter) phase(name string) uint32 {
 
 // PhaseBegin implements the codec's PhaseRecorder.
 func (f *L2Filter) PhaseBegin(name string) {
-	f.marks = append(f.marks, l2Mark{pos: f.events.n, name: f.phase(name), begin: true, base: f.base})
+	f.marks = append(f.marks, l2Mark{pos: f.events.n, name: f.phase(name), begin: true, base: f.Stats})
 }
 
 // PhaseEnd implements the codec's PhaseRecorder.
 func (f *L2Filter) PhaseEnd(name string) {
-	f.marks = append(f.marks, l2Mark{pos: f.events.n, name: f.phase(name), base: f.base})
+	f.marks = append(f.marks, l2Mark{pos: f.events.n, name: f.phase(name), base: f.Stats})
 }
 
 // Filter-pass metrics: the L1's line references, and how many of them
@@ -169,11 +90,11 @@ var (
 // Trace returns the captured L2-bound stream. The filter may not be
 // used afterwards.
 func (f *L2Filter) Trace() *L2Trace {
-	mFilterRepeatLines.Add(f.l1.RepeatLines)
-	mFilterLineRefs.Add(f.l1.Accesses)
+	mFilterRepeatLines.Add(f.L1.RepeatLines)
+	mFilterLineRefs.Add(f.L1.Accesses)
 	return &L2Trace{
-		L1:          f.l1.Config(),
-		base:        f.base,
+		L1:          f.L1.Config(),
+		base:        f.Stats,
 		eventChunks: f.events,
 		marks:       f.marks,
 		names:       f.names,
@@ -189,6 +110,18 @@ func (f *L2Filter) Trace() *L2Trace {
 type eventChunks struct {
 	chunks [][]uint64
 	n      int // events in all chunks
+}
+
+// record is the filter's next level: it appends one L2-bound event,
+// addr<<1 | 1 for a writeback install and addr<<1 for a demand fill.
+// The stream's length is unknown, so each chunk it starts is a whole
+// one.
+func (s *eventChunks) record(addr uint64, writeback bool) {
+	ev := addr << 1
+	if writeback {
+		ev |= 1
+	}
+	s.add(ev, fusedBlockEvents)
 }
 
 // add appends ev. When the last chunk is full it starts a new one with
@@ -238,12 +171,11 @@ func (t *L2Trace) String() string {
 
 // Replay simulates the captured stream against one L2 geometry and
 // returns the whole-run Stats plus the per-phase Stats deltas —
-// counter-identical to running the full workload live against a
-// cache.Hierarchy{L1: t.L1, L2: l2}.
+// counter-identical to running the full workload live against
+// cache.NewHierarchy(t.L1, l2).
 func (t *L2Trace) Replay(l2 cache.Config) (cache.Stats, map[string]cache.Stats) {
 	defer noteL2Replay(time.Now(), t.n)
-	var rp l2Replay
-	rp.reset(t, l2)
+	rp := l2Replay{t: t, c: cache.New(l2)}
 	for k, chunk := range t.chunks {
 		rp.run(chunk, k*fusedBlockEvents)
 	}
@@ -251,42 +183,16 @@ func (t *L2Trace) Replay(l2 cache.Config) (cache.Stats, map[string]cache.Stats) 
 }
 
 // l2Replay is the mutable state of one L2 replay: the simulated cache,
-// the running L2 counters, the mark cursor, and the phase maps that
-// used to be per-call allocations (statsAt's closure and the starts
-// map). The fused pass (ReplayMany) keeps one per config and advances
-// each across every chunk of the event stream; reset lets a scratch be
-// reused across replays without reallocating the maps.
+// its L2 counters, the mark cursor and the phases. The counters at a
+// mark, or at the end, are the L1-side base the filter recorded there
+// plus the L2 counters so far. The fused pass (ReplayMany) keeps one
+// per config and advances each across every chunk of the event stream.
 type l2Replay struct {
-	t                                  *L2Trace
-	c                                  *cache.Cache
-	l2Accesses, l2Misses, l2Writebacks uint64
-	mi                                 int
-	starts                             map[string]cache.Stats
-	phases                             map[string]cache.Stats
-}
-
-// reset points the scratch at a trace/geometry pair and clears all
-// running state.
-func (rp *l2Replay) reset(t *L2Trace, l2 cache.Config) {
-	rp.t = t
-	rp.c = cache.New(l2)
-	rp.l2Accesses, rp.l2Misses, rp.l2Writebacks = 0, 0, 0
-	rp.mi = 0
-	if rp.starts == nil {
-		rp.starts = map[string]cache.Stats{}
-	} else {
-		clear(rp.starts)
-	}
-	rp.phases = nil
-}
-
-// statsAt reconstructs the full hierarchy counters at mark m.
-func (rp *l2Replay) statsAt(m *l2Mark) cache.Stats {
-	s := m.base
-	s.L2Accesses = rp.l2Accesses
-	s.L2Misses = rp.l2Misses
-	s.L2Writebacks = rp.l2Writebacks
-	return s
+	t      *L2Trace
+	c      *cache.Cache
+	l2     cache.Stats // L2 fields only, counted by cache.Stats.CountL2
+	mi     int
+	phases cache.Phases
 }
 
 // run replays one chunk whose first event is at stream position base,
@@ -294,7 +200,8 @@ func (rp *l2Replay) statsAt(m *l2Mark) cache.Stats {
 // a mark at base applies before the chunk's first event. Calling run
 // over the chunks in order is exactly the serial replay — the fused
 // pass interleaves the chunks of several configs while a chunk is hot
-// in the host cache.
+// in the host cache. Each event is one L2 access, counted by the
+// hierarchy's L2 rule.
 func (rp *l2Replay) run(chunk []uint64, base int) {
 	t, c := rp.t, rp.c
 	for i, ev := range chunk {
@@ -302,61 +209,29 @@ func (rp *l2Replay) run(chunk []uint64, base int) {
 			rp.applyMark(&t.marks[rp.mi])
 			rp.mi++
 		}
-		addr := ev >> 1
-		if ev&1 != 0 {
-			// L1 writeback install: an L2 access that is not a demand
-			// miss; only a displaced dirty L2 victim adds traffic.
-			rp.l2Accesses++
-			r := c.Access(addr, true)
-			if !r.Hit && r.EvictedDirty {
-				rp.l2Writebacks++
-			}
-			continue
-		}
-		rp.l2Accesses++
-		r := c.Access(addr, false)
-		if !r.Hit {
-			rp.l2Misses++
-			if r.EvictedDirty {
-				rp.l2Writebacks++
-			}
-		}
+		writeback := ev&1 != 0
+		rp.l2.CountL2(c.Access(ev>>1, writeback), writeback)
 	}
 }
 
 // finish applies the trailing marks and returns the whole-run and
 // per-phase Stats.
 func (rp *l2Replay) finish() (cache.Stats, map[string]cache.Stats) {
-	t := rp.t
-	for rp.mi < len(t.marks) {
-		rp.applyMark(&t.marks[rp.mi])
+	for rp.mi < len(rp.t.marks) {
+		rp.applyMark(&rp.t.marks[rp.mi])
 		rp.mi++
 	}
-	whole := t.base
-	whole.L2Accesses = rp.l2Accesses
-	whole.L2Misses = rp.l2Misses
-	whole.L2Writebacks = rp.l2Writebacks
-	return whole, rp.phases
+	return rp.t.base.Add(rp.l2), rp.phases.Totals()
 }
 
-// applyMark accumulates one phase begin/end into the phase map, with
-// the same begin-snapshot / end-delta semantics as the harness's live
-// phase tracker.
+// applyMark opens or closes one phase at the mark's counters.
 func (rp *l2Replay) applyMark(m *l2Mark) {
-	name, at := rp.t.names[m.name], rp.statsAt(m)
+	name, at := rp.t.names[m.name], m.base.Add(rp.l2)
 	if m.begin {
-		rp.starts[name] = at
-		return
+		rp.phases.Begin(name, at)
+	} else {
+		rp.phases.End(name, at)
 	}
-	s, ok := rp.starts[name]
-	if !ok {
-		return
-	}
-	delete(rp.starts, name)
-	if rp.phases == nil {
-		rp.phases = map[string]cache.Stats{}
-	}
-	rp.phases[name] = rp.phases[name].Add(at.Sub(s))
 }
 
 // Fused-replay metrics: the worker gauge mirrors SetReplayWorkers, the
@@ -454,7 +329,7 @@ func (t *L2Trace) ReplayMany(cfgs []cache.Config, workers int) []L2ReplayResult 
 func (t *L2Trace) replayFused(cfgs []cache.Config, out []L2ReplayResult) {
 	states := make([]l2Replay, len(cfgs))
 	for i := range states {
-		states[i].reset(t, cfgs[i])
+		states[i] = l2Replay{t: t, c: cache.New(cfgs[i])}
 	}
 	for k, chunk := range t.chunks {
 		for i := range states {

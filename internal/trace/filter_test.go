@@ -241,8 +241,8 @@ func TestL2FilterPrefetchRunEndsAtTopOfAddressSpace(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("prefetch run near the top of the address space did not return")
 	}
-	if f.base.Prefetches != 2 {
-		t.Fatalf("%d prefetches, want 2 (the last two lines)", f.base.Prefetches)
+	if f.Prefetches != 2 {
+		t.Fatalf("%d prefetches, want 2 (the last two lines)", f.Prefetches)
 	}
 }
 

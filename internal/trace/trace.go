@@ -203,7 +203,7 @@ func (t *Trace) String() string {
 }
 
 // PhaseSink receives the replayed phase markers. codec.PhaseRecorder
-// and the harness's phase trackers satisfy it.
+// and cache.Hierarchy satisfy it.
 type PhaseSink interface {
 	PhaseBegin(name string)
 	PhaseEnd(name string)

@@ -391,8 +391,10 @@ func (r *wireReader) nameTable() ([]string, error) {
 	if n > maxWireNames {
 		return nil, badf("name count %d exceeds limit", n)
 	}
-	names := make([]string, n)
-	for i := range names {
+	// The count is untrusted, so the table grows as names decode: a
+	// hostile count costs what its body backs, not its claim.
+	var names []string
+	for ; n > 0; n-- {
 		l, err := r.uvarint("name length")
 		if err != nil {
 			return nil, err
@@ -404,7 +406,7 @@ func (r *wireReader) nameTable() ([]string, error) {
 		if err := r.full(buf); err != nil {
 			return nil, err
 		}
-		names[i] = string(buf)
+		names = append(names, string(buf))
 	}
 	return names, nil
 }
@@ -625,6 +627,10 @@ func writeStatsDelta(w *wireWriter, s, prev cache.Stats) {
 	}
 }
 
+// readStatsDelta reads the counter block of an M4L2 base or mark, coded
+// as its delta from prev. The block holds the filter's L1-side counters
+// only: a replay adds its own L2 counters to it, so a block that
+// carries L2 counters is malformed.
 func readStatsDelta(r *wireReader, prev cache.Stats) (cache.Stats, error) {
 	s := prev
 	sf := statsFields(&s)
@@ -634,6 +640,9 @@ func readStatsDelta(r *wireReader, prev cache.Stats) (cache.Stats, error) {
 			return cache.Stats{}, err
 		}
 		*sf[i] += d
+	}
+	if s.L2Accesses|s.L2Misses|s.L2Writebacks != 0 {
+		return cache.Stats{}, badf("L2 counters in an L1-side counter block")
 	}
 	return s, nil
 }

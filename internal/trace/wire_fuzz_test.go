@@ -36,6 +36,23 @@ func fuzzSeedL2Trace() []byte {
 	return buf.Bytes()
 }
 
+// l2CounterBody is the M4L2 body of a short filter pass with one
+// phase, encoded after set edits its trace: the tests put L2 counters
+// in its base or a mark.
+func l2CounterBody(set func(lt *L2Trace)) []byte {
+	f := NewL2Filter(l1Config())
+	f.PhaseBegin("Vop")
+	randomStream(rand.New(rand.NewSource(2)), 50, f, nil)
+	f.PhaseEnd("Vop")
+	lt := f.Trace()
+	set(lt)
+	var buf bytes.Buffer
+	if _, err := lt.WriteTo(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
 // fuzzSeedChunkedL2Trace is the smallest body whose events fill two
 // chunks and start a third: 2×fusedBlockEvents+1 events of one line,
 // one byte each, with a phase from the second chunk's first position
@@ -94,6 +111,9 @@ func FuzzReadL2Trace(f *testing.F) {
 	f.Add(lcorrupt)
 	f.Add(hostileL2Body()) // an event count of 2^40, then three events
 	f.Add(fuzzSeedChunkedL2Trace())
+	f.Add(hostileNameTableBody())                                                 // a name count of 2^20, then no name
+	f.Add(l2CounterBody(func(lt *L2Trace) { lt.base.L2Misses = 1 }))              // a base with an L2 counter
+	f.Add(l2CounterBody(func(lt *L2Trace) { lt.marks[1].base.L2Writebacks = 1 })) // a mark with one
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lt, err := ReadL2Trace(bytes.NewReader(data))
 		if err != nil {

@@ -315,6 +315,34 @@ func TestL2TraceWireGeometryValidation(t *testing.T) {
 	}
 }
 
+// TestL2TraceWireRejectsL2Counters: an M4L2 base or mark holds the
+// filter's L1-side counters, and a replay adds its own L2 counters to
+// them, so a stream whose base or mark carries any L2 counter is
+// malformed. The same pass with none decodes.
+func TestL2TraceWireRejectsL2Counters(t *testing.T) {
+	if _, err := ReadL2Trace(bytes.NewReader(l2CounterBody(func(*L2Trace) {}))); err != nil {
+		t.Fatalf("the unedited pass: %v", err)
+	}
+	fields := map[string]func(*cache.Stats){
+		"L2Accesses":   func(s *cache.Stats) { s.L2Accesses = 1 },
+		"L2Misses":     func(s *cache.Stats) { s.L2Misses = 1 },
+		"L2Writebacks": func(s *cache.Stats) { s.L2Writebacks = 1 },
+	}
+	blocks := map[string]func(*L2Trace) *cache.Stats{
+		"base":       func(lt *L2Trace) *cache.Stats { return &lt.base },
+		"begin mark": func(lt *L2Trace) *cache.Stats { return &lt.marks[0].base },
+		"end mark":   func(lt *L2Trace) *cache.Stats { return &lt.marks[1].base },
+	}
+	for field, set := range fields {
+		for block, at := range blocks {
+			body := l2CounterBody(func(lt *L2Trace) { set(at(lt)) })
+			if _, err := ReadL2Trace(bytes.NewReader(body)); !errors.Is(err, ErrBadFormat) {
+				t.Errorf("%s in the %s decoded with %v, want ErrBadFormat", field, block, err)
+			}
+		}
+	}
+}
+
 // TestL2TraceWirePolicyRoundTrip: the version-2 header carries the
 // L1's replacement policy and seed, and a decoded trace replays
 // identically under policy-configured L2 geometries.
